@@ -43,33 +43,22 @@ std::size_t bcsd_arrays_bytes(const BlockStats& st, index_t rows, int b) {
          (segs + 1) * kIdx + segs * kIdx;
 }
 
-// Memoised structural scans shared across candidates.
+// Memoised structural scans shared across candidates: one pass per block
+// shape serves the padded and decomposed variants and both impls.
 template <class V>
 struct StatsCache {
   const Csr<V>& a;
-  std::map<std::pair<int, int>, BlockStats> bcsr;
-  std::map<std::pair<int, int>, DecompStats> bcsr_dec;
-  std::map<int, BlockStats> bcsd;
-  std::map<int, DecompStats> bcsd_dec;
+  std::map<std::pair<int, int>, BlockingStats> bcsr;
+  std::map<int, BlockingStats> bcsd;
 
-  const BlockStats& get_bcsr(BlockShape s) {
+  const BlockingStats& get_bcsr(BlockShape s) {
     auto [it, fresh] = bcsr.try_emplace({s.r, s.c});
-    if (fresh) it->second = bcsr_stats(a, s);
+    if (fresh) it->second = bcsr_blocking_stats(a, s);
     return it->second;
   }
-  const DecompStats& get_bcsr_dec(BlockShape s) {
-    auto [it, fresh] = bcsr_dec.try_emplace({s.r, s.c});
-    if (fresh) it->second = bcsr_dec_stats(a, s);
-    return it->second;
-  }
-  const BlockStats& get_bcsd(int b) {
+  const BlockingStats& get_bcsd(int b) {
     auto [it, fresh] = bcsd.try_emplace(b);
-    if (fresh) it->second = bcsd_stats(a, b);
-    return it->second;
-  }
-  const DecompStats& get_bcsd_dec(int b) {
-    auto [it, fresh] = bcsd_dec.try_emplace(b);
-    if (fresh) it->second = bcsd_dec_stats(a, b);
+    if (fresh) it->second = bcsd_blocking_stats(a, b);
     return it->second;
   }
 };
@@ -92,14 +81,14 @@ CandidateCost cost_with_cache(const Csr<V>& a, const Candidate& c,
       break;
     }
     case FormatKind::kBcsr: {
-      const BlockStats& st = cache.get_bcsr(c.shape);
+      const BlockStats& st = cache.get_bcsr(c.shape).padded;
       cost.parts.push_back(CostPart{
           c.kernel_id(), bcsr_arrays_bytes<V>(st, a.rows(), c.shape.r) + vecs,
           st.blocks});
       break;
     }
     case FormatKind::kBcsrDec: {
-      const DecompStats& st = cache.get_bcsr_dec(c.shape);
+      const DecompStats& st = cache.get_bcsr(c.shape).dec;
       cost.parts.push_back(CostPart{
           c.kernel_id(),
           bcsr_arrays_bytes<V>(st.full, a.rows(), c.shape.r) + vecs,
@@ -111,14 +100,14 @@ CandidateCost cost_with_cache(const Csr<V>& a, const Candidate& c,
       break;
     }
     case FormatKind::kBcsd: {
-      const BlockStats& st = cache.get_bcsd(c.b);
+      const BlockStats& st = cache.get_bcsd(c.b).padded;
       cost.parts.push_back(CostPart{
           c.kernel_id(), bcsd_arrays_bytes<V>(st, a.rows(), c.b) + vecs,
           st.blocks});
       break;
     }
     case FormatKind::kBcsdDec: {
-      const DecompStats& st = cache.get_bcsd_dec(c.b);
+      const DecompStats& st = cache.get_bcsd(c.b).dec;
       cost.parts.push_back(CostPart{
           c.kernel_id(), bcsd_arrays_bytes<V>(st.full, a.rows(), c.b) + vecs,
           st.full.blocks});
@@ -197,14 +186,14 @@ CandidateCost cost_with_cache(const Csr<V>& a, const Candidate& c,
 
 template <class V>
 CandidateCost candidate_cost(const Csr<V>& a, const Candidate& c) {
-  StatsCache<V> cache{a, {}, {}, {}, {}};
+  StatsCache<V> cache{a, {}, {}};
   return cost_with_cache(a, c, cache);
 }
 
 template <class V>
 std::vector<CandidateCost> all_candidate_costs(
     const Csr<V>& a, const std::vector<Candidate>& candidates) {
-  StatsCache<V> cache{a, {}, {}, {}, {}};
+  StatsCache<V> cache{a, {}, {}};
   std::vector<CandidateCost> out;
   out.reserve(candidates.size());
   for (const Candidate& c : candidates)

@@ -50,9 +50,9 @@ struct CandidateCost {
 template <class V>
 CandidateCost candidate_cost(const Csr<V>& a, const Candidate& c);
 
-/// Costs for all candidates, reusing shared statistics scans (the scan for
-/// a given shape serves both the padded and decomposed variants and both
-/// impls).
+/// Costs for all candidates, reusing shared statistics scans (the one scan
+/// for a given shape serves both the padded and decomposed variants and
+/// both impls).
 template <class V>
 std::vector<CandidateCost> all_candidate_costs(
     const Csr<V>& a, const std::vector<Candidate>& candidates);

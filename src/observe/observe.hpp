@@ -8,6 +8,7 @@
 // Hook map (what is instrumented where):
 //   select/rank            rank_candidates()        src/core/selector.cpp
 //   select                 select_and_prepare()     src/core/selector.cpp
+//   select.stats_scans     block statistics pass    src/formats/stats.cpp
 //   prepare[/convert/<fmt>] try_prepare/try_convert src/core/executor.cpp
 //   convert/<fmt>          AnyFormat::convert()     src/core/executor.cpp
 //   measure/spmv|threaded  SpmvEngine::measure()    src/core/engine.cpp

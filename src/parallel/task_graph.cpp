@@ -265,6 +265,7 @@ TaskPoolStats TaskPool::stats() const {
 }
 
 void TaskPool::flush_observe() {
+#if defined(BSPMV_OBSERVE_HOOKS) && BSPMV_OBSERVE_HOOKS
   std::lock_guard<std::mutex> lock(flush_mu_);
   const TaskPoolStats now = stats();
   auto& reg = observe::CounterRegistry::instance();
@@ -282,6 +283,7 @@ void TaskPool::flush_observe() {
   delta("task.queue_depth_max", now.max_queue_depth,
         flushed_.max_queue_depth);
   flushed_ = now;
+#endif
 }
 
 #define BSPMV_INST(V)                            \

@@ -7,18 +7,9 @@
 #include <vector>
 
 #include "src/util/macros.hpp"
+#include "src/util/timing.hpp"
 
 namespace bspmv {
-
-namespace {
-
-double median_of(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  return (n % 2 == 1) ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
-}  // namespace
 
 SampleStats robust_samples(const std::function<double()>& draw,
                            const SamplePolicy& policy, RunControl* control) {

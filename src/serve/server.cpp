@@ -95,6 +95,8 @@ struct Server::SpmmBatch {
 
 struct Server::ServerStats {
   std::atomic<std::uint64_t> requests_total{0};
+  // Bumped before the reply is sent, so a stats request the client issues
+  // after reading the reply always counts it.
   std::atomic<std::uint64_t> requests_ok{0};
   std::atomic<std::uint64_t> requests_error{0};
   std::atomic<std::uint64_t> submits{0};
@@ -392,8 +394,8 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     rep.fallback = hit->fallback;
     rep.cached = true;
     rep.prepare_seconds = t.elapsed();
-    send_reply(conn, MsgType::kSubmitOk, rep.encode());
     stats_->requests_ok.fetch_add(1, std::memory_order_relaxed);
+    send_reply(conn, MsgType::kSubmitOk, rep.encode());
     return;
   }
 
@@ -425,8 +427,8 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
   rep.fallback = entry->fallback;
   rep.cached = false;
   rep.prepare_seconds = t.elapsed();
-  send_reply(conn, MsgType::kSubmitOk, rep.encode());
   stats_->requests_ok.fetch_add(1, std::memory_order_relaxed);
+  send_reply(conn, MsgType::kSubmitOk, rep.encode());
   record_success();
 }
 
@@ -689,8 +691,8 @@ void Server::finish_spmv(const std::shared_ptr<Connection>& conn,
     st->rep.degraded = st->entry->degraded || degrade_level() > 0;
     if (st->rep.degraded)
       stats_->degraded_served.fetch_add(1, std::memory_order_relaxed);
-    send_reply(conn, MsgType::kSpmvOk, st->rep.encode());
     stats_->requests_ok.fetch_add(1, std::memory_order_relaxed);
+    send_reply(conn, MsgType::kSpmvOk, st->rep.encode());
     record_success();
     return;
   } catch (const timeout_error& e) {
@@ -829,8 +831,8 @@ void Server::spmv_batched(const std::shared_ptr<Connection>& conn,
         reps[j].degraded = degraded;
         if (degraded)
           stats_->degraded_served.fetch_add(1, std::memory_order_relaxed);
-        send_reply(take[j].conn, MsgType::kSpmvOk, reps[j].encode());
         stats_->requests_ok.fetch_add(1, std::memory_order_relaxed);
+        send_reply(take[j].conn, MsgType::kSpmvOk, reps[j].encode());
         record_success();
       }
     } catch (const timeout_error& e) {

@@ -6,14 +6,14 @@
 
 namespace bspmv {
 
-namespace {
-
 double median_of(std::vector<double> xs) {
   BSPMV_DBG_ASSERT(!xs.empty());
   std::sort(xs.begin(), xs.end());
   const std::size_t n = xs.size();
   return (n % 2 == 1) ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
+
+namespace {
 
 MeasureResult summarize(const std::vector<double>& per_iter, double total,
                         std::uint64_t iterations) {

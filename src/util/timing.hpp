@@ -38,6 +38,10 @@ struct MeasureResult {
   std::uint64_t iterations = 0;   ///< iterations actually executed
 };
 
+/// Median of a non-empty sample (the mean of the two middle values when
+/// the count is even).
+double median_of(std::vector<double> xs);
+
 /// Run `fn` exactly `iters` times (after `warmup` unmeasured runs) in
 /// `reps` back-to-back batches and report per-iteration statistics.
 /// Mirrors the paper's "100 consecutive SpMV operations" methodology.

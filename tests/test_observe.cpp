@@ -119,7 +119,9 @@ TEST_F(ObserveTest, DisabledSpansAreCheap) {
 TEST_F(ObserveTest, InstrumentedLibraryCallsMatchBuildConfig) {
   // rank_candidates carries a BSPMV_OBS_SPAN/BSPMV_OBS_COUNT pair. In an
   // OFF build those hooks compile to nothing, so the registry must stay
-  // empty; in an ON build they must land.
+  // empty; in an ON build they must land. One ranking makes exactly one
+  // structural pass per BCSR shape and BCSD size: the padded and the
+  // decomposed variant share it.
   const Csr<double> a = Csr<double>::from_coo(
       random_blocky_coo<double>(64, 64, 3, 0.3, 0.9, 42));
   const MachineProfile profile = synthetic_profile();
@@ -130,6 +132,8 @@ TEST_F(ObserveTest, InstrumentedLibraryCallsMatchBuildConfig) {
   if (kHooksEnabled) {
     EXPECT_EQ(snap.spans.count("rank"), 1u);
     EXPECT_EQ(snap.counters.at("select.candidates_ranked"), ranked.size());
+    // 19 BCSR shapes + 7 BCSD sizes.
+    EXPECT_EQ(snap.counters.at("select.stats_scans"), 26u);
   } else {
     EXPECT_TRUE(snap.spans.empty());
     EXPECT_TRUE(snap.counters.empty());

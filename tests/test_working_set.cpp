@@ -113,6 +113,30 @@ TEST(CandidateCost, AllCostsSharedScanMatchesIndividual) {
   }
 }
 
+TEST(CandidateCost, CachedCostsEqualUncachedFieldForField) {
+  // Every candidate, every field: the shared per-shape scans of
+  // all_candidate_costs must reproduce the one-candidate path exactly.
+  // Odd dimensions leave partial bands and block columns for every shape.
+  const Csr<double> a = Csr<double>::from_coo(
+      random_blocky_coo<double>(71, 67, 3, 0.3, 0.8, 17));
+  const auto cands = model_candidates(true);
+  const auto all = all_candidate_costs(a, cands);
+  ASSERT_EQ(all.size(), cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const CandidateCost one = candidate_cost(a, cands[i]);
+    EXPECT_EQ(all[i].candidate.id(), one.candidate.id());
+    EXPECT_EQ(all[i].xy_bytes, one.xy_bytes) << cands[i].id();
+    ASSERT_EQ(all[i].parts.size(), one.parts.size()) << cands[i].id();
+    for (std::size_t p = 0; p < one.parts.size(); ++p) {
+      EXPECT_EQ(all[i].parts[p].kernel_id, one.parts[p].kernel_id);
+      EXPECT_EQ(all[i].parts[p].ws_bytes, one.parts[p].ws_bytes)
+          << cands[i].id() << " part " << p;
+      EXPECT_EQ(all[i].parts[p].nb, one.parts[p].nb)
+          << cands[i].id() << " part " << p;
+    }
+  }
+}
+
 TEST(CandidateCost, BlockingShrinksIndexStructures) {
   // On a perfectly blocky matrix, BCSR 2x2 must have a smaller ws than
   // CSR (4 values share one block index) — §III's core claim.
