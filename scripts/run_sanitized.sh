@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Build the whole tree under AddressSanitizer + UndefinedBehaviorSanitizer
-# and run the full test suite. Any sanitizer report aborts the offending
-# test (-fno-sanitize-recover=all), so a green run means the suite is
-# clean, not merely quiet.
+# Build the whole tree under AddressSanitizer + UndefinedBehaviorSanitizer,
+# with libstdc++ assertions bounds-checking every std::vector index, and
+# run the full test suite. Any sanitizer report or failed assertion aborts
+# the offending test (-fno-sanitize-recover=all), so a green run means the
+# suite is clean, not merely quiet.
 #
 # Usage: scripts/run_sanitized.sh [extra ctest args...]
 set -euo pipefail

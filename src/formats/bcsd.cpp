@@ -1,120 +1,45 @@
 #include "src/formats/bcsd.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <cstdint>
 
-#include "src/formats/conversion_guard.hpp"
+#include "src/formats/band_scan.hpp"
 #include "src/util/macros.hpp"
 
 namespace bspmv {
 
 template <class V>
 Bcsd<V> Bcsd<V>::from_csr(const Csr<V>& a, int b) {
+  return build(a, b, nullptr);
+}
+
+template <class V>
+Bcsd<V> Bcsd<V>::build(const Csr<V>& a, int b, Csr<V>* remainder) {
   BSPMV_CHECK_MSG(b >= 1, "diagonal block length must be >= 1");
-  const index_t n = a.rows();
-  const index_t m = a.cols();
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_ind = a.col_ind();
-  const auto& val = a.val();
-
   Bcsd out;
-  out.rows_ = n;
-  out.cols_ = m;
+  out.rows_ = a.rows();
+  out.cols_ = a.cols();
   out.b_ = b;
-  out.segments_ = (n + b - 1) / b;
-  out.nnz_ = a.nnz();
-  out.brow_ptr_.assign(static_cast<std::size_t>(out.segments_) + 1, 0);
+  out.segments_ = (a.rows() + b - 1) / b;
   out.full_diags_.assign(static_cast<std::size_t>(out.segments_), 0);
-
-  // Diagonal start columns per segment; partial diagonals ordered last so
-  // the kernel's unchecked fast path covers a prefix.
-  std::vector<long long> j0s;
-  auto is_full = [&](long long j0, index_t base) {
-    return j0 >= 0 && j0 + b <= m && base + b <= n;
+  const auto n = static_cast<std::size_t>(a.rows());
+  const auto bs = static_cast<std::size_t>(b);
+  // Sorted by start column, the diagonals fully inside the matrix
+  // (0 <= j0 <= cols - b, in a segment of b rows) form one run; moving it
+  // to the front keeps both runs sorted.
+  auto full_first = [&](std::size_t s, std::uint32_t* keys, std::size_t nd) {
+    if ((s + 1) * bs > n) return;
+    std::uint32_t* lo =
+        std::lower_bound(keys, keys + nd, static_cast<std::uint32_t>(b - 1));
+    std::uint32_t* hi = std::upper_bound(
+        lo, keys + nd, static_cast<std::uint32_t>(a.cols()) - 1);
+    std::rotate(keys, lo, hi);
+    out.full_diags_[s] = static_cast<index_t>(hi - lo);
   };
-
-  // Pass 1: count diagonals per segment.
-  for (index_t s = 0; s < out.segments_; ++s) {
-    const index_t base = s * b;
-    const index_t row_end = std::min<index_t>(n, base + b);
-    j0s.clear();
-    for (index_t i = base; i < row_end; ++i)
-      for (index_t k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k)
-        j0s.push_back(static_cast<long long>(
-                          col_ind[static_cast<std::size_t>(k)]) -
-                      (i - base));
-    std::sort(j0s.begin(), j0s.end());
-    const auto uniq = std::unique(j0s.begin(), j0s.end()) - j0s.begin();
-    out.brow_ptr_[static_cast<std::size_t>(s) + 1] =
-        out.brow_ptr_[static_cast<std::size_t>(s)] + static_cast<index_t>(uniq);
-  }
-
-  const std::size_t ndiags = static_cast<std::size_t>(out.brow_ptr_.back());
-  const std::size_t stored =
-      ConversionGuard::mul("bcsd", ndiags, static_cast<std::size_t>(b));
-  ConversionGuard::check("bcsd", stored, a.nnz(), sizeof(V),
-                         (out.brow_ptr_.size() + ndiags +
-                          out.full_diags_.size()) *
-                             sizeof(index_t));
-  out.bcol_ind_.resize(ndiags);
-  out.bval_.assign(stored, V{0});
-
-  // Pass 2: order diagonals (full first), fill bcol_ind and scatter values.
-  std::vector<long long> ordered;
-  for (index_t s = 0; s < out.segments_; ++s) {
-    const index_t base = s * b;
-    const index_t row_end = std::min<index_t>(n, base + b);
-    j0s.clear();
-    for (index_t i = base; i < row_end; ++i)
-      for (index_t k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k)
-        j0s.push_back(static_cast<long long>(
-                          col_ind[static_cast<std::size_t>(k)]) -
-                      (i - base));
-    std::sort(j0s.begin(), j0s.end());
-    j0s.erase(std::unique(j0s.begin(), j0s.end()), j0s.end());
-
-    ordered.clear();
-    for (long long j0 : j0s)
-      if (is_full(j0, base)) ordered.push_back(j0);
-    out.full_diags_[static_cast<std::size_t>(s)] =
-        static_cast<index_t>(ordered.size());
-    for (long long j0 : j0s)
-      if (!is_full(j0, base)) ordered.push_back(j0);
-
-    const std::size_t first = static_cast<std::size_t>(
-        out.brow_ptr_[static_cast<std::size_t>(s)]);
-    for (std::size_t d = 0; d < ordered.size(); ++d)
-      out.bcol_ind_[first + d] = static_cast<index_t>(ordered[d]);
-
-    // `ordered` is two sorted runs (full diagonals, then partial ones);
-    // binary-search each run so the scatter stays O(nnz log ndiags).
-    const std::size_t nfull =
-        static_cast<std::size_t>(out.full_diags_[static_cast<std::size_t>(s)]);
-    const auto full_begin = ordered.begin();
-    const auto full_end = ordered.begin() + static_cast<std::ptrdiff_t>(nfull);
-    auto slot_of = [&](long long j0) -> std::size_t {
-      auto it = std::lower_bound(full_begin, full_end, j0);
-      if (it == full_end || *it != j0) {
-        it = std::lower_bound(full_end, ordered.end(), j0);
-        BSPMV_DBG_ASSERT(it != ordered.end() && *it == j0);
-      }
-      return static_cast<std::size_t>(it - ordered.begin());
-    };
-
-    for (index_t i = base; i < row_end; ++i) {
-      for (index_t k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-        const index_t j = col_ind[static_cast<std::size_t>(k)];
-        const long long j0 = static_cast<long long>(j) - (i - base);
-        const std::size_t d = first + slot_of(j0);
-        out.bval_[d * static_cast<std::size_t>(b) +
-                  static_cast<std::size_t>(i - base)] =
-            val[static_cast<std::size_t>(k)];
-      }
-    }
-  }
+  out.nnz_ = detail::convert_bands(
+      a, detail::BcsdBlocking(b), "bcsd",
+      out.full_diags_.size() * sizeof(index_t),
+      out.brow_ptr_, out.bcol_ind_, out.bval_, remainder, full_first);
   return out;
 }
 

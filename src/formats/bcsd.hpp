@@ -24,6 +24,9 @@
 namespace bspmv {
 
 template <class V>
+class BcsdDec;
+
+template <class V>
 class Bcsd {
  public:
   Bcsd() = default;
@@ -51,6 +54,11 @@ class Bcsd {
   Coo<V> to_coo() const;
 
  private:
+  friend class BcsdDec<V>;
+  /// from_csr; with `remainder`, only completely full diagonals are stored
+  /// and the other nonzeros go to *remainder (BCSD-DEC).
+  static Bcsd build(const Csr<V>& a, int b, Csr<V>* remainder);
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   int b_ = 1;

@@ -1,89 +1,29 @@
 #include "src/formats/bcsr.hpp"
 
-#include <algorithm>
-#include <vector>
+#include <cstdint>
 
-#include "src/formats/conversion_guard.hpp"
+#include "src/formats/band_scan.hpp"
 #include "src/util/macros.hpp"
 
 namespace bspmv {
 
 template <class V>
 Bcsr<V> Bcsr<V>::from_csr(const Csr<V>& a, BlockShape shape) {
-  BSPMV_CHECK_MSG(shape.r >= 1 && shape.c >= 1, "block shape must be >= 1x1");
-  const index_t n = a.rows();
-  const index_t r = shape.r;
-  const index_t c = shape.c;
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_ind = a.col_ind();
-  const auto& val = a.val();
+  return build(a, shape, nullptr);
+}
 
+template <class V>
+Bcsr<V> Bcsr<V>::build(const Csr<V>& a, BlockShape shape, Csr<V>* remainder) {
+  BSPMV_CHECK_MSG(shape.r >= 1 && shape.c >= 1, "block shape must be >= 1x1");
   Bcsr out;
-  out.rows_ = n;
+  out.rows_ = a.rows();
   out.cols_ = a.cols();
   out.shape_ = shape;
-  out.block_rows_ = (n + r - 1) / r;
-  out.nnz_ = a.nnz();
-  out.brow_ptr_.assign(static_cast<std::size_t>(out.block_rows_) + 1, 0);
-
-  // Pass 1: count distinct block columns per block row.
-  std::vector<index_t> bcs;
-  for (index_t br = 0; br < out.block_rows_; ++br) {
-    const index_t row_end = std::min<index_t>(n, (br + 1) * r);
-    bcs.clear();
-    for (index_t i = br * r; i < row_end; ++i)
-      for (index_t k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k)
-        bcs.push_back(col_ind[static_cast<std::size_t>(k)] / c);
-    std::sort(bcs.begin(), bcs.end());
-    const auto uniq = std::unique(bcs.begin(), bcs.end()) - bcs.begin();
-    out.brow_ptr_[static_cast<std::size_t>(br) + 1] =
-        out.brow_ptr_[static_cast<std::size_t>(br)] +
-        static_cast<index_t>(uniq);
-  }
-
-  const std::size_t nblocks =
-      static_cast<std::size_t>(out.brow_ptr_.back());
-  const std::size_t stored = ConversionGuard::mul(
-      "bcsr", nblocks,
-      static_cast<std::size_t>(r) * static_cast<std::size_t>(c));
-  ConversionGuard::check("bcsr", stored, a.nnz(), sizeof(V),
-                         (out.brow_ptr_.size() + nblocks) * sizeof(index_t));
-  out.bcol_ind_.resize(nblocks);
-  out.bval_.assign(stored, V{0});
-
-  // Pass 2: fill bcol_ind and scatter values into padded blocks.
-  for (index_t br = 0; br < out.block_rows_; ++br) {
-    const index_t row_end = std::min<index_t>(n, (br + 1) * r);
-    bcs.clear();
-    for (index_t i = br * r; i < row_end; ++i)
-      for (index_t k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k)
-        bcs.push_back(col_ind[static_cast<std::size_t>(k)] / c);
-    std::sort(bcs.begin(), bcs.end());
-    bcs.erase(std::unique(bcs.begin(), bcs.end()), bcs.end());
-
-    const std::size_t first = static_cast<std::size_t>(
-        out.brow_ptr_[static_cast<std::size_t>(br)]);
-    std::copy(bcs.begin(), bcs.end(), out.bcol_ind_.begin() + first);
-
-    for (index_t i = br * r; i < row_end; ++i) {
-      for (index_t k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-        const index_t j = col_ind[static_cast<std::size_t>(k)];
-        const index_t bc = j / c;
-        // Binary search within this block row's sorted block columns.
-        const auto it = std::lower_bound(bcs.begin(), bcs.end(), bc);
-        const std::size_t blk = first + static_cast<std::size_t>(it - bcs.begin());
-        const std::size_t off =
-            static_cast<std::size_t>(i - br * r) * static_cast<std::size_t>(c) +
-            static_cast<std::size_t>(j - bc * c);
-        out.bval_[blk * static_cast<std::size_t>(r) *
-                      static_cast<std::size_t>(c) +
-                  off] = val[static_cast<std::size_t>(k)];
-      }
-    }
-  }
+  out.block_rows_ = (a.rows() + shape.r - 1) / shape.r;
+  out.nnz_ = detail::convert_bands(
+      a, detail::BcsrBlocking(shape), "bcsr", 0,
+      out.brow_ptr_, out.bcol_ind_, out.bval_, remainder,
+      [](std::size_t, std::uint32_t*, std::size_t) {});
   return out;
 }
 

@@ -17,6 +17,9 @@
 namespace bspmv {
 
 template <class V>
+class BcsrDec;
+
+template <class V>
 class Bcsr {
  public:
   Bcsr() = default;
@@ -45,6 +48,11 @@ class Bcsr {
   Coo<V> to_coo() const;
 
  private:
+  friend class BcsrDec<V>;
+  /// from_csr; with `remainder`, only completely full blocks are stored
+  /// and the other nonzeros go to *remainder (BCSR-DEC).
+  static Bcsr build(const Csr<V>& a, BlockShape shape, Csr<V>* remainder);
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   index_t block_rows_ = 0;

@@ -1,76 +1,11 @@
 #include "src/formats/decomposed.hpp"
 
-#include <algorithm>
-#include <vector>
-
-#include "src/util/macros.hpp"
-
 namespace bspmv {
-
-namespace {
-
-// Split `a` into (blocked-part COO, remainder COO) according to a block-key
-// function over aligned row bands: entries whose key occurs exactly
-// `block_elems` times within a band form a full block. Mirrors the logic in
-// stats.cpp, but materialises the split.
-template <class V, class KeyFn>
-void split_full_blocks(const Csr<V>& a, int band, KeyFn key_of,
-                       std::size_t block_elems, Coo<V>& full_part,
-                       Coo<V>& rem_part) {
-  const index_t n = a.rows();
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_ind = a.col_ind();
-  const auto& val = a.val();
-
-  std::vector<long long> keys;
-  for (index_t base = 0; base < n; base += band) {
-    const index_t row_end = std::min<index_t>(n, base + band);
-    keys.clear();
-    for (index_t i = base; i < row_end; ++i)
-      for (index_t k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k)
-        keys.push_back(key_of(i, col_ind[static_cast<std::size_t>(k)], base));
-    std::sort(keys.begin(), keys.end());
-
-    // Distinct keys occurring exactly block_elems times → full blocks.
-    std::vector<long long> full_keys;
-    for (std::size_t s = 0; s < keys.size();) {
-      std::size_t e = s;
-      while (e < keys.size() && keys[e] == keys[s]) ++e;
-      if (e - s == block_elems) full_keys.push_back(keys[s]);
-      s = e;
-    }
-
-    for (index_t i = base; i < row_end; ++i) {
-      for (index_t k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-        const index_t j = col_ind[static_cast<std::size_t>(k)];
-        const long long key = key_of(i, j, base);
-        const bool in_full =
-            std::binary_search(full_keys.begin(), full_keys.end(), key);
-        (in_full ? full_part : rem_part)
-            .add(i, j, val[static_cast<std::size_t>(k)]);
-      }
-    }
-  }
-}
-
-}  // namespace
 
 template <class V>
 BcsrDec<V> BcsrDec<V>::from_csr(const Csr<V>& a, BlockShape shape) {
-  BSPMV_CHECK(shape.r >= 1 && shape.c >= 1);
-  Coo<V> full_part(a.rows(), a.cols());
-  Coo<V> rem_part(a.rows(), a.cols());
-  split_full_blocks(
-      a, shape.r,
-      [c = shape.c](index_t, index_t j, index_t) -> long long { return j / c; },
-      static_cast<std::size_t>(shape.elems()), full_part, rem_part);
-
   BcsrDec out;
-  out.blocked_ = Bcsr<V>::from_csr(Csr<V>::from_coo(std::move(full_part)), shape);
-  out.remainder_ = Csr<V>::from_coo(std::move(rem_part));
-  BSPMV_DBG_ASSERT(out.blocked_.padding() == 0);
+  out.blocked_ = Bcsr<V>::build(a, shape, &out.remainder_);
   return out;
 }
 
@@ -92,20 +27,8 @@ Coo<V> BcsrDec<V>::to_coo() const {
 
 template <class V>
 BcsdDec<V> BcsdDec<V>::from_csr(const Csr<V>& a, int b) {
-  BSPMV_CHECK(b >= 1);
-  Coo<V> full_part(a.rows(), a.cols());
-  Coo<V> rem_part(a.rows(), a.cols());
-  split_full_blocks(
-      a, b,
-      [](index_t i, index_t j, index_t base) -> long long {
-        return static_cast<long long>(j) - (i - base);
-      },
-      static_cast<std::size_t>(b), full_part, rem_part);
-
   BcsdDec out;
-  out.blocked_ = Bcsd<V>::from_csr(Csr<V>::from_coo(std::move(full_part)), b);
-  out.remainder_ = Csr<V>::from_coo(std::move(rem_part));
-  BSPMV_DBG_ASSERT(out.blocked_.padding() == 0);
+  out.blocked_ = Bcsd<V>::build(a, b, &out.remainder_);
   return out;
 }
 

@@ -106,7 +106,7 @@ Ubcsr<V> Ubcsr<V>::from_csr(const Csr<V>& a, BlockShape shape) {
             static_cast<std::size_t>(j - *it);
         out.bval_[blk * static_cast<std::size_t>(r) *
                       static_cast<std::size_t>(c) +
-                  off] = val[static_cast<std::size_t>(k)];
+                  off] += val[static_cast<std::size_t>(k)];
       }
     }
   }

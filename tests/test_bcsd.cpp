@@ -12,6 +12,7 @@ namespace {
 
 using bspmv::testing::check_against_reference;
 using bspmv::testing::random_coo;
+using bspmv::testing::raw_csr;
 
 TEST(Bcsd, HandExampleDiagonals) {
   // 4x4, b = 2. Segment 0 (rows 0-1): entries (0,0),(1,1) share diagonal
@@ -76,6 +77,18 @@ TEST(Bcsd, FullDiagPrefixInvariant) {
             << "b=" << b << " seg=" << s << " d=" << d;
       }
     }
+  }
+}
+
+TEST(Bcsd, SumsDuplicateColumnsLikeCsr) {
+  // A validate()-clean Csr may repeat a column within a row; CSR SpMV
+  // sums the copies, so the diagonal build must sum them too.
+  const Csr<double> a = raw_csr(3, 3, {{0, 0}, {1}, {2, 0}});
+  for (const int b : {1, 2, 3}) {
+    const Bcsd<double> m = Bcsd<double>::from_csr(a, b);
+    check_against_reference<double>(
+        a.to_coo(), [&](const double* x, double* y) { spmv(m, x, y); },
+        "bcsd " + std::to_string(b));
   }
 }
 

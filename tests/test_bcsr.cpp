@@ -15,6 +15,7 @@ namespace {
 using bspmv::testing::check_against_reference;
 using bspmv::testing::random_blocky_coo;
 using bspmv::testing::random_coo;
+using bspmv::testing::raw_csr;
 
 TEST(Bcsr, HandExampleLayout) {
   // 4x4 matrix, 2x2 blocks:
@@ -75,6 +76,18 @@ TEST(Bcsr, RoundTripDropsOnlyPadding) {
         EXPECT_DOUBLE_EQ(back.entries()[k].value, coo.entries()[k].value);
       }
     }
+  }
+}
+
+TEST(Bcsr, SumsDuplicateColumnsLikeCsr) {
+  // A validate()-clean Csr may repeat a column within a row; CSR SpMV
+  // sums the copies, so the blocked build must sum them too.
+  const Csr<double> a = raw_csr(3, 3, {{0, 0}, {1}, {2, 0}});
+  for (const BlockShape s : {BlockShape{1, 1}, BlockShape{2, 2}}) {
+    const Bcsr<double> m = Bcsr<double>::from_csr(a, s);
+    check_against_reference<double>(
+        a.to_coo(), [&](const double* x, double* y) { spmv(m, x, y); },
+        "bcsr " + s.to_string());
   }
 }
 

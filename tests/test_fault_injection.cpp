@@ -36,6 +36,7 @@ using bspmv::testing::expect_typed_errors_only;
 using bspmv::testing::inject_csr_fault;
 using bspmv::testing::random_blocky_coo;
 using bspmv::testing::random_coo;
+using bspmv::testing::raw_csr;
 using bspmv::testing::synthetic_profile;
 using bspmv::testing::text_corruptions;
 
@@ -170,6 +171,37 @@ TEST(FaultInjection, TryPrepareDegradesToCorrectCsr) {
 
   check_against_reference<double>(
       coo, [&](const double* x, double* y) { prep.format.run(x, y); },
+      "csr fallback");
+}
+
+TEST(FaultInjection, KeyCounterScratchIsGuarded) {
+  // Three nonzeros in one row of 2^24 columns: every output array is a
+  // few bytes, but the blocked conversions' key counter holds
+  // 4·(cols/c + 1) or 4·(cols + b) bytes, 8–64 MiB. It is charged to the
+  // guard before it is allocated, so a 1 MiB budget refuses them all.
+  const index_t m = index_t{1} << 24;
+  const Csr<double> a = raw_csr(1, m, {{0, m / 2, m - 1}});
+  ConversionLimits tight;
+  tight.max_bytes = std::size_t{1} << 20;
+  ConversionGuard::Scope scope(tight);
+
+  std::vector<Candidate> blocked(4);
+  blocked[0].kind = FormatKind::kBcsr;
+  blocked[1].kind = FormatKind::kBcsrDec;
+  blocked[0].shape = blocked[1].shape = BlockShape{1, 8};
+  blocked[2].kind = FormatKind::kBcsd;
+  blocked[3].kind = FormatKind::kBcsdDec;
+  blocked[2].b = blocked[3].b = 2;
+  for (const Candidate& c : blocked)
+    EXPECT_THROW(AnyFormat<double>::convert(a, c), resource_limit_error)
+        << c.id();
+
+  const PreparedExecutor<double> prep = try_prepare(a, blocked);
+  EXPECT_TRUE(prep.fallback);
+  EXPECT_EQ(prep.failures.size(), blocked.size());
+  EXPECT_EQ(prep.format.candidate().kind, FormatKind::kCsr);
+  check_against_reference<double>(
+      a.to_coo(), [&](const double* x, double* y) { prep.format.run(x, y); },
       "csr fallback");
 }
 

@@ -48,6 +48,26 @@ Coo<V> random_blocky_coo(index_t n, index_t m, int block, double block_density,
   return coo;
 }
 
+/// Raw construction, bypassing Coo: rows given as column lists, kept in
+/// the given order, so unsorted and duplicate columns survive (validate
+/// accepts both). Entry k holds the value k + 1.
+inline Csr<double> raw_csr(index_t rows, index_t cols,
+                           const std::vector<std::vector<index_t>>& row_cols) {
+  aligned_vector<index_t> row_ptr{0};
+  aligned_vector<index_t> col_ind;
+  for (index_t i = 0; i < rows; ++i) {
+    if (static_cast<std::size_t>(i) < row_cols.size())
+      for (const index_t j : row_cols[static_cast<std::size_t>(i)])
+        col_ind.push_back(j);
+    row_ptr.push_back(static_cast<index_t>(col_ind.size()));
+  }
+  aligned_vector<double> val(col_ind.size());
+  for (std::size_t k = 0; k < val.size(); ++k)
+    val[k] = static_cast<double>(k + 1);
+  return Csr<double>(rows, cols, std::move(row_ptr), std::move(col_ind),
+                     std::move(val));
+}
+
 template <class V>
 aligned_vector<V> random_x(index_t m, std::uint64_t seed) {
   aligned_vector<V> x(static_cast<std::size_t>(m));

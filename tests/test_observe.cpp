@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "src/core/selector.hpp"
+#include "src/formats/decomposed.hpp"
 #include "src/observe/observe.hpp"
 #include "src/observe/report.hpp"
 #include "src/util/errors.hpp"
@@ -134,6 +135,14 @@ TEST_F(ObserveTest, InstrumentedLibraryCallsMatchBuildConfig) {
     EXPECT_EQ(snap.counters.at("select.candidates_ranked"), ranked.size());
     // 19 BCSR shapes + 7 BCSD sizes.
     EXPECT_EQ(snap.counters.at("select.stats_scans"), 26u);
+    // Conversions share the band engine but are not structural scans.
+    (void)Bcsr<double>::from_csr(a, BlockShape{2, 2});
+    (void)BcsrDec<double>::from_csr(a, BlockShape{3, 1});
+    (void)Bcsd<double>::from_csr(a, 2);
+    (void)BcsdDec<double>::from_csr(a, 3);
+    EXPECT_EQ(CounterRegistry::instance().snapshot().counters.at(
+                  "select.stats_scans"),
+              26u);
   } else {
     EXPECT_TRUE(snap.spans.empty());
     EXPECT_TRUE(snap.counters.empty());

@@ -3,15 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "src/core/working_set.hpp"
 #include "src/formats/bcsd.hpp"
 #include "src/formats/bcsr.hpp"
 #include "src/formats/decomposed.hpp"
 #include "src/formats/stats.hpp"
+#include "src/formats/validate.hpp"
 #include "src/formats/vbl.hpp"
+#include "src/kernels/spmv.hpp"
 #include "tests/test_helpers.hpp"
 
 namespace bspmv {
@@ -19,6 +23,7 @@ namespace {
 
 using bspmv::testing::random_blocky_coo;
 using bspmv::testing::random_coo;
+using bspmv::testing::raw_csr;
 
 class StatsVsBcsr : public ::testing::TestWithParam<BlockShape> {};
 
@@ -136,9 +141,13 @@ TEST(Stats, FillRatioBounds) {
 
 // ------------------------------------------- adversarial exactness ----
 //
-// The counting scan must match a brute-force reference on any valid Csr,
-// including inputs no generator produces: validate(Csr) checks only the
-// column range, so unsorted and duplicate columns within a row are legal.
+// The counting scan and the conversions built on it must match
+// brute-force references on any valid Csr, including inputs no generator
+// produces: validate(Csr) checks only the column range, so unsorted and
+// duplicate columns within a row are legal. Every padded and DEC build
+// must (a) pass validate(), (b) multiply like the CSR it came from,
+// (c) have the block counts and working set candidate_cost priced, and
+// (d) equal a std::map reference build, array for array.
 
 // Reference: per band, count every block key in a std::map. `key` gets the
 // unshifted key (j / c for BCSR, j - (i - band_start) for BCSD, which is
@@ -182,8 +191,185 @@ void expect_same(const DecompStats& got, const DecompStats& want,
   EXPECT_EQ(got.remainder_nnz, want.remainder_nnz) << what << " dec";
 }
 
+// The arrays of one blocked build; the remainder stays empty when padded.
+struct Arrays {
+  std::vector<index_t> brow_ptr{0};
+  std::vector<index_t> bcol_ind;
+  std::vector<index_t> full_diags;
+  std::vector<double> bval;
+  std::vector<index_t> rem_ptr{0};
+  std::vector<index_t> rem_col;
+  std::vector<double> rem_val;
+};
+
+// Reference build: per band, a std::map from the unshifted block key (j/c
+// for BCSR, j - (i - band_start) for BCSD) to its count and summed block
+// values. Padded layouts store every key; DEC layouts store the keys
+// counted `elems` times and send every other nonzero, in input order, to
+// the remainder. Keys with front(key, band_start) come first (BCSD's fully
+// in-range diagonals), and both runs stay sorted.
+template <class KeyFn, class OffFn, class FrontFn>
+Arrays reference_build(const Csr<double>& a, int band, std::size_t elems,
+                       bool dec, KeyFn key, OffFn off, FrontFn front) {
+  struct Block {
+    std::size_t n = 0;
+    std::vector<double> v;
+  };
+  Arrays out;
+  for (index_t base = 0; base < a.rows(); base += band) {
+    const index_t end = std::min<index_t>(a.rows(), base + band);
+    auto for_each_entry = [&](auto fn) {
+      for (index_t i = base; i < end; ++i)
+        for (index_t k = a.row_ptr()[static_cast<std::size_t>(i)];
+             k < a.row_ptr()[static_cast<std::size_t>(i) + 1]; ++k)
+          fn(i, a.col_ind()[static_cast<std::size_t>(k)],
+             a.val()[static_cast<std::size_t>(k)]);
+    };
+    std::map<long long, Block> blocks;
+    for_each_entry([&](index_t i, index_t j, double v) {
+      Block& b = blocks[key(i - base, j)];
+      b.v.resize(elems);
+      b.n += 1;
+      b.v[off(i - base, j)] += v;
+    });
+    auto stored = [&](const Block& b) { return !dec || b.n == elems; };
+    index_t nfront = 0;
+    for (const bool first_run : {true, false})
+      for (const auto& [k, b] : blocks)
+        if (stored(b) && front(k, base) == first_run) {
+          out.bcol_ind.push_back(static_cast<index_t>(k));
+          out.bval.insert(out.bval.end(), b.v.begin(), b.v.end());
+          nfront += first_run;
+        }
+    out.full_diags.push_back(nfront);
+    out.brow_ptr.push_back(static_cast<index_t>(out.bcol_ind.size()));
+    if (!dec) continue;
+    for (index_t i = base; i < end; ++i) {
+      for (index_t k = a.row_ptr()[static_cast<std::size_t>(i)];
+           k < a.row_ptr()[static_cast<std::size_t>(i) + 1]; ++k) {
+        const index_t j = a.col_ind()[static_cast<std::size_t>(k)];
+        if (stored(blocks[key(i - base, j)])) continue;
+        out.rem_col.push_back(j);
+        out.rem_val.push_back(a.val()[static_cast<std::size_t>(k)]);
+      }
+      out.rem_ptr.push_back(static_cast<index_t>(out.rem_col.size()));
+    }
+  }
+  return out;
+}
+
+template <class T>
+std::vector<T> vec(const aligned_vector<T>& v) {
+  return std::vector<T>(v.begin(), v.end());
+}
+
+void expect_remainder(const Csr<double>& rem, const Arrays& want,
+                      const std::string& what) {
+  EXPECT_EQ(vec(rem.row_ptr()), want.rem_ptr) << what;
+  EXPECT_EQ(vec(rem.col_ind()), want.rem_col) << what;
+  EXPECT_EQ(vec(rem.val()), want.rem_val) << what;
+}
+
+template <class Format>
+void expect_spmv_matches_csr(const Csr<double>& a, const Format& f,
+                             const std::string& what) {
+  const auto x = testing::random_x<double>(a.cols(), 7);
+  aligned_vector<double> ref(static_cast<std::size_t>(a.rows()));
+  spmv(a, x.data(), ref.data());
+  for (const Impl impl : {Impl::kScalar, Impl::kSimd}) {
+    aligned_vector<double> y(static_cast<std::size_t>(a.rows()),
+                             std::numeric_limits<double>::quiet_NaN());
+    spmv(f, x.data(), y.data(), impl);
+    testing::expect_vectors_near(y.data(), ref.data(), a.rows(),
+                                 what + " " + impl_name(impl));
+  }
+}
+
+// `nb`: the blocks of the blocked part, then the remainder's nonzeros.
+void expect_priced(const Csr<double>& a, const Candidate& c,
+                   const std::vector<std::size_t>& nb, std::size_t ws,
+                   const std::string& what) {
+  const CandidateCost cost = candidate_cost(a, c);
+  ASSERT_EQ(cost.parts.size(), nb.size()) << what;
+  for (std::size_t p = 0; p < nb.size(); ++p)
+    EXPECT_EQ(cost.parts[p].nb, nb[p]) << what << " part " << p;
+  EXPECT_EQ(cost.total_ws(), ws) << what;
+}
+
+void expect_bcsr_build(const Csr<double>& a, BlockShape s, bool dec,
+                       const std::string& name) {
+  const std::string what = name + (dec ? " dec" : " padded");
+  const Arrays want = reference_build(
+      a, s.r, static_cast<std::size_t>(s.elems()), dec,
+      [c = s.c](index_t, index_t j) -> long long { return j / c; },
+      [c = s.c](index_t di, index_t j) {
+        return static_cast<std::size_t>(di * c + j % c);
+      },
+      [](long long, index_t) { return true; });
+  Candidate c;
+  c.kind = dec ? FormatKind::kBcsrDec : FormatKind::kBcsr;
+  c.shape = s;
+  auto expect_blocked = [&](const Bcsr<double>& b) {
+    EXPECT_EQ(vec(b.brow_ptr()), want.brow_ptr) << what;
+    EXPECT_EQ(vec(b.bcol_ind()), want.bcol_ind) << what;
+    EXPECT_EQ(vec(b.bval()), want.bval) << what;
+  };
+  if (dec) {
+    const BcsrDec<double> f = BcsrDec<double>::from_csr(a, s);
+    EXPECT_NO_THROW(validate(f)) << what;
+    expect_spmv_matches_csr(a, f, what);
+    expect_priced(a, c, {f.blocked().blocks(), f.remainder().nnz()},
+                  f.working_set_bytes(), what);
+    expect_blocked(f.blocked());
+    expect_remainder(f.remainder(), want, what);
+  } else {
+    const Bcsr<double> f = Bcsr<double>::from_csr(a, s);
+    EXPECT_NO_THROW(validate(f)) << what;
+    expect_spmv_matches_csr(a, f, what);
+    expect_priced(a, c, {f.blocks()}, f.working_set_bytes(), what);
+    expect_blocked(f);
+  }
+}
+
+void expect_bcsd_build(const Csr<double>& a, int b, bool dec,
+                       const std::string& name) {
+  const std::string what = name + (dec ? " dec" : " padded");
+  const Arrays want = reference_build(
+      a, b, static_cast<std::size_t>(b), dec,
+      [](index_t di, index_t j) -> long long { return j - di; },
+      [](index_t di, index_t) { return static_cast<std::size_t>(di); },
+      [&](long long j0, index_t base) {
+        return j0 >= 0 && j0 + b <= a.cols() && base + b <= a.rows();
+      });
+  Candidate c;
+  c.kind = dec ? FormatKind::kBcsdDec : FormatKind::kBcsd;
+  c.b = b;
+  auto expect_blocked = [&](const Bcsd<double>& d) {
+    EXPECT_EQ(vec(d.brow_ptr()), want.brow_ptr) << what;
+    EXPECT_EQ(vec(d.bcol_ind()), want.bcol_ind) << what;
+    EXPECT_EQ(vec(d.full_diags()), want.full_diags) << what;
+    EXPECT_EQ(vec(d.bval()), want.bval) << what;
+  };
+  if (dec) {
+    const BcsdDec<double> f = BcsdDec<double>::from_csr(a, b);
+    EXPECT_NO_THROW(validate(f)) << what;
+    expect_spmv_matches_csr(a, f, what);
+    expect_priced(a, c, {f.blocked().blocks(), f.remainder().nnz()},
+                  f.working_set_bytes(), what);
+    expect_blocked(f.blocked());
+    expect_remainder(f.remainder(), want, what);
+  } else {
+    const Bcsd<double> f = Bcsd<double>::from_csr(a, b);
+    EXPECT_NO_THROW(validate(f)) << what;
+    expect_spmv_matches_csr(a, f, what);
+    expect_priced(a, c, {f.blocks()}, f.working_set_bytes(), what);
+    expect_blocked(f);
+  }
+}
+
 // Every padded and DEC field of every BCSR shape and BCSD size, through
-// the one-pass engine and through each of the four thin wrappers.
+// the one-pass engine and through each of the four thin wrappers; then
+// both builds of each blocking against the reference build.
 void expect_matches_reference(const Csr<double>& a, const std::string& name) {
   for (const BlockShape s : bcsr_shapes()) {
     const std::string what = name + " bcsr " + s.to_string();
@@ -195,6 +381,7 @@ void expect_matches_reference(const Csr<double>& a, const std::string& name) {
     expect_same(got.dec, want.dec, what);
     expect_same(bcsr_stats(a, s), want.padded, what + " wrapper");
     expect_same(bcsr_dec_stats(a, s), want.dec, what + " wrapper");
+    for (const bool dec : {false, true}) expect_bcsr_build(a, s, dec, what);
   }
   for (const int b : bcsd_sizes()) {
     const std::string what = name + " bcsd b=" + std::to_string(b);
@@ -206,23 +393,8 @@ void expect_matches_reference(const Csr<double>& a, const std::string& name) {
     expect_same(got.dec, want.dec, what);
     expect_same(bcsd_stats(a, b), want.padded, what + " wrapper");
     expect_same(bcsd_dec_stats(a, b), want.dec, what + " wrapper");
+    for (const bool dec : {false, true}) expect_bcsd_build(a, b, dec, what);
   }
-}
-
-// Raw construction: rows given as column lists, kept in the given order.
-Csr<double> raw_csr(index_t rows, index_t cols,
-                    const std::vector<std::vector<index_t>>& row_cols) {
-  aligned_vector<index_t> row_ptr{0};
-  aligned_vector<index_t> col_ind;
-  for (index_t i = 0; i < rows; ++i) {
-    if (static_cast<std::size_t>(i) < row_cols.size())
-      for (const index_t j : row_cols[static_cast<std::size_t>(i)])
-        col_ind.push_back(j);
-    row_ptr.push_back(static_cast<index_t>(col_ind.size()));
-  }
-  aligned_vector<double> val(col_ind.size(), 1.0);
-  return Csr<double>(rows, cols, std::move(row_ptr), std::move(col_ind),
-                     std::move(val));
 }
 
 TEST(StatsAdversarial, UnsortedAndDuplicateColumnsWithEmptyRows) {

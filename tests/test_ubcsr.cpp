@@ -15,6 +15,7 @@ namespace {
 using bspmv::testing::check_against_reference;
 using bspmv::testing::random_blocky_coo;
 using bspmv::testing::random_coo;
+using bspmv::testing::raw_csr;
 
 TEST(Ubcsr, UnalignedBlockAvoidsBcsrPadding) {
   // A dense 2x3 patch anchored at column 1 (not a multiple of 3): aligned
@@ -73,6 +74,16 @@ TEST(Ubcsr, StatsMatchMaterialisedFormat) {
     EXPECT_EQ(st.stored_values, m.bval().size()) << shape.to_string();
     EXPECT_EQ(st.padding(), m.padding()) << shape.to_string();
   }
+}
+
+TEST(Ubcsr, SumsDuplicateColumnsLikeCsr) {
+  // A validate()-clean Csr may repeat a column within a row; CSR SpMV
+  // sums the copies, so the blocked build must sum them too.
+  const Csr<double> a = raw_csr(3, 3, {{0, 0}, {1}, {2, 0}});
+  const Ubcsr<double> m = Ubcsr<double>::from_csr(a, BlockShape{2, 2});
+  check_against_reference<double>(
+      a.to_coo(), [&](const double* x, double* y) { spmv(m, x, y); },
+      "ubcsr 2x2");
 }
 
 TEST(Ubcsr, RoundTripPreservesEntries) {
