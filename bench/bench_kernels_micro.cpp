@@ -7,10 +7,13 @@
 // work-stealing task graph, on the balanced band matrix (where tasks
 // must stay within a few percent of bulk) and on a skewed R-MAT (where
 // stealing should claw back the straggler time the static partition
-// loses).
+// loses). exec/band_balanced/bcsr_dec_3x1_simd runs the decomposed
+// format through the engine at 4 threads, the way the fem workloads
+// select it (blocks and CSR remainder in one pass per thread).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <thread>
 
@@ -61,18 +64,24 @@ const Csr<double>& skewed_matrix() {
 }
 
 void run_backend(benchmark::State& state, const Csr<double>& a,
-                 ExecBackend backend) {
-  // Bench at the machine's real width: oversubscribing (e.g. 2 threads on
-  // a 1-core container) measures context-switch pressure, not backends.
-  const int threads = static_cast<int>(std::clamp(
-      std::thread::hardware_concurrency(), 1u, 8u));
-  const Candidate c{FormatKind::kCsr, BlockShape{1, 1}, 0, Impl::kScalar};
+                 const Candidate& c, ExecBackend backend, int threads) {
   const auto engine = SpmvEngine<double>::prepare(a, c, threads, backend);
   aligned_vector<double> x(static_cast<std::size_t>(a.cols()));
   Xoshiro256 rng(5);
   for (auto& e : x) e = rng.uniform() - 0.5;
   aligned_vector<double> y(static_cast<std::size_t>(a.rows()), 0.0);
   engine.warm_up(x.data(), y.data());  // first-touch placement (tasks)
+  // On a virtual machine a new OpenMP team or task pool can take tens of
+  // milliseconds per run for its first second or so, until the guest has
+  // spread the new threads over the CPUs (layerbench/README.md, "Thread
+  // warm-up"). Run untimed through that once per backend and process.
+  static bool warm[2] = {false, false};
+  if (!warm[backend == ExecBackend::kTasks]) {
+    const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (std::chrono::steady_clock::now() < end)
+      engine.run(x.data(), y.data());
+    warm[backend == ExecBackend::kTasks] = true;
+  }
 
   for (auto _ : state) {
     engine.run(x.data(), y.data());
@@ -84,6 +93,13 @@ void run_backend(benchmark::State& state, const Csr<double>& a,
           static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
   state.counters["threads"] = static_cast<double>(threads);
+}
+
+// Bench at the machine's real width: oversubscribing (e.g. 2 threads on a
+// 1-core container) measures context-switch pressure, not backends.
+int machine_threads() {
+  return static_cast<int>(
+      std::clamp(std::thread::hardware_concurrency(), 1u, 8u));
 }
 
 void register_all() {
@@ -103,8 +119,10 @@ void register_all() {
       benchmark::RegisterBenchmark(
           name.c_str(),
           [backend, skewed](benchmark::State& s) {
-            run_backend(s, skewed ? skewed_matrix() : shared_matrix(),
-                        backend);
+            const Candidate csr{FormatKind::kCsr, BlockShape{1, 1}, 0,
+                                Impl::kScalar};
+            run_backend(s, skewed ? skewed_matrix() : shared_matrix(), csr,
+                        backend, machine_threads());
           })
           ->Unit(benchmark::kMicrosecond)
           ->MinTime(0.10)
@@ -113,6 +131,15 @@ void register_all() {
           ->UseRealTime();
     }
   }
+  const Candidate dec{FormatKind::kBcsrDec, BlockShape{3, 1}, 0, Impl::kSimd};
+  benchmark::RegisterBenchmark(
+      ("exec/band_balanced/" + dec.id() + "/bulk").c_str(),
+      [dec](benchmark::State& s) {
+        run_backend(s, shared_matrix(), dec, ExecBackend::kBulk, 4);
+      })
+      ->Unit(benchmark::kMicrosecond)
+      ->MinTime(0.10)
+      ->UseRealTime();
 }
 
 }  // namespace

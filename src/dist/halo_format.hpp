@@ -8,8 +8,8 @@
 //
 // An SpMV over the shard reads x laid out [owned slice | halo values] —
 // exactly the buffer the halo exchange fills — and runs the local pass
-// first (zero-filling y), then accumulates the halo pass. That is the
-// same two-pass decomposed-format protocol BcsrDec/BcsdDec use, so
+// first (zero-filling y), then accumulates the halo pass. It is the one
+// format that uses the FormatOps two-pass protocol (kPasses = 2), so
 // HaloDec plugs into the generic spmv()/ThreadedSpmv/TaskGraphSpmv
 // drivers through a FormatOps specialisation alone; the distributed
 // rank runtime (src/dist/rank.*) drives the two passes itself so the
@@ -82,7 +82,7 @@ struct FormatOps<dist::HaloDec<V>> {
   static constexpr const char* kName = "halo_dec";
   static constexpr bool kParallel = true;
   /// Pass 0 is the local-columns submatrix (zeroes y), pass 1 the
-  /// halo-columns accumulation — the BcsrDec blocked/remainder pattern.
+  /// halo-columns accumulation, after the barrier.
   static constexpr int kPasses = 2;
 
   static dist::HaloDec<V> convert(const Csr<V>& a, const Candidate&) {

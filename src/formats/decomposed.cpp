@@ -11,7 +11,7 @@ BcsrDec<V> BcsrDec<V>::from_csr(const Csr<V>& a, BlockShape shape) {
 
 template <class V>
 std::size_t BcsrDec<V>::working_set_bytes() const {
-  // x and y are shared between the two passes; subtract one copy of each.
+  // x and y are shared by the two parts; subtract one copy of each.
   return blocked_.working_set_bytes() + remainder_.working_set_bytes() -
          static_cast<std::size_t>(cols()) * sizeof(V) -
          static_cast<std::size_t>(rows()) * sizeof(V);

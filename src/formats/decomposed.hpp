@@ -28,8 +28,8 @@ class BcsrDec {
   const Csr<V>& remainder() const { return remainder_; }
   std::size_t nnz() const { return blocked_.nnz() + remainder_.nnz(); }
 
-  /// Working set of both submatrices; the x vector is counted once (the
-  /// two passes stream the matrix arrays but share the input vector).
+  /// Working set of both submatrices; x and y are counted once (one pass
+  /// streams both parts' arrays band by band and shares the vectors).
   std::size_t working_set_bytes() const;
 
   Coo<V> to_coo() const;

@@ -14,14 +14,17 @@
 //   static constexpr FormatKind kKind;     // registry dispatch key
 //   static constexpr const char* kName;    // == format_name(kKind)
 //   static constexpr bool kParallel;       // has a threaded driver (§V-A)
-//   static constexpr int kPasses;          // 1, or 2 for decomposed formats
+//   static constexpr int kPasses;          // 1 for every builtin format
 //   static F convert(const Csr<V>&, const Candidate&);
 //   static void validate(const F&);        // throws validation_error
 //   static std::size_t working_set_bytes(const F&);
 //   static void spmv_add(const F&, const V* x, V* y, Impl);  // y += A·x
 // and, when kParallel (the §V-A protocol — each pass is split into
 // contiguous granule ranges of near-equal stored-value weight, and a
-// thread's pass-0 granules own a contiguous row range it zero-fills):
+// thread's pass-0 granules own a contiguous row range it zero-fills;
+// a second pass, separated by a barrier, is for a format whose parts
+// partition rows differently — only dist::HaloDec uses it. The decomposed
+// formats run their blocks and CSR remainder band by band in one pass):
 //   static std::vector<std::size_t> pass_weights(const F&, int pass);
 //   static index_t pass_first_row(const F&, int pass, index_t g);
 //   static void pass_run(const F&, int pass, index_t g0, index_t g1,
@@ -211,7 +214,7 @@ struct FormatOps<Bcsr<V>> {
   }
   static void pass_run(const Bcsr<V>& a, int, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
-    bcsr_kernel<V>(a.shape(), impl == Impl::kSimd)(a, g0, g1, x, y);
+    bcsr_kernel<V>(a.shape(), impl == Impl::kSimd)(a, nullptr, g0, g1, x, y);
   }
   static void pass_run_multi(const Bcsr<V>& a, int pass, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
@@ -270,7 +273,7 @@ struct FormatOps<Bcsd<V>> {
   }
   static void pass_run(const Bcsd<V>& a, int, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
-    bcsd_kernel<V>(a.b(), impl == Impl::kSimd)(a, g0, g1, x, y);
+    bcsd_kernel<V>(a.b(), impl == Impl::kSimd)(a, nullptr, g0, g1, x, y);
   }
   static void pass_run_multi(const Bcsd<V>& a, int pass, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
@@ -357,14 +360,37 @@ struct FormatOps<Vbr<V>> {
 
 // ------------------------------------------------------------- BCSR-DEC ----
 
+namespace detail {
+
+/// Add the CSR remainder's nonzeros of each `band`-row band to the
+/// blocked part's per-band weights: a decomposed band runs its blocks and
+/// its remainder rows in one granule.
+template <class V>
+std::vector<std::size_t> add_band_remainder(std::vector<std::size_t> w,
+                                            const Csr<V>& rem, int band) {
+  const auto& rp = rem.row_ptr();
+  const index_t n = rem.rows();
+  for (std::size_t g = 0; g < w.size(); ++g) {
+    const index_t i0 = std::min(n, static_cast<index_t>(g) * band);
+    const index_t i1 = std::min(n, i0 + band);
+    w[g] += static_cast<std::size_t>(rp[static_cast<std::size_t>(i1)] -
+                                     rp[static_cast<std::size_t>(i0)]);
+  }
+  return w;
+}
+
+}  // namespace detail
+
+/// One pass: each block row adds its blocks and then its rows of the CSR
+/// remainder into the same register sums and writes y once (the fused
+/// kernels in src/kernels/bcsr_kernels_impl.hpp and spmm_kernels.cpp).
 template <class V>
 struct FormatOps<BcsrDec<V>> {
   using value_type = V;
   static constexpr FormatKind kKind = FormatKind::kBcsrDec;
   static constexpr const char* kName = "bcsr_dec";
   static constexpr bool kParallel = true;
-  /// Pass 0 is the blocked submatrix (zeroes y), pass 1 the CSR remainder.
-  static constexpr int kPasses = 2;
+  static constexpr int kPasses = 1;
 
   static BcsrDec<V> convert(const Csr<V>& a, const Candidate& c) {
     return BcsrDec<V>::from_csr(a, c.shape);
@@ -374,59 +400,59 @@ struct FormatOps<BcsrDec<V>> {
     return m.working_set_bytes();
   }
   static void spmv_add(const BcsrDec<V>& a, const V* x, V* y, Impl impl) {
-    FormatOps<Bcsr<V>>::spmv_add(a.blocked(), x, y, impl);
-    FormatOps<Csr<V>>::spmv_add(a.remainder(), x, y, impl);
+    pass_run(a, 0, 0, a.blocked().block_rows(), x, y, impl);
   }
   static void spmm_add(const BcsrDec<V>& a, const V* X, V* Y, int k,
                        Layout layout, Impl impl) {
-    FormatOps<Bcsr<V>>::spmm_add(a.blocked(), X, Y, k, layout, impl);
-    FormatOps<Csr<V>>::spmm_add(a.remainder(), X, Y, k, layout, impl);
+    pass_run_multi(a, 0, 0, a.blocked().block_rows(), X, Y, k, layout, impl);
   }
-  /// The blocked store pass initialises every row of Y (empty block rows
-  /// write zeros), so the CSR remainder can accumulate on top.
   static void spmm_store(const BcsrDec<V>& a, const V* X, V* Y, int k,
                          Impl impl) {
-    FormatOps<Bcsr<V>>::spmm_store(a.blocked(), X, Y, k, impl);
-    FormatOps<Csr<V>>::spmm_add(a.remainder(), X, Y, k, Layout::kRowMajor,
-                                impl);
+    bcsr_spmm_rm(a.blocked(), 0, a.blocked().block_rows(), X, Y, k,
+                 impl == Impl::kSimd, false, &a.remainder());
   }
 
-  static std::vector<std::size_t> pass_weights(const BcsrDec<V>& a, int pass) {
-    return pass == 0 ? FormatOps<Bcsr<V>>::pass_weights(a.blocked(), 0)
-                     : FormatOps<Csr<V>>::pass_weights(a.remainder(), 0);
+  /// Per-block-row stored values plus the band's remainder nonzeros.
+  static std::vector<std::size_t> pass_weights(const BcsrDec<V>& a, int) {
+    return detail::add_band_remainder(
+        FormatOps<Bcsr<V>>::pass_weights(a.blocked(), 0), a.remainder(),
+        a.shape().r);
   }
-  static index_t pass_first_row(const BcsrDec<V>& a, int pass, index_t g) {
-    return pass == 0 ? FormatOps<Bcsr<V>>::pass_first_row(a.blocked(), 0, g)
-                     : g;
+  static index_t pass_first_row(const BcsrDec<V>& a, int, index_t g) {
+    return FormatOps<Bcsr<V>>::pass_first_row(a.blocked(), 0, g);
   }
-  static void pass_run(const BcsrDec<V>& a, int pass, index_t g0, index_t g1,
+  static void pass_run(const BcsrDec<V>& a, int, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
-    if (pass == 0)
-      FormatOps<Bcsr<V>>::pass_run(a.blocked(), 0, g0, g1, x, y, impl);
-    else
-      FormatOps<Csr<V>>::pass_run(a.remainder(), 0, g0, g1, x, y, impl);
+    bcsr_kernel<V>(a.shape(), impl == Impl::kSimd, true)(
+        a.blocked(), &a.remainder(), g0, g1, x, y);
   }
   static void pass_run_multi(const BcsrDec<V>& a, int pass, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
                              Layout layout, Impl impl) {
-    if (pass == 0)
-      FormatOps<Bcsr<V>>::pass_run_multi(a.blocked(), 0, g0, g1, X, Y, k,
-                                         layout, impl);
-    else
-      FormatOps<Csr<V>>::pass_run_multi(a.remainder(), 0, g0, g1, X, Y, k,
-                                        layout, impl);
+    if (layout == Layout::kRowMajor) {
+      bcsr_spmm_rm(a.blocked(), g0, g1, X, Y, k, impl == Impl::kSimd, true,
+                   &a.remainder());
+    } else {
+      for (int j = 0; j < k; ++j)
+        pass_run(a, pass, g0, g1,
+                 X + static_cast<std::size_t>(j) * a.cols(),
+                 Y + static_cast<std::size_t>(j) * a.rows(), impl);
+    }
   }
 };
 
 // ------------------------------------------------------------- BCSD-DEC ----
 
+/// One pass, as BCSR-DEC: each segment adds its full diagonals and then
+/// its rows of the CSR remainder into the same sums (src/kernels/
+/// bcsd_kernels.cpp, spmm_kernels.cpp).
 template <class V>
 struct FormatOps<BcsdDec<V>> {
   using value_type = V;
   static constexpr FormatKind kKind = FormatKind::kBcsdDec;
   static constexpr const char* kName = "bcsd_dec";
   static constexpr bool kParallel = true;
-  static constexpr int kPasses = 2;
+  static constexpr int kPasses = 1;
 
   static BcsdDec<V> convert(const Csr<V>& a, const Candidate& c) {
     return BcsdDec<V>::from_csr(a, c.b);
@@ -436,45 +462,44 @@ struct FormatOps<BcsdDec<V>> {
     return m.working_set_bytes();
   }
   static void spmv_add(const BcsdDec<V>& a, const V* x, V* y, Impl impl) {
-    FormatOps<Bcsd<V>>::spmv_add(a.blocked(), x, y, impl);
-    FormatOps<Csr<V>>::spmv_add(a.remainder(), x, y, impl);
+    pass_run(a, 0, 0, a.blocked().segments(), x, y, impl);
   }
   static void spmm_add(const BcsdDec<V>& a, const V* X, V* Y, int k,
                        Layout layout, Impl impl) {
-    FormatOps<Bcsd<V>>::spmm_add(a.blocked(), X, Y, k, layout, impl);
-    FormatOps<Csr<V>>::spmm_add(a.remainder(), X, Y, k, layout, impl);
+    pass_run_multi(a, 0, 0, a.blocked().segments(), X, Y, k, layout, impl);
   }
   static void spmm_store(const BcsdDec<V>& a, const V* X, V* Y, int k,
                          Impl impl) {
-    FormatOps<Bcsd<V>>::spmm_store(a.blocked(), X, Y, k, impl);
-    FormatOps<Csr<V>>::spmm_add(a.remainder(), X, Y, k, Layout::kRowMajor,
-                                impl);
+    bcsd_spmm_rm(a.blocked(), 0, a.blocked().segments(), X, Y, k,
+                 impl == Impl::kSimd, false, &a.remainder());
   }
 
-  static std::vector<std::size_t> pass_weights(const BcsdDec<V>& a, int pass) {
-    return pass == 0 ? FormatOps<Bcsd<V>>::pass_weights(a.blocked(), 0)
-                     : FormatOps<Csr<V>>::pass_weights(a.remainder(), 0);
+  /// Per-segment stored values plus the segment's remainder nonzeros.
+  static std::vector<std::size_t> pass_weights(const BcsdDec<V>& a, int) {
+    return detail::add_band_remainder(
+        FormatOps<Bcsd<V>>::pass_weights(a.blocked(), 0), a.remainder(),
+        a.b());
   }
-  static index_t pass_first_row(const BcsdDec<V>& a, int pass, index_t g) {
-    return pass == 0 ? FormatOps<Bcsd<V>>::pass_first_row(a.blocked(), 0, g)
-                     : g;
+  static index_t pass_first_row(const BcsdDec<V>& a, int, index_t g) {
+    return FormatOps<Bcsd<V>>::pass_first_row(a.blocked(), 0, g);
   }
-  static void pass_run(const BcsdDec<V>& a, int pass, index_t g0, index_t g1,
+  static void pass_run(const BcsdDec<V>& a, int, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
-    if (pass == 0)
-      FormatOps<Bcsd<V>>::pass_run(a.blocked(), 0, g0, g1, x, y, impl);
-    else
-      FormatOps<Csr<V>>::pass_run(a.remainder(), 0, g0, g1, x, y, impl);
+    bcsd_kernel<V>(a.b(), impl == Impl::kSimd, true)(
+        a.blocked(), &a.remainder(), g0, g1, x, y);
   }
   static void pass_run_multi(const BcsdDec<V>& a, int pass, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
                              Layout layout, Impl impl) {
-    if (pass == 0)
-      FormatOps<Bcsd<V>>::pass_run_multi(a.blocked(), 0, g0, g1, X, Y, k,
-                                         layout, impl);
-    else
-      FormatOps<Csr<V>>::pass_run_multi(a.remainder(), 0, g0, g1, X, Y, k,
-                                        layout, impl);
+    if (layout == Layout::kRowMajor) {
+      bcsd_spmm_rm(a.blocked(), g0, g1, X, Y, k, impl == Impl::kSimd, true,
+                   &a.remainder());
+    } else {
+      for (int j = 0; j < k; ++j)
+        pass_run(a, pass, g0, g1,
+                 X + static_cast<std::size_t>(j) * a.cols(),
+                 Y + static_cast<std::size_t>(j) * a.rows(), impl);
+    }
   }
 };
 

@@ -55,7 +55,6 @@ Ubcsr<V> Ubcsr<V>::from_csr(const Csr<V>& a, BlockShape shape) {
   out.cols_ = a.cols();
   out.shape_ = shape;
   out.block_rows_ = (n + r - 1) / r;
-  out.nnz_ = a.nnz();
   out.brow_ptr_.assign(static_cast<std::size_t>(out.block_rows_) + 1, 0);
 
   std::vector<index_t> cols;
@@ -80,7 +79,11 @@ Ubcsr<V> Ubcsr<V>::from_csr(const Csr<V>& a, BlockShape shape) {
   out.bcol_ind_.resize(nblocks);
   out.bval_.assign(stored, V{0});
 
-  // Pass 2: record anchors and scatter values.
+  // Pass 2: record anchors and scatter values. nnz counts distinct
+  // positions: a row out of column order may repeat a column, whose copies
+  // sum into one stored value.
+  std::size_t repeats = 0;
+  std::vector<index_t> row_cols;
   for (index_t br = 0; br < out.block_rows_; ++br) {
     const index_t row_end = std::min<index_t>(n, (br + 1) * r);
     collect_band_cols(a, br * r, row_end, cols);
@@ -91,9 +94,12 @@ Ubcsr<V> Ubcsr<V>::from_csr(const Csr<V>& a, BlockShape shape) {
     std::copy(anchors.begin(), anchors.end(), out.bcol_ind_.begin() + first);
 
     for (index_t i = br * r; i < row_end; ++i) {
-      for (index_t k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
+      const index_t k0 = row_ptr[static_cast<std::size_t>(i)];
+      const index_t k1 = row_ptr[static_cast<std::size_t>(i) + 1];
+      bool increasing = true;
+      for (index_t k = k0; k < k1; ++k) {
         const index_t j = col_ind[static_cast<std::size_t>(k)];
+        increasing &= k == k0 || j > col_ind[static_cast<std::size_t>(k) - 1];
         // The block containing j is the one with the greatest anchor <= j
         // (anchors are disjoint intervals of width c covering all cols).
         const auto it =
@@ -108,8 +114,14 @@ Ubcsr<V> Ubcsr<V>::from_csr(const Csr<V>& a, BlockShape shape) {
                       static_cast<std::size_t>(c) +
                   off] += val[static_cast<std::size_t>(k)];
       }
+      if (increasing) continue;
+      row_cols.assign(col_ind.begin() + k0, col_ind.begin() + k1);
+      std::sort(row_cols.begin(), row_cols.end());
+      repeats += static_cast<std::size_t>(
+          row_cols.end() - std::unique(row_cols.begin(), row_cols.end()));
     }
   }
+  out.nnz_ = a.nnz() - repeats;
   return out;
 }
 

@@ -34,6 +34,7 @@ class Ubcsr {
   BlockShape shape() const { return shape_; }
   index_t block_rows() const { return block_rows_; }
   std::size_t blocks() const { return bcol_ind_.size(); }
+  /// Distinct positions held (a repeated column counts once).
   std::size_t nnz() const { return nnz_; }
   std::size_t padding() const { return bval_.size() - nnz_; }
 

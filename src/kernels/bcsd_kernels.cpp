@@ -2,50 +2,72 @@
 
 #include <algorithm>
 #include <array>
+#include <type_traits>
 
 #include "src/formats/block_shapes.hpp"
+#include "src/kernels/block_madd.hpp"
 #include "src/kernels/simd.hpp"
 
 namespace bspmv {
 namespace detail {
 
-template <class V, int B, bool Simd>
-void bcsd_spmv_range(const Bcsd<V>& a, index_t seg0, index_t seg1,
-                     const V* BSPMV_RESTRICT x, V* BSPMV_RESTRICT y) {
+/// One body per diagonal length for BCSD and BCSD-DEC; with Dec the
+/// segment's CSR remainder rows join the diagonal sums before y is
+/// written (a padded BCSD compiles that step out and ignores rem).
+template <class V, int B, bool Simd, bool Dec>
+void bcsd_spmv_range(const Bcsd<V>& a, const Csr<V>* rem, index_t seg0,
+                     index_t seg1, const V* BSPMV_RESTRICT x,
+                     V* BSPMV_RESTRICT y) {
   BSPMV_DBG_ASSERT(a.b() == B);
   BSPMV_DBG_ASSERT(seg0 >= 0 && seg1 <= a.segments() && seg0 <= seg1);
+  BSPMV_DBG_ASSERT(!Dec || (rem != nullptr && rem->rows() == a.rows()));
   const index_t* BSPMV_RESTRICT brow_ptr = a.brow_ptr().data();
   const index_t* BSPMV_RESTRICT bcol_ind = a.bcol_ind().data();
   const index_t* BSPMV_RESTRICT nfull = a.full_diags().data();
   const V* BSPMV_RESTRICT bval = a.bval().data();
+  const index_t* BSPMV_RESTRICT rrow_ptr =
+      Dec ? rem->row_ptr().data() : nullptr;
+  const index_t* BSPMV_RESTRICT rcol_ind =
+      Dec ? rem->col_ind().data() : nullptr;
+  const V* BSPMV_RESTRICT rval = Dec ? rem->val().data() : nullptr;
   const index_t n = a.rows();
   const index_t m = a.cols();
   constexpr int w = simd_width<V>;
 
-  for (index_t s = seg0; s < seg1; ++s) {
+  // `full` is true for segments wholly inside the matrix; only the last
+  // segment can be a partial tail (it holds no fully in-range diagonal).
+  auto segment = [&](index_t s, auto full) {
     const index_t base = s * B;
     const index_t d0 = brow_ptr[s];
     const index_t d1 = brow_ptr[s + 1];
     const index_t dfull = d0 + nfull[s];
 
-    if (dfull > d0) {
-      // Fast path: every diagonal here spans rows [base, base+B) and
-      // columns [j0, j0+B) entirely inside the matrix.
-      V sum[B] = {};
-      for (index_t d = d0; d < dfull; ++d) {
-        const V* bv = bval + static_cast<std::size_t>(d) * B;
-        const V* xp = x + bcol_ind[d];
-        if constexpr (Simd && B % w == 0) {
-          for (int k = 0; k < B; k += w) {
-            simd_t<V> acc = simd_loadu(sum + k);
-            acc += simd_loadu(bv + k) * simd_loadu(xp + k);
-            simd_storeu(sum + k, acc);
-          }
-        } else {
-          for (int k = 0; k < B; ++k) sum[k] += bv[k] * xp[k];
+    // Fast path: every diagonal here spans rows [base, base+B) and
+    // columns [j0, j0+B) entirely inside the matrix.
+    V sum[B] = {};
+    for (index_t d = d0; d < dfull; ++d) {
+      const V* bv = bval + static_cast<std::size_t>(d) * B;
+      const V* xp = x + bcol_ind[d];
+      if constexpr (Simd && B % w == 0) {
+        for (int k = 0; k < B; k += w) {
+          simd_t<V> acc = simd_loadu(sum + k);
+          acc += simd_loadu(bv + k) * simd_loadu(xp + k);
+          simd_storeu(sum + k, acc);
         }
+      } else {
+        for (int k = 0; k < B; ++k) sum[k] += bv[k] * xp[k];
       }
+    }
+    if constexpr (!Dec) {
+      if (dfull > d0)
+        for (int k = 0; k < B; ++k) y[base + k] += sum[k];
+    } else if constexpr (decltype(full)::value) {
+      band_remainder_madd<V, B, Simd>(rrow_ptr + base, rcol_ind, rval, x, sum);
       for (int k = 0; k < B; ++k) y[base + k] += sum[k];
+    } else {
+      const int rows = static_cast<int>(n - base);
+      tail_remainder_madd(rrow_ptr + base, rows, rcol_ind, rval, x, sum);
+      for (int k = 0; k < rows; ++k) y[base + k] += sum[k];
     }
 
     // Boundary diagonals: clamp the element range to the matrix.
@@ -59,10 +81,14 @@ void bcsd_spmv_range(const Bcsd<V>& a, index_t seg0, index_t seg1,
       for (int k = kmin; k < kmax; ++k)
         y[base + k] += bv[k] * x[j0 + k];
     }
-  }
+  };
+  const index_t full_end = std::min(seg1, n / B);
+  index_t s = seg0;
+  for (; s < full_end; ++s) segment(s, std::true_type{});
+  for (; s < seg1; ++s) segment(s, std::false_type{});
 }
 
-template <class V, bool Simd>
+template <class V, bool Simd, bool Dec>
 struct BcsdTable {
   std::array<BcsdKernelFn<V>, kMaxBlockElems> fn{};
 
@@ -71,7 +97,7 @@ struct BcsdTable {
  private:
   template <int B>
   constexpr void fill() {
-    fn[B - 1] = &bcsd_spmv_range<V, B, Simd>;
+    fn[B - 1] = &bcsd_spmv_range<V, B, Simd, Dec>;
     if constexpr (B < kMaxBlockElems) fill<B + 1>();
   }
 };
@@ -79,15 +105,19 @@ struct BcsdTable {
 }  // namespace detail
 
 template <class V>
-BcsdKernelFn<V> bcsd_kernel(int b, bool simd) {
-  static constexpr detail::BcsdTable<V, false> kScalar{};
-  static constexpr detail::BcsdTable<V, true> kSimd{};
+BcsdKernelFn<V> bcsd_kernel(int b, bool simd, bool decomposed) {
+  static constexpr detail::BcsdTable<V, false, false> kScalar{};
+  static constexpr detail::BcsdTable<V, true, false> kSimd{};
+  static constexpr detail::BcsdTable<V, false, true> kScalarDec{};
+  static constexpr detail::BcsdTable<V, true, true> kSimdDec{};
   BSPMV_CHECK_MSG(b >= 1 && b <= kMaxBlockElems,
                   "unsupported BCSD block length " + std::to_string(b));
-  return (simd ? kSimd.fn : kScalar.fn)[static_cast<std::size_t>(b - 1)];
+  const auto& table = decomposed ? (simd ? kSimdDec.fn : kScalarDec.fn)
+                                 : (simd ? kSimd.fn : kScalar.fn);
+  return table[static_cast<std::size_t>(b - 1)];
 }
 
-template BcsdKernelFn<float> bcsd_kernel<float>(int, bool);
-template BcsdKernelFn<double> bcsd_kernel<double>(int, bool);
+template BcsdKernelFn<float> bcsd_kernel<float>(int, bool, bool);
+template BcsdKernelFn<double> bcsd_kernel<double>(int, bool, bool);
 
 }  // namespace bspmv

@@ -8,22 +8,29 @@
 #pragma once
 
 #include "src/formats/bcsr.hpp"
+#include "src/formats/csr.hpp"
 #include "src/util/macros.hpp"
 
 namespace bspmv {
 
 /// A BCSR kernel accumulates y[rows of br0..br1) += A·x over a block-row
-/// range (partial tail block rows are handled internally).
+/// range (partial tail block rows are handled internally). The
+/// decomposed flavour also adds the CSR remainder `rem` (same rows as the
+/// blocked part) band by band into the same sums, so BCSR-DEC runs in one
+/// pass; the padded flavour ignores `rem`.
 template <class V>
-using BcsrKernelFn = void (*)(const Bcsr<V>&, index_t br0, index_t br1,
-                              const V* x, V* y);
+using BcsrKernelFn = void (*)(const Bcsr<V>&, const Csr<V>* rem,
+                              index_t br0, index_t br1, const V* x, V* y);
 
 /// Look up the specialised kernel for a shape (r·c <= 8).
 /// Throws invalid_argument_error for unsupported shapes.
 template <class V>
-BcsrKernelFn<V> bcsr_kernel(BlockShape shape, bool simd);
+BcsrKernelFn<V> bcsr_kernel(BlockShape shape, bool simd,
+                            bool decomposed = false);
 
-extern template BcsrKernelFn<float> bcsr_kernel<float>(BlockShape, bool);
-extern template BcsrKernelFn<double> bcsr_kernel<double>(BlockShape, bool);
+extern template BcsrKernelFn<float> bcsr_kernel<float>(BlockShape, bool,
+                                                       bool);
+extern template BcsrKernelFn<double> bcsr_kernel<double>(BlockShape, bool,
+                                                         bool);
 
 }  // namespace bspmv

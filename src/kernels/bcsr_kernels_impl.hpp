@@ -3,7 +3,9 @@
 // so each value type compiles in its own translation unit.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <type_traits>
 
 #include "src/formats/block_shapes.hpp"
 #include "src/kernels/bcsr_kernels.hpp"
@@ -12,18 +14,31 @@
 namespace bspmv {
 namespace detail {
 
-template <class V, int R, int C, bool Simd>
-void bcsr_spmv_range(const Bcsr<V>& a, index_t br0, index_t br1,
-                     const V* BSPMV_RESTRICT x, V* BSPMV_RESTRICT y) {
+/// One body per shape for BCSR and BCSR-DEC: with Dec the band's CSR
+/// remainder rows join the block sums before the single write of y
+/// (a padded BCSR compiles that step out and ignores rem).
+template <class V, int R, int C, bool Simd, bool Dec>
+void bcsr_spmv_range(const Bcsr<V>& a, const Csr<V>* rem, index_t br0,
+                     index_t br1, const V* BSPMV_RESTRICT x,
+                     V* BSPMV_RESTRICT y) {
   BSPMV_DBG_ASSERT(a.shape().r == R && a.shape().c == C);
   BSPMV_DBG_ASSERT(br0 >= 0 && br1 <= a.block_rows() && br0 <= br1);
+  BSPMV_DBG_ASSERT(!Dec || (rem != nullptr && rem->rows() == a.rows()));
   const index_t* BSPMV_RESTRICT brow_ptr = a.brow_ptr().data();
   const index_t* BSPMV_RESTRICT bcol_ind = a.bcol_ind().data();
   const V* BSPMV_RESTRICT bval = a.bval().data();
+  const index_t* BSPMV_RESTRICT rrow_ptr =
+      Dec ? rem->row_ptr().data() : nullptr;
+  const index_t* BSPMV_RESTRICT rcol_ind =
+      Dec ? rem->col_ind().data() : nullptr;
+  const V* BSPMV_RESTRICT rval = Dec ? rem->val().data() : nullptr;
   const index_t n = a.rows();
   const index_t m = a.cols();
 
-  for (index_t br = br0; br < br1; ++br) {
+  // `full` is true for block rows wholly inside the matrix; only the last
+  // block row can be a partial tail, and its own instance keeps the
+  // full-band path free of runtime row counts.
+  auto block_row = [&](index_t br, auto full) {
     V sum[R] = {};
     const index_t b0 = brow_ptr[br];
     const index_t b1 = brow_ptr[br + 1];
@@ -45,17 +60,27 @@ void bcsr_spmv_range(const Bcsr<V>& a, index_t br0, index_t br1,
       }
     }
     const index_t row0 = br * R;
-    if (row0 + R <= n) {
+    if constexpr (decltype(full)::value) {
+      if constexpr (Dec)
+        band_remainder_madd<V, R, Simd>(rrow_ptr + row0, rcol_ind, rval, x,
+                                        sum);
       for (int r = 0; r < R; ++r) y[row0 + r] += sum[r];
     } else {
       // Partial tail block row: padded rows beyond n carry only zeros.
-      for (index_t r = 0; row0 + r < n; ++r) y[row0 + r] += sum[r];
+      const int rows = static_cast<int>(n - row0);
+      if constexpr (Dec)
+        tail_remainder_madd(rrow_ptr + row0, rows, rcol_ind, rval, x, sum);
+      for (int r = 0; r < rows; ++r) y[row0 + r] += sum[r];
     }
-  }
+  };
+  const index_t full_end = std::min(br1, n / R);
+  index_t br = br0;
+  for (; br < full_end; ++br) block_row(br, std::true_type{});
+  for (; br < br1; ++br) block_row(br, std::false_type{});
 }
 
 /// Compile-time 8×8 dispatch table; entries with r·c > 8 stay null.
-template <class V, bool Simd>
+template <class V, bool Simd, bool Dec>
 struct BcsrTable {
   std::array<std::array<BcsrKernelFn<V>, kMaxBlockElems>, kMaxBlockElems> fn{};
 
@@ -72,7 +97,7 @@ struct BcsrTable {
   template <int R, int C>
   constexpr void fill_c() {
     if constexpr (R * C <= kMaxBlockElems)
-      fn[R - 1][C - 1] = &bcsr_spmv_range<V, R, C, Simd>;
+      fn[R - 1][C - 1] = &bcsr_spmv_range<V, R, C, Simd, Dec>;
     if constexpr (C < kMaxBlockElems) fill_c<R, C + 1>();
   }
 };
@@ -80,14 +105,18 @@ struct BcsrTable {
 }  // namespace detail
 
 template <class V>
-BcsrKernelFn<V> bcsr_kernel(BlockShape shape, bool simd) {
-  static constexpr detail::BcsrTable<V, false> kScalar{};
-  static constexpr detail::BcsrTable<V, true> kSimd{};
+BcsrKernelFn<V> bcsr_kernel(BlockShape shape, bool simd, bool decomposed) {
+  static constexpr detail::BcsrTable<V, false, false> kScalar{};
+  static constexpr detail::BcsrTable<V, true, false> kSimd{};
+  static constexpr detail::BcsrTable<V, false, true> kScalarDec{};
+  static constexpr detail::BcsrTable<V, true, true> kSimdDec{};
   BSPMV_CHECK_MSG(shape.r >= 1 && shape.r <= kMaxBlockElems &&
                       shape.c >= 1 && shape.c <= kMaxBlockElems &&
                       shape.elems() <= kMaxBlockElems,
                   "unsupported BCSR block shape " + shape.to_string());
-  auto fn = (simd ? kSimd.fn : kScalar.fn)[static_cast<std::size_t>(
+  const auto& table = decomposed ? (simd ? kSimdDec.fn : kScalarDec.fn)
+                                  : (simd ? kSimd.fn : kScalar.fn);
+  auto fn = table[static_cast<std::size_t>(
       shape.r - 1)][static_cast<std::size_t>(shape.c - 1)];
   BSPMV_DBG_ASSERT(fn != nullptr);
   return fn;

@@ -1,50 +1,34 @@
 #include "src/kernels/csr_kernels.hpp"
 
-#include "src/kernels/simd.hpp"
-#include "src/util/macros.hpp"
+#include "src/kernels/block_madd.hpp"
 
 namespace bspmv {
+namespace {
 
-template <class V>
-void csr_spmv_scalar(const Csr<V>& a, index_t row0, index_t row1, const V* x,
-                     V* y) {
+template <class V, bool Simd>
+void csr_spmv_range(const Csr<V>& a, index_t row0, index_t row1, const V* x,
+                    V* y) {
   BSPMV_DBG_ASSERT(row0 >= 0 && row1 <= a.rows() && row0 <= row1);
   const index_t* BSPMV_RESTRICT row_ptr = a.row_ptr().data();
   const index_t* BSPMV_RESTRICT col_ind = a.col_ind().data();
   const V* BSPMV_RESTRICT val = a.val().data();
+  for (index_t i = row0; i < row1; ++i)
+    y[i] += detail::csr_row_dot<V, Simd>(val, col_ind, row_ptr[i],
+                                         row_ptr[i + 1], x, V{0});
+}
 
-  for (index_t i = row0; i < row1; ++i) {
-    V sum{0};
-    const index_t hi = row_ptr[i + 1];
-    for (index_t k = row_ptr[i]; k < hi; ++k) sum += val[k] * x[col_ind[k]];
-    y[i] += sum;
-  }
+}  // namespace
+
+template <class V>
+void csr_spmv_scalar(const Csr<V>& a, index_t row0, index_t row1, const V* x,
+                     V* y) {
+  csr_spmv_range<V, false>(a, row0, row1, x, y);
 }
 
 template <class V>
 void csr_spmv_simd(const Csr<V>& a, index_t row0, index_t row1, const V* x,
                    V* y) {
-  BSPMV_DBG_ASSERT(row0 >= 0 && row1 <= a.rows() && row0 <= row1);
-  const index_t* BSPMV_RESTRICT row_ptr = a.row_ptr().data();
-  const index_t* BSPMV_RESTRICT col_ind = a.col_ind().data();
-  const V* BSPMV_RESTRICT val = a.val().data();
-  constexpr int w = simd_width<V>;
-
-  for (index_t i = row0; i < row1; ++i) {
-    const index_t lo = row_ptr[i];
-    const index_t hi = row_ptr[i + 1];
-    simd_t<V> acc = simd_zero<V>();
-    index_t k = lo;
-    for (; k + w <= hi; k += w) {
-      // Manual gather of x lanes; the val lanes load contiguously.
-      simd_t<V> xv;
-      for (int l = 0; l < w; ++l) xv[l] = x[col_ind[k + l]];
-      acc += simd_loadu(val + k) * xv;
-    }
-    V sum = simd_hsum<V>(acc);
-    for (; k < hi; ++k) sum += val[k] * x[col_ind[k]];
-    y[i] += sum;
-  }
+  csr_spmv_range<V, true>(a, row0, row1, x, y);
 }
 
 template void csr_spmv_scalar(const Csr<float>&, index_t, index_t,

@@ -81,6 +81,22 @@ BSPMV_ALWAYS_INLINE void axpy_rhs(V v, const V* BSPMV_RESTRICT xp,
   }
 }
 
+/// sum[r·JN ..) += row r of the CSR remainder band starting at rp (rows
+/// <= the band height), each entry joining its row's accumulators in
+/// stored order: per vector the order of the scalar decomposed kernel
+/// (band_remainder_madd in src/kernels/block_madd.hpp).
+template <class V, bool Simd, int JN>
+BSPMV_ALWAYS_INLINE void band_remainder_rhs(
+    const index_t* BSPMV_RESTRICT rp, int rows,
+    const index_t* BSPMV_RESTRICT col_ind, const V* BSPMV_RESTRICT val,
+    const V* BSPMV_RESTRICT X, int k, int j0, V* BSPMV_RESTRICT sum) {
+  for (int r = 0; r < rows; ++r)
+    for (index_t t = rp[r]; t < rp[r + 1]; ++t)
+      axpy_rhs<V, Simd, JN>(
+          val[t], X + static_cast<std::size_t>(col_ind[t]) * k + j0,
+          sum + r * JN);
+}
+
 template <class V, bool Simd, bool Acc, int JN>
 void csr_spmm_rm_chunk(const Csr<V>& a, index_t row0, index_t row1,
                        const V* BSPMV_RESTRICT X, V* BSPMV_RESTRICT Y,
@@ -100,9 +116,9 @@ void csr_spmm_rm_chunk(const Csr<V>& a, index_t row0, index_t row1,
 }
 
 template <class V, int R, int C, bool Simd, bool Acc, int JN>
-void bcsr_spmm_rm_range(const Bcsr<V>& a, index_t br0, index_t br1,
-                        const V* BSPMV_RESTRICT X, V* BSPMV_RESTRICT Y,
-                        int k, int j0) {
+void bcsr_spmm_rm_range(const Bcsr<V>& a, const Csr<V>* rem, index_t br0,
+                        index_t br1, const V* BSPMV_RESTRICT X,
+                        V* BSPMV_RESTRICT Y, int k, int j0) {
   BSPMV_DBG_ASSERT(a.shape().r == R && a.shape().c == C);
   const index_t* BSPMV_RESTRICT brow_ptr = a.brow_ptr().data();
   const index_t* BSPMV_RESTRICT bcol_ind = a.bcol_ind().data();
@@ -142,6 +158,10 @@ void bcsr_spmm_rm_range(const Bcsr<V>& a, index_t br0, index_t br1,
     const index_t row0 = br * R;
     const int rmax = static_cast<int>(
         std::min<index_t>(static_cast<index_t>(R), n - row0));
+    if (rem != nullptr)
+      band_remainder_rhs<V, Simd, JN>(rem->row_ptr().data() + row0, rmax,
+                                      rem->col_ind().data(),
+                                      rem->val().data(), X, k, j0, sum);
     for (int rr = 0; rr < rmax; ++rr)
       flush_row<V, Acc, JN>(Y + static_cast<std::size_t>(row0 + rr) * k + j0,
                             sum + rr * JN);
@@ -151,8 +171,8 @@ void bcsr_spmm_rm_range(const Bcsr<V>& a, index_t br0, index_t br1,
 /// Compile-time shape dispatch table per (Simd, JN), mirroring
 /// bcsr_kernels_impl.hpp's BcsrTable; entries with r·c > 8 stay null.
 template <class V>
-using BcsrSpmmFn = void (*)(const Bcsr<V>&, index_t, index_t, const V*, V*,
-                            int, int);
+using BcsrSpmmFn = void (*)(const Bcsr<V>&, const Csr<V>*, index_t, index_t,
+                            const V*, V*, int, int);
 
 template <class V, bool Simd, bool Acc, int JN>
 struct BcsrSpmmTable {
@@ -175,8 +195,8 @@ struct BcsrSpmmTable {
 };
 
 template <class V, bool Simd, bool Acc, int JN>
-void bcsr_spmm_rm_chunk(const Bcsr<V>& a, index_t br0, index_t br1,
-                        const V* X, V* Y, int k, int j0) {
+void bcsr_spmm_rm_chunk(const Bcsr<V>& a, const Csr<V>* rem, index_t br0,
+                        index_t br1, const V* X, V* Y, int k, int j0) {
   static constexpr BcsrSpmmTable<V, Simd, Acc, JN> kTable{};
   const BlockShape shape = a.shape();
   BSPMV_CHECK_MSG(shape.r >= 1 && shape.r <= kMaxBlockElems &&
@@ -187,13 +207,13 @@ void bcsr_spmm_rm_chunk(const Bcsr<V>& a, index_t br0, index_t br1,
       kTable.fn[static_cast<std::size_t>(shape.r - 1)]
                [static_cast<std::size_t>(shape.c - 1)];
   BSPMV_DBG_ASSERT(fn != nullptr);
-  fn(a, br0, br1, X, Y, k, j0);
+  fn(a, rem, br0, br1, X, Y, k, j0);
 }
 
 template <class V, bool Simd, bool Acc, int JN>
-void bcsd_spmm_rm_chunk(const Bcsd<V>& a, index_t seg0, index_t seg1,
-                        const V* BSPMV_RESTRICT X, V* BSPMV_RESTRICT Y,
-                        int k, int j0) {
+void bcsd_spmm_rm_chunk(const Bcsd<V>& a, const Csr<V>* rem, index_t seg0,
+                        index_t seg1, const V* BSPMV_RESTRICT X,
+                        V* BSPMV_RESTRICT Y, int k, int j0) {
   const index_t* BSPMV_RESTRICT brow_ptr = a.brow_ptr().data();
   const index_t* BSPMV_RESTRICT bcol_ind = a.bcol_ind().data();
   const index_t* BSPMV_RESTRICT nfull = a.full_diags().data();
@@ -208,10 +228,10 @@ void bcsd_spmm_rm_chunk(const Bcsd<V>& a, index_t seg0, index_t seg1,
     const index_t d1 = brow_ptr[s + 1];
     const index_t dfull = d0 + nfull[s];
 
-    if (dfull > d0) {
-      // Fast path mirrors bcsd_spmv_range: fully in-range diagonals
-      // accumulate into a per-segment buffer, flushed once (overwrite
-      // mode stores instead of adding).
+    if (dfull > d0 || rem != nullptr) {
+      // Fast path mirrors bcsd_spmv_range: fully in-range diagonals, then
+      // the segment's remainder rows, accumulate into a per-segment
+      // buffer, flushed once (overwrite mode stores instead of adding).
       V sum[kMaxBlockElems * JN] = {};
       for (index_t d = d0; d < dfull; ++d) {
         const V* bv = bval + static_cast<std::size_t>(d) * b;
@@ -221,10 +241,15 @@ void bcsd_spmm_rm_chunk(const Bcsd<V>& a, index_t seg0, index_t seg1,
               bv[e], X + (xbase + static_cast<std::size_t>(e)) * k + j0,
               sum + e * JN);
       }
-      // Any full diagonal implies base + b <= n, so the flush needs no
-      // row clamp — and in overwrite mode it initialises every row the
-      // boundary loop below may touch.
-      for (int e = 0; e < b; ++e)
+      // Any full diagonal implies base + b <= n; only a remainder-only
+      // tail segment is shorter. In overwrite mode the flush initialises
+      // every row the boundary loop below may touch.
+      const int rows = static_cast<int>(std::min<index_t>(b, n - base));
+      if (rem != nullptr)
+        band_remainder_rhs<V, Simd, JN>(rem->row_ptr().data() + base, rows,
+                                        rem->col_ind().data(),
+                                        rem->val().data(), X, k, j0, sum);
+      for (int e = 0; e < rows; ++e)
         flush_row<V, Acc, JN>(Y + static_cast<std::size_t>(base + e) * k + j0,
                               sum + e * JN);
     } else if constexpr (!Acc) {
@@ -315,17 +340,21 @@ void csr_spmm_rm(const Csr<V>& a, index_t row0, index_t row1, const V* X,
 
 template <class V>
 void bcsr_spmm_rm(const Bcsr<V>& a, index_t br0, index_t br1, const V* X,
-                  V* Y, int k, bool simd, bool accumulate) {
+                  V* Y, int k, bool simd, bool accumulate,
+                  const Csr<V>* rem) {
   BSPMV_DBG_ASSERT(br0 >= 0 && br1 <= a.block_rows() && br0 <= br1 && k >= 1);
-  BSPMV_SPMM_DISPATCH(bcsr_spmm_rm_chunk, a, br0, br1, X, Y);
+  BSPMV_DBG_ASSERT(rem == nullptr || rem->rows() == a.rows());
+  BSPMV_SPMM_DISPATCH(bcsr_spmm_rm_chunk, a, rem, br0, br1, X, Y);
 }
 
 template <class V>
 void bcsd_spmm_rm(const Bcsd<V>& a, index_t seg0, index_t seg1, const V* X,
-                  V* Y, int k, bool simd, bool accumulate) {
+                  V* Y, int k, bool simd, bool accumulate,
+                  const Csr<V>* rem) {
   BSPMV_DBG_ASSERT(seg0 >= 0 && seg1 <= a.segments() && seg0 <= seg1 &&
                    k >= 1);
-  BSPMV_SPMM_DISPATCH(bcsd_spmm_rm_chunk, a, seg0, seg1, X, Y);
+  BSPMV_DBG_ASSERT(rem == nullptr || rem->rows() == a.rows());
+  BSPMV_SPMM_DISPATCH(bcsd_spmm_rm_chunk, a, rem, seg0, seg1, X, Y);
 }
 
 template <class V>
@@ -341,9 +370,9 @@ void vbl_spmm_rm(const Vbl<V>& a, const V* X, V* Y, int k, bool simd,
   template void csr_spmm_rm(const Csr<V>&, index_t, index_t, const V*, V*,  \
                             int, bool, bool);                               \
   template void bcsr_spmm_rm(const Bcsr<V>&, index_t, index_t, const V*,    \
-                             V*, int, bool, bool);                          \
+                             V*, int, bool, bool, const Csr<V>*);           \
   template void bcsd_spmm_rm(const Bcsd<V>&, index_t, index_t, const V*,    \
-                             V*, int, bool, bool);                          \
+                             V*, int, bool, bool, const Csr<V>*);           \
   template void vbl_spmm_rm(const Vbl<V>&, const V*, V*, int, bool, bool);
 BSPMV_INST(float)
 BSPMV_INST(double)

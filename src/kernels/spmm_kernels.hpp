@@ -20,12 +20,12 @@
 // k single-vector passes by the spmm_add front-end (src/kernels/spmv.hpp).
 //
 // By default all kernels ACCUMULATE into Y over a granule range,
-// mirroring the single-vector kernels, so decomposed formats chain and
-// the parallel driver hands out disjoint ranges. With accumulate=false
-// they OVERWRITE Y instead (y = sum rather than y += sum): the
-// full-multiply front-end uses this to skip the zero-fill pass and the
-// read half of the read-modify-write — at k = 8 that is two of the
-// three Y-block traversals, a measurable bandwidth saving. The computed
+// mirroring the single-vector kernels, so the parallel driver hands out
+// disjoint ranges. With accumulate=false they OVERWRITE Y instead
+// (y = sum rather than y += sum): the full-multiply front-end uses this
+// to skip the zero-fill pass and the read half of the
+// read-modify-write — at k = 8 that is two of the three Y-block
+// traversals, a measurable bandwidth saving. The computed
 // sum is identical either way (0 + sum ≡ sum up to the sign of a zero
 // result), so the determinism contract is unaffected.
 #pragma once
@@ -44,16 +44,22 @@ void csr_spmm_rm(const Csr<V>& a, index_t row0, index_t row1, const V* X,
                  V* Y, int k, bool simd, bool accumulate = true);
 
 /// Block-row range variant for BCSR (any supported shape, runtime r×c).
+/// A non-null `rem` is BCSR-DEC's CSR remainder: each band's remainder
+/// rows join that band's accumulators before the single flush, so the
+/// decomposed format streams once, in the scalar kernel's per-vector order.
 template <class V>
 void bcsr_spmm_rm(const Bcsr<V>& a, index_t br0, index_t br1, const V* X,
-                  V* Y, int k, bool simd, bool accumulate = true);
+                  V* Y, int k, bool simd, bool accumulate = true,
+                  const Csr<V>* rem = nullptr);
 
-/// Segment range variant for BCSD (any diagonal length b). In overwrite
-/// mode, segments with no fully-in-range diagonal zero their Y rows
-/// before the clamped boundary accumulation.
+/// Segment range variant for BCSD (any diagonal length b), with the same
+/// optional BCSD-DEC remainder. In overwrite mode, segments with no
+/// fully-in-range diagonal and no remainder zero their Y rows before the
+/// clamped boundary accumulation.
 template <class V>
 void bcsd_spmm_rm(const Bcsd<V>& a, index_t seg0, index_t seg1, const V* X,
-                  V* Y, int k, bool simd, bool accumulate = true);
+                  V* Y, int k, bool simd, bool accumulate = true,
+                  const Csr<V>* rem = nullptr);
 
 /// Whole-matrix 1D-VBL (the format has no parallel protocol).
 template <class V>
@@ -64,9 +70,11 @@ void vbl_spmm_rm(const Vbl<V>& a, const V* X, V* Y, int k, bool simd,
   extern template void csr_spmm_rm(const Csr<V>&, index_t, index_t,         \
                                    const V*, V*, int, bool, bool);          \
   extern template void bcsr_spmm_rm(const Bcsr<V>&, index_t, index_t,       \
-                                    const V*, V*, int, bool, bool);         \
+                                    const V*, V*, int, bool, bool,          \
+                                    const Csr<V>*);                         \
   extern template void bcsd_spmm_rm(const Bcsd<V>&, index_t, index_t,       \
-                                    const V*, V*, int, bool, bool);         \
+                                    const V*, V*, int, bool, bool,          \
+                                    const Csr<V>*);                         \
   extern template void vbl_spmm_rm(const Vbl<V>&, const V*, V*, int, bool,  \
                                    bool);
 BSPMV_DECL(float)

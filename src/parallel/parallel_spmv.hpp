@@ -4,12 +4,14 @@
 // (1D-VBL is deliberately excluded).
 //
 // ThreadedSpmv<Format> precomputes one nnz-balanced (padding-aware)
-// granule partition per pass (FormatOps<Format>::kPasses; decomposed
-// formats run their blocked submatrix as pass 0 and the CSR remainder as
-// pass 1). run() then executes y = A·x with each thread owning a disjoint
-// granule range per pass; pass 0 also zero-fills the thread's contiguous
-// row range, and consecutive passes are separated by a barrier because
-// they partition rows differently.
+// granule partition per pass (FormatOps<Format>::kPasses). Every library
+// format runs one pass — the decomposed formats fold their CSR remainder
+// into the block-row loop, so a granule's weight is its blocks' stored
+// values plus its rows' remainder nonzeros. run() executes y = A·x with
+// each thread owning a disjoint granule range per pass; pass 0 also
+// zero-fills the thread's contiguous row range. A format with a second
+// pass (dist::HaloDec) gets a barrier between passes because they
+// partition rows differently.
 //
 // Observability: when built with BSPMV_OBSERVE (src/observe/observe.hpp),
 // every run() records each thread's kernel wall time and assigned stored

@@ -51,8 +51,9 @@ Coo<V> random_blocky_coo(index_t n, index_t m, int block, double block_density,
 /// Raw construction, bypassing Coo: rows given as column lists, kept in
 /// the given order, so unsorted and duplicate columns survive (validate
 /// accepts both). Entry k holds the value k + 1.
-inline Csr<double> raw_csr(index_t rows, index_t cols,
-                           const std::vector<std::vector<index_t>>& row_cols) {
+template <class V = double>
+Csr<V> raw_csr(index_t rows, index_t cols,
+               const std::vector<std::vector<index_t>>& row_cols) {
   aligned_vector<index_t> row_ptr{0};
   aligned_vector<index_t> col_ind;
   for (index_t i = 0; i < rows; ++i) {
@@ -61,11 +62,10 @@ inline Csr<double> raw_csr(index_t rows, index_t cols,
         col_ind.push_back(j);
     row_ptr.push_back(static_cast<index_t>(col_ind.size()));
   }
-  aligned_vector<double> val(col_ind.size());
-  for (std::size_t k = 0; k < val.size(); ++k)
-    val[k] = static_cast<double>(k + 1);
-  return Csr<double>(rows, cols, std::move(row_ptr), std::move(col_ind),
-                     std::move(val));
+  aligned_vector<V> val(col_ind.size());
+  for (std::size_t k = 0; k < val.size(); ++k) val[k] = static_cast<V>(k + 1);
+  return Csr<V>(rows, cols, std::move(row_ptr), std::move(col_ind),
+                std::move(val));
 }
 
 template <class V>

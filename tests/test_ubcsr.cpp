@@ -5,6 +5,7 @@
 
 #include "src/formats/bcsr.hpp"
 #include "src/formats/ubcsr.hpp"
+#include "src/formats/validate.hpp"
 #include "src/kernels/spmv.hpp"
 #include "src/kernels/ubcsr_kernels.hpp"
 #include "tests/test_helpers.hpp"
@@ -84,6 +85,14 @@ TEST(Ubcsr, SumsDuplicateColumnsLikeCsr) {
   check_against_reference<double>(
       a.to_coo(), [&](const double* x, double* y) { spmv(m, x, y); },
       "ubcsr 2x2");
+  // Two copies of (0, 0) overfill the 1×2 block's one distinct position:
+  // nnz counts positions, so padding cannot wrap below zero.
+  const Ubcsr<double> over =
+      Ubcsr<double>::from_csr(raw_csr(1, 2, {{0, 0, 1}}), BlockShape{1, 2});
+  EXPECT_NO_THROW(validate(over));
+  EXPECT_EQ(over.nnz(), 2u);
+  EXPECT_LE(over.padding(), over.bval().size());
+  EXPECT_EQ(over.padding(), 0u);
 }
 
 TEST(Ubcsr, RoundTripPreservesEntries) {
