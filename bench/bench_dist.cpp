@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   add_common_flags(cli);
   cli.add_option("out", "BENCH_dist.json", "result JSON path (\"\" = off)");
   cli.add_option("ranks", "4", "rank processes (2..16)");
-  cli.add_option("dist-threads", "1", "TaskPool workers per rank");
+  cli.add_option("dist-threads", "1", "threads per rank's local pass");
   cli.add_option("dist-iters", "40", "iterations per timed batch");
   cli.add_option("dist-reps", "5",
                  "interleaved naive/overlap batches; min batch reported");

@@ -7,9 +7,8 @@
 // Note: on machines with fewer hardware cores than the requested thread
 // count this exercises the same code path under oversubscription; the
 // output notes the hardware core count.
-#include <omp.h>
-
 #include <cstdio>
+#include <thread>
 
 #include "bench/harness.hpp"
 
@@ -88,8 +87,9 @@ int main(int argc, char** argv) {
   run_precision<double>(cfg, cache, ids, cores, wins);
 
   std::printf("Figure 2: wins per method, 1/2/4 cores, sp and dp "
-              "(scale=%s, %zu matrices, %d hardware core(s))\n",
-              suite_scale_name(cfg.scale), ids.size(), omp_get_num_procs());
+              "(scale=%s, %zu matrices, %u hardware core(s))\n",
+              suite_scale_name(cfg.scale), ids.size(),
+              std::thread::hardware_concurrency());
   print_rule(80);
   std::printf("%-10s", "method");
   std::vector<std::string> cols;

@@ -2,20 +2,24 @@
 // fixed FEM-like matrix: per-format, per-shape, scalar vs SIMD. These are
 // the per-kernel numbers behind the t_b profile.
 //
-// The exec/ group benches the two Executor backends (docs/tasking.md)
-// head-to-head through SpmvEngine: bulk-synchronous OpenMP vs the
-// work-stealing task graph, on the balanced band matrix (where tasks
-// must stay within a few percent of bulk) and on a skewed R-MAT (where
-// stealing should claw back the straggler time the static partition
-// loses). exec/band_balanced/bcsr_dec_3x1_simd runs the decomposed
-// format through the engine at 4 threads, the way the fem workloads
-// select it (blocks and CSR remainder in one pass per thread).
+// The exec/ group benches the threaded driver's two schedules
+// (docs/tasking.md) head-to-head through SpmvEngine at 1, 2 and 4
+// threads: static (the §V-A partition, kBulk) vs steal (home ranges
+// plus work stealing, kTasks), on the balanced band matrix (where
+// stealing must stay within a few percent of static) and on a skewed
+// R-MAT (where stealing should claw back the straggler time the static
+// partition loses). exec/band_balanced/bcsr_dec_3x1_simd runs the
+// decomposed format through the engine at 4 threads, the way the fem
+// workloads select it (blocks and CSR remainder in one pass per task).
+// exec/dispatch_tiny runs a 512-row diagonal, where the kernel is
+// nearly free: the steal-minus-static time over the extra tasks is the
+// per-task scheduling fee parallel_overhead charges (docs/models.md).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
+#include <set>
 #include <string>
-#include <thread>
+#include <utility>
 
 #include "src/core/engine.hpp"
 #include "src/core/executor.hpp"
@@ -70,17 +74,16 @@ void run_backend(benchmark::State& state, const Csr<double>& a,
   Xoshiro256 rng(5);
   for (auto& e : x) e = rng.uniform() - 0.5;
   aligned_vector<double> y(static_cast<std::size_t>(a.rows()), 0.0);
-  engine.warm_up(x.data(), y.data());  // first-touch placement (tasks)
-  // On a virtual machine a new OpenMP team or task pool can take tens of
-  // milliseconds per run for its first second or so, until the guest has
-  // spread the new threads over the CPUs (layerbench/README.md, "Thread
-  // warm-up"). Run untimed through that once per backend and process.
-  static bool warm[2] = {false, false};
-  if (!warm[backend == ExecBackend::kTasks]) {
+  engine.warm_up(x.data(), y.data());  // first-touch placement
+  // On a virtual machine a new thread pool can take tens of milliseconds
+  // per run for its first second or so, until the guest has spread the
+  // new threads over the CPUs (layerbench/README.md, "Thread warm-up").
+  // Run untimed through that once per schedule, width and process.
+  static std::set<std::pair<ExecBackend, int>> warm;
+  if (threads > 1 && warm.insert({backend, threads}).second) {
     const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(2);
     while (std::chrono::steady_clock::now() < end)
       engine.run(x.data(), y.data());
-    warm[backend == ExecBackend::kTasks] = true;
   }
 
   for (auto _ : state) {
@@ -95,11 +98,33 @@ void run_backend(benchmark::State& state, const Csr<double>& a,
   state.counters["threads"] = static_cast<double>(threads);
 }
 
-// Bench at the machine's real width: oversubscribing (e.g. 2 threads on a
-// 1-core container) measures context-switch pressure, not backends.
-int machine_threads() {
-  return static_cast<int>(
-      std::clamp(std::thread::hardware_concurrency(), 1u, 8u));
+// A 512-row diagonal: the kernel is nearly free, so the run time is the
+// driver's dispatch and per-task cost.
+const Csr<double>& tiny_matrix() {
+  static const Csr<double> a = [] {
+    Coo<double> coo(512, 512);
+    for (index_t i = 0; i < 512; ++i) coo.add(i, i, 1.0);
+    return Csr<double>::from_coo(coo);
+  }();
+  return a;
+}
+
+const char* schedule_label(ExecBackend b) {
+  return b == ExecBackend::kTasks ? "steal" : "static";
+}
+
+void register_exec(const std::string& name, const Csr<double>& (*matrix)(),
+                   const Candidate& c, ExecBackend backend, int threads) {
+  benchmark::RegisterBenchmark(
+      name.c_str(),
+      [=](benchmark::State& s) {
+        run_backend(s, matrix(), c, backend, threads);
+      })
+      ->Unit(benchmark::kMicrosecond)
+      ->MinTime(0.10)
+      // Wall-clock rates: workers run kernels on pool threads, so the
+      // bench thread's CPU time would inflate GFLOP/s.
+      ->UseRealTime();
 }
 
 void register_all() {
@@ -111,35 +136,26 @@ void register_all() {
         ->Unit(benchmark::kMicrosecond)
         ->MinTime(0.05);
   }
-  for (ExecBackend backend : {ExecBackend::kBulk, ExecBackend::kTasks}) {
-    for (bool skewed : {false, true}) {
-      const std::string name = std::string("exec/") +
-                               (skewed ? "rmat_skewed/" : "band_balanced/") +
-                               backend_name(backend);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [backend, skewed](benchmark::State& s) {
-            const Candidate csr{FormatKind::kCsr, BlockShape{1, 1}, 0,
-                                Impl::kScalar};
-            run_backend(s, skewed ? skewed_matrix() : shared_matrix(), csr,
-                        backend, machine_threads());
-          })
-          ->Unit(benchmark::kMicrosecond)
-          ->MinTime(0.10)
-          // Wall-clock rates: the task backend runs kernels on pool
-          // threads, so the bench thread's CPU time would inflate GFLOP/s.
-          ->UseRealTime();
-    }
-  }
+  const Candidate csr{FormatKind::kCsr, BlockShape{1, 1}, 0, Impl::kScalar};
   const Candidate dec{FormatKind::kBcsrDec, BlockShape{3, 1}, 0, Impl::kSimd};
-  benchmark::RegisterBenchmark(
-      ("exec/band_balanced/" + dec.id() + "/bulk").c_str(),
-      [dec](benchmark::State& s) {
-        run_backend(s, shared_matrix(), dec, ExecBackend::kBulk, 4);
-      })
-      ->Unit(benchmark::kMicrosecond)
-      ->MinTime(0.10)
-      ->UseRealTime();
+  constexpr ExecBackend kSchedules[] = {ExecBackend::kBulk,
+                                        ExecBackend::kTasks};
+  for (bool skewed : {false, true})
+    for (int threads : {1, 2, 4})
+      for (ExecBackend b : kSchedules)
+        register_exec(std::string("exec/") +
+                          (skewed ? "rmat_skewed/" : "band_balanced/") +
+                          schedule_label(b) + "/" + std::to_string(threads),
+                      skewed ? &skewed_matrix : &shared_matrix, csr, b,
+                      threads);
+  for (ExecBackend b : kSchedules)
+    register_exec("exec/band_balanced/" + dec.id() + "/" + schedule_label(b) +
+                      "/4",
+                  &shared_matrix, dec, b, 4);
+  for (ExecBackend b : kSchedules)
+    register_exec(std::string("exec/dispatch_tiny/") + schedule_label(b) +
+                      "/4",
+                  &tiny_matrix, csr, b, 4);
 }
 
 }  // namespace

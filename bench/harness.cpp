@@ -217,7 +217,7 @@ std::map<int, std::map<std::string, double>> sweep_matrix_threaded(
       continue;
     }
     const std::vector<double> secs =
-        measure_threaded_multi(a, c, threads, cfg.measure);
+        measure_threaded_multi(a, c, threads, cfg.measure, ExecBackend::kBulk);
     for (std::size_t i = 0; i < threads.size(); ++i) {
       cache.put(sweep_key(cfg, matrix_id, prec, c.id(), threads[i]), secs[i]);
       out[threads[i]][c.id()] = secs[i];

@@ -360,8 +360,8 @@ int run(int argc, char** argv) {
                  "multi-vector layout with --rhs: row (interleaved) or "
                  "col (vector-contiguous)");
   cli.add_option("executor", "bulk",
-                 "parallel execution backend: bulk (OpenMP, default) or "
-                 "tasks (NUMA-aware work-stealing task graph)");
+                 "threaded schedule: bulk (static §V-A partition, default) "
+                 "or tasks (home ranges plus work stealing)");
   cli.add_option("ranks", "0",
                  "fork this many rank processes and run the row-sharded "
                  "distributed SpMV (docs/distribution.md); report: adds "
@@ -370,7 +370,7 @@ int run(int argc, char** argv) {
                  "halo exchange mode with --ranks: overlap (hide comm "
                  "under the local pass) or naive (exchange then compute)");
   cli.add_option("dist-threads", "1",
-                 "TaskPool workers per rank's local pass (0 = serial)");
+                 "threads per rank's local pass (0 = serial)");
   cli.add_option("dist-timeout", "30",
                  "wire read timeout in seconds on every dist channel; a "
                  "--deadline-ms budget additionally bounds each wait");

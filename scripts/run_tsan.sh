@@ -1,21 +1,22 @@
 #!/usr/bin/env bash
-# Build under ThreadSanitizer and run the OpenMP-free concurrency tests:
+# Build under ThreadSanitizer and run every threaded path's tests:
 #
 #   - test_run_control: RunControl/Watchdog (deadline enforcement,
 #     first-abort-wins, heartbeat stall detection);
-#   - test_task_graph: the task-graph execution backend — Chase-Lev
-#     deque pop/steal races, TaskPool scheduling, and the steal-stress
-#     parity cases (7 workers over adversarially skewed generator
-#     matrices, docs/tasking.md). The deque deliberately uses seq_cst
-#     operations instead of standalone fences so TSan can actually
-#     verify these paths;
-#   - test_dist, DistComm cases only: the halo exchange's per-peer
-#     send/recv threads over real socketpairs, in-process
-#     (docs/distribution.md) — concurrent pairwise exchange,
-#     first-error propagation, and peer-EOF typed errors. The
-#     fork-based DistSpmv cases stay out (TSan's runtime does not
-#     survive multi-threaded fork() children), and the HaloDecFormat
-#     parity cases stay out because they drive the OpenMP ThreadedSpmv;
+#   - test_schedule: the threaded driver's TaskPool — packed-cursor
+#     owner/thief races, epoch dispatch and parking, stealing, async
+#     completion, the busy-pool inline fallback — and the stealing
+#     parity/stress cases (docs/tasking.md);
+#   - test_parallel, test_engine, test_partition_edges, test_spmm: the
+#     threaded parity suites (every parallel format × schedule × thread
+#     count, run_multi layouts) and the engine's threaded plans;
+#   - test_decomposed, DecFused cases: the fused decomposed kernels
+#     through both schedules at 1/2/4/7 threads;
+#   - test_dist, DistComm and HaloDecFormat cases: the halo exchange's
+#     per-peer send/recv threads over real socketpairs, in-process
+#     (docs/distribution.md), and the two-pass HaloDec format through
+#     both schedules. The fork-based DistSpmv cases stay out (TSan's
+#     runtime does not survive multi-threaded fork() children);
 #   - test_dist_recovery, fork-free supervisor paths only: the
 #     epoch-consistency rejection across two in-process exchange
 #     endpoints (DistCommEpoch — a real two-thread wire race), plus the
@@ -23,12 +24,6 @@
 #     models. The respawn/reshard/single-node ladder itself forks and is
 #     covered by the functional suite and the ASan dist chaos soak
 #     (scripts/run_dist_soak.sh) instead.
-#
-# Scope: only those binaries, and only their OpenMP-free cases;
-# TSan has well-known false positives with libgomp's barrier/team
-# implementation (it cannot see GOMP's internal synchronisation), so the
-# bulk-synchronous OpenMP drivers are excluded here and covered by
-# ASan/UBSan and the functional suite instead.
 #
 # Usage: scripts/run_tsan.sh [extra ctest args...]
 set -euo pipefail
@@ -42,11 +37,13 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DBSPMV_BUILD_BENCH=OFF \
   -DBSPMV_BUILD_EXAMPLES=OFF
 cmake --build "$build_dir" -j "$(nproc)" \
-  --target test_run_control test_task_graph test_dist test_dist_recovery
+  --target test_run_control test_schedule test_parallel test_engine \
+           test_partition_edges test_spmm test_decomposed test_dist \
+           test_dist_recovery
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
-ctest --test-dir "$build_dir" --output-on-failure --timeout 300 \
+ctest --test-dir "$build_dir" --output-on-failure --timeout 600 \
   -j "$(nproc)" \
-  -R '^(RunControl|Watchdog|AtomicFile|RobustSamples|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskGraph|Threads/TaskGraphParity|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel)\.' \
+  -R '^(RunControl|Watchdog|AtomicFile|RobustSamples|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskSchedule|TaskGraph|Threads/TaskGraphParity|Partition|PartitionEdges|Threads/ThreadedParity|ThreadedSpmvEdge|SpmvEngine|Threads/SpmmParity|SpmmAllFormats|SpmmEngine|SpmmSmoke|DecFused|HaloDecFormat|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel)\.' \
   "$@"

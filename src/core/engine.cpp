@@ -1,45 +1,15 @@
 #include "src/core/engine.hpp"
 
-#include "src/parallel/task_graph.hpp"
+#include "src/parallel/parallel_spmv.hpp"
 #include "src/util/macros.hpp"
 
 namespace bspmv {
 
 template <class V>
-void SpmvEngine<V>::Plan::run_async(
-    const V* x, V* y, Impl impl, RunControl* control,
-    std::function<void(std::exception_ptr)> done) const {
-  std::exception_ptr err;
-  try {
-    run(x, y, impl, control);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  done(err);
-}
-
-template <class V>
-void SpmvEngine<V>::Plan::warm_up(V*, V*) const {}
-
-template <class V>
 template <class F>
 struct SpmvEngine<V>::TypedPlan final : SpmvEngine<V>::Plan {
-  TypedPlan(const F& m, int threads) : driver(m, threads) {}
-  void run(const V* x, V* y, Impl impl,
-           RunControl* control) const override {
-    driver.run(x, y, impl, control);
-  }
-  void run_multi(const V* X, V* Y, int k, Layout layout, Impl impl,
-                 RunControl* control) const override {
-    driver.run_multi(X, Y, k, layout, impl, control);
-  }
-  ThreadedSpmv<F> driver;
-};
-
-template <class V>
-template <class F>
-struct SpmvEngine<V>::TaskPlan final : SpmvEngine<V>::Plan {
-  TaskPlan(const F& m, int threads) : driver(m, threads) {}
+  TypedPlan(const F& m, int threads, ExecBackend schedule)
+      : driver(m, threads, schedule) {}
   void run(const V* x, V* y, Impl impl,
            RunControl* control) const override {
     driver.run(x, y, impl, control);
@@ -53,8 +23,8 @@ struct SpmvEngine<V>::TaskPlan final : SpmvEngine<V>::Plan {
     driver.run_async(x, y, impl, control, std::move(done));
   }
   void warm_up(V* x, V* y) const override { driver.warm_up(x, y); }
-  bool async_capable() const override { return true; }
-  TaskGraphSpmv<F> driver;
+  bool async_capable() const override { return driver.async_capable(); }
+  ThreadedSpmv<F> driver;
 };
 
 template <class V>
@@ -143,9 +113,7 @@ void SpmvEngine<V>::build_plan() {
   plan_ = fmt_->visit([&](const auto& m) -> std::unique_ptr<Plan> {
     using F = std::decay_t<decltype(m)>;
     if constexpr (FormatOps<F>::kParallel) {
-      if (backend_ == ExecBackend::kTasks)
-        return std::make_unique<TaskPlan<F>>(m, threads_);
-      return std::make_unique<TypedPlan<F>>(m, threads_);
+      return std::make_unique<TypedPlan<F>>(m, threads_, backend_);
     } else {
       throw invalid_argument_error(
           "SpmvEngine: format not parallelised (per §V-A)");

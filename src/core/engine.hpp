@@ -7,14 +7,18 @@
 // execution plan:
 //
 //   threads == 0   single-threaded AnyFormat kernel (any format)
-//   threads >= 1   ThreadedSpmv partition plan with that many OpenMP
-//                  threads — only for the formats the paper parallelises
-//                  (§V-A: CSR/BCSR/BCSD and the decomposed variants);
-//                  other formats throw invalid_argument_error.
+//   threads >= 1   ThreadedSpmv plan for that many workers under the
+//                  engine's schedule policy (src/parallel/backend.hpp:
+//                  kTasks, home ranges plus stealing, by default; kBulk,
+//                  the paper's static §V-A schedule) — only for the
+//                  formats the paper parallelises (§V-A: CSR/BCSR/BCSD
+//                  and the decomposed variants); other formats throw
+//                  invalid_argument_error.
 //
-// Note `threads == 1` still runs the threaded driver (one-thread plan),
-// so single-thread baselines exercise the same code path and per-thread
-// telemetry as the scaling points, exactly like the paper's Fig. 2.
+// Note `threads == 1` still runs the threaded driver (one-thread plan,
+// inline on the caller, no pool), so single-thread baselines exercise
+// the same code path and per-thread telemetry as the scaling points,
+// exactly like the paper's Fig. 2.
 //
 // The measurement loops are instrumented: spans "measure/spmv" (plain
 // plan) and "measure/threaded" (threaded plan), plus the per-thread
@@ -67,7 +71,7 @@ double measure_guarded(index_t rows, index_t cols, const MeasureOptions& opt,
   auto x =
       random_measure_vector<V>(static_cast<std::size_t>(cols), opt.seed);
   aligned_vector<V> y(static_cast<std::size_t>(rows), V{0});
-  // Placement hook: the task backend rewrites x and zero-fills y from
+  // Placement hook: a threaded plan rewrites x and zero-fills y from
   // each task's home worker here, so first touch lands the measurement
   // buffers on the NUMA nodes that will stream them (no-op otherwise).
   warm_touch(x.data(), y.data());
@@ -139,17 +143,17 @@ class SpmvEngine {
   static SpmvEngine prepare(const Csr<V>& a,
                             const std::vector<Candidate>& ranked,
                             int threads = 0,
-                            ExecBackend backend = ExecBackend::kBulk);
+                            ExecBackend backend = ExecBackend::kTasks);
 
   /// Single-candidate prepare; conversion failures throw.
   static SpmvEngine prepare(const Csr<V>& a, const Candidate& c,
                             int threads = 0,
-                            ExecBackend backend = ExecBackend::kBulk);
+                            ExecBackend backend = ExecBackend::kTasks);
 
   /// Non-owning engine over an already-materialised format; `f` must
   /// outlive the engine.
   static SpmvEngine borrow(const AnyFormat<V>& f, int threads = 0,
-                           ExecBackend backend = ExecBackend::kBulk);
+                           ExecBackend backend = ExecBackend::kTasks);
 
   const AnyFormat<V>& format() const { return *fmt_; }
   /// The prepare audit trail (fallback flag + skipped candidates), or
@@ -160,11 +164,10 @@ class SpmvEngine {
 
   /// Swap to a new thread count, reusing the already-converted format
   /// (conversion dominates a thread-scaling sweep; Fig. 2). Replans the
-  /// current backend — a task-graph engine re-decomposes for the new
-  /// worker count.
+  /// current schedule for the new worker count.
   void set_threads(int threads);
 
-  /// Swap execution backend (bulk-synchronous OpenMP vs task graph) on
+  /// Swap schedule policy (static bulk vs home ranges plus stealing) on
   /// the already-converted format. Same strong guarantee as
   /// set_threads: on failure the engine keeps its previous plan.
   void set_backend(ExecBackend backend);
@@ -191,24 +194,23 @@ class SpmvEngine {
   void run_multi(const V* X, V* Y, int k, Layout layout,
                  RunControl* control, bool check_numerics = false) const;
 
-  /// Asynchronous y = A·x. On a task-graph plan this returns
-  /// immediately and `done` fires on a pool worker when the last pass
-  /// completes (StarPU-style completion callback); on a bulk or plain
-  /// plan the run executes inline and `done` fires before the call
-  /// returns. `done` receives the first failure (including the
+  /// Asynchronous y = A·x. On a stealing plan with two or more threads
+  /// this returns immediately and `done` fires on a pool worker when the
+  /// last pass completes (StarPU-style completion callback); on a bulk,
+  /// one-thread or plain plan the run executes inline and `done` fires
+  /// before the call returns. `done` receives the first failure (including the
   /// control's typed abort error) or nullptr; x, y and the control must
   /// outlive the completion.
   void run_async(const V* x, V* y, RunControl* control,
                  std::function<void(std::exception_ptr)> done) const;
 
-  /// True when run_async actually overlaps with the caller (task-graph
-  /// plan); callers that need real overlap can pre-check.
+  /// True when run_async actually overlaps with the caller (stealing
+  /// plan on a pool); callers that need real overlap can pre-check.
   bool async_capable() const;
 
   /// First-touch placement of caller-owned x/y buffers through the
-  /// current plan (no-op for plain and bulk plans, where OpenMP's own
-  /// first touch in run() already decides placement). Either pointer
-  /// may be null.
+  /// current plan: each worker touches the rows and x slice of its home
+  /// range (no-op for plain plans). Either pointer may be null.
   void warm_up(V* x, V* y) const;
 
   /// Seconds per SpMV the way the paper measures it: repeated consecutive
@@ -226,31 +228,28 @@ class SpmvEngine {
   SpmvEngine() = default;
   void build_plan();
 
-  /// Type-erased threaded execution plan (one ThreadedSpmv<F> or
-  /// TaskGraphSpmv<F> behind virtuals); absent when threads_ == 0.
+  /// Type-erased threaded execution plan (one ThreadedSpmv<F> behind
+  /// virtuals); absent when threads_ == 0.
   struct Plan {
     virtual ~Plan() = default;
     virtual void run(const V* x, V* y, Impl impl,
                      RunControl* control) const = 0;
     virtual void run_multi(const V* X, V* Y, int k, Layout layout,
                            Impl impl, RunControl* control) const = 0;
-    /// Default: run synchronously, then fire `done` inline.
-    virtual void run_async(const V* x, V* y, Impl impl, RunControl* control,
-                           std::function<void(std::exception_ptr)> done) const;
-    /// Default: no-op (bulk OpenMP places pages in run() itself).
-    virtual void warm_up(V* x, V* y) const;
-    virtual bool async_capable() const { return false; }
+    virtual void run_async(
+        const V* x, V* y, Impl impl, RunControl* control,
+        std::function<void(std::exception_ptr)> done) const = 0;
+    virtual void warm_up(V* x, V* y) const = 0;
+    virtual bool async_capable() const = 0;
   };
   template <class F>
   struct TypedPlan;
-  template <class F>
-  struct TaskPlan;
 
   std::unique_ptr<PreparedExecutor<V>> owned_;  ///< null when borrowing
   const AnyFormat<V>* fmt_ = nullptr;
   std::unique_ptr<Plan> plan_;
   int threads_ = 0;
-  ExecBackend backend_ = ExecBackend::kBulk;
+  ExecBackend backend_ = ExecBackend::kTasks;
 };
 
 extern template class SpmvEngine<float>;

@@ -152,13 +152,15 @@ template <class V>
 std::vector<double> measure_threaded_multi(const Csr<V>& a,
                                            const Candidate& c,
                                            const std::vector<int>& threads,
-                                           const MeasureOptions& opt) {
+                                           const MeasureOptions& opt,
+                                           ExecBackend backend) {
   // Convert once and re-plan per thread count (conversion dominates a
   // sweep; Fig. 2 measures 1/2/4 cores). Building the first plan eagerly
   // keeps the "format not parallelised" error even for an empty sweep.
   for (int t : threads) BSPMV_CHECK_MSG(t >= 1, "thread count must be >= 1");
   SpmvEngine<V> engine =
-      SpmvEngine<V>::prepare(a, c, threads.empty() ? 1 : threads.front());
+      SpmvEngine<V>::prepare(a, c, threads.empty() ? 1 : threads.front(),
+                             backend);
   std::vector<double> out;
   out.reserve(threads.size());
   for (int t : threads) {
@@ -183,7 +185,7 @@ std::vector<double> measure_threaded_multi(const Csr<V>& a,
                                            ExecBackend);                    \
   template std::vector<double> measure_threaded_multi(                      \
       const Csr<V>&, const Candidate&, const std::vector<int>&,             \
-      const MeasureOptions&);
+      const MeasureOptions&, ExecBackend);
 BSPMV_INST(float)
 BSPMV_INST(double)
 #undef BSPMV_INST

@@ -153,7 +153,7 @@ std::vector<MeasuredCandidate> measure_candidates(
     const MeasureOptions& opt = {});
 
 /// Multithreaded real time (only CSR/BCSR/BCSD and the decomposed
-/// variants, matching §V-A), on either execution backend.
+/// variants, matching §V-A), under either schedule policy.
 template <class V>
 double measure_threaded_seconds(const Csr<V>& a, const Candidate& c,
                                 int threads, const MeasureOptions& opt = {},
@@ -166,7 +166,8 @@ template <class V>
 std::vector<double> measure_threaded_multi(const Csr<V>& a,
                                            const Candidate& c,
                                            const std::vector<int>& threads,
-                                           const MeasureOptions& opt = {});
+                                           const MeasureOptions& opt,
+                                           ExecBackend backend);
 
 #define BSPMV_DECL(V)                                                      \
   extern template class AnyFormat<V>;                                      \
@@ -183,7 +184,7 @@ std::vector<double> measure_threaded_multi(const Csr<V>& a,
       ExecBackend);                                                        \
   extern template std::vector<double> measure_threaded_multi(              \
       const Csr<V>&, const Candidate&, const std::vector<int>&,            \
-      const MeasureOptions&);
+      const MeasureOptions&, ExecBackend);
 BSPMV_DECL(float)
 BSPMV_DECL(double)
 #undef BSPMV_DECL

@@ -238,37 +238,34 @@ ParallelOverhead parallel_overhead(std::span<const std::size_t> weights,
   if (total == 0) return po;
   const double ideal = static_cast<double>(total) / threads;
 
-  // Bulk: the heaviest thread under the same nnz-balanced contiguous
+  // Bulk: the heaviest home range of the nnz-balanced contiguous
   // partition ThreadedSpmv plans with.
-  {
-    const auto bounds = balanced_partition(weights, threads);
-    const auto sums = part_weight_sums(weights, bounds);
-    std::size_t heaviest = 0;
-    for (std::size_t s : sums) heaviest = std::max(heaviest, s);
-    po.bulk_imbalance =
-        std::max(0.0, static_cast<double>(heaviest) / ideal - 1.0);
-  }
+  const auto homes = balanced_partition(weights, threads);
+  const auto sums = part_weight_sums(weights, homes);
+  std::size_t heaviest = 0;
+  for (std::size_t s : sums) heaviest = std::max(heaviest, s);
+  po.bulk_imbalance =
+      std::max(0.0, static_cast<double>(heaviest) / ideal - 1.0);
 
-  // Tasks: over-decompose exactly like TaskGraphSpmv, then apply the
-  // steal-scheduling makespan bound total/P + max_task.
-  {
-    std::size_t target = static_cast<std::size_t>(threads) *
-                         static_cast<std::size_t>(tasks_per_thread);
-    target = std::min(target, weights.size());
-    if (target == 0) target = 1;
-    const auto bounds =
-        balanced_partition(weights, static_cast<int>(target));
-    const auto sums = part_weight_sums(weights, bounds);
-    std::size_t max_task = 0;
-    std::size_t n_tasks = 0;
-    for (std::size_t s : sums) {
+  // Tasks: split every home range like the stealing schedule does, then
+  // apply the steal-scheduling makespan bound total/P + max_task.
+  std::size_t max_task = 0;
+  std::size_t n_tasks = 0;
+  for (std::size_t t = 0; t + 1 < homes.size(); ++t) {
+    const std::span<const std::size_t> range = weights.subspan(
+        static_cast<std::size_t>(homes[t]),
+        static_cast<std::size_t>(homes[t + 1] - homes[t]));
+    const std::size_t n =
+        std::min(static_cast<std::size_t>(tasks_per_thread), range.size());
+    if (n == 0) continue;
+    const auto cuts = balanced_partition(range, static_cast<int>(n));
+    for (std::size_t s : part_weight_sums(range, cuts)) {
       max_task = std::max(max_task, s);
       if (s > 0) ++n_tasks;
     }
-    po.task_imbalance = static_cast<double>(max_task) / ideal;
-    po.steal_overhead_seconds =
-        static_cast<double>(n_tasks) * seconds_per_task;
   }
+  po.task_imbalance = static_cast<double>(max_task) / ideal;
+  po.steal_overhead_seconds = static_cast<double>(n_tasks) * seconds_per_task;
   return po;
 }
 

@@ -67,29 +67,32 @@ double predict_multicore(ModelKind model, const CandidateCost& cost,
 /// the §V-A partition weights of one pass (stored values incl. padding
 /// per granule) — no timing required.
 struct ParallelOverhead {
-  /// Static-partition load imbalance of the bulk-synchronous backend:
-  /// heaviest thread share over the ideal share, minus one (0 = perfectly
-  /// balanced; the barrier makes every SpMV pay this fraction).
+  /// Static-partition load imbalance of the kBulk schedule: heaviest
+  /// thread share over the ideal share, minus one (0 = perfectly
+  /// balanced; the batch barrier makes every SpMV pay this fraction).
   double bulk_imbalance = 0.0;
-  /// Straggler bound of the work-stealing backend: with the matrix
-  /// over-decomposed into threads×tasks_per_thread weight-balanced
-  /// tasks, the classic steal-scheduling makespan bound is
-  /// total/threads + max_task, so the excess fraction is
-  /// max_task/(total/threads). Much smaller than bulk_imbalance on
-  /// skewed matrices, slightly above zero on balanced ones.
+  /// Straggler bound of the kTasks (stealing) schedule: with every home
+  /// range split into tasks_per_thread weight-balanced tasks, the
+  /// classic steal-scheduling makespan bound is total/threads +
+  /// max_task, so the excess fraction is max_task/(total/threads). Much
+  /// smaller than bulk_imbalance on skewed matrices, slightly above zero
+  /// on balanced ones.
   double task_imbalance = 0.0;
-  /// Per-SpMV scheduling cost of the task backend (batch submission,
-  /// claims and expected steals), linear in the task count.
+  /// Per-SpMV scheduling cost of the stealing schedule (cursor claims
+  /// and steal sweeps), linear in the task count.
   double steal_overhead_seconds = 0.0;
 };
 
-/// Compute the overhead terms for one pass's partition weights.
-/// `seconds_per_task` is the amortised per-task scheduling cost
-/// (submit + claim + deque traffic); the default matches the observed
-/// TaskPool cost on commodity x86.
+/// Compute the overhead terms for one pass's partition weights, split
+/// the way ThreadedSpmv's stealing schedule splits them: each thread's
+/// home range into up to tasks_per_thread nnz-balanced tasks.
+/// `seconds_per_task` is the amortised per-task scheduling cost (cursor
+/// claims, steal sweeps, dispatch), measured with bench_kernels_micro
+/// (docs/models.md).
 ParallelOverhead parallel_overhead(std::span<const std::size_t> weights,
-                                   int threads, int tasks_per_thread = 8,
-                                   double seconds_per_task = 2e-6);
+                                   int threads,
+                                   int tasks_per_thread = kTasksPerThread,
+                                   double seconds_per_task = 1.6e-8);
 
 /// Multicore prediction including the execution backend's scheduling
 /// costs: predict_multicore plus the backend's imbalance share of the

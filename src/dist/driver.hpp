@@ -83,9 +83,9 @@ struct SuperviseOptions {
 struct DistOptions {
   int ranks = 2;
   DistMode mode = DistMode::kOverlap;
-  /// TaskPool workers for each rank's local-columns pass (the existing
-  /// task-graph executor, constructed fresh inside the child). 0 runs
-  /// the local pass serially.
+  /// ThreadedSpmv workers for each rank's local-columns pass (stealing
+  /// schedule, on a pool built fresh inside the child). 0 runs the local
+  /// pass serially.
   int threads_per_rank = 1;
   Impl impl = Impl::kScalar;
   /// Wire read timeout on every channel (driver and ranks).

@@ -10,8 +10,8 @@
 // exactly the buffer the halo exchange fills — and runs the local pass
 // first (zero-filling y), then accumulates the halo pass. It is the one
 // format that uses the FormatOps two-pass protocol (kPasses = 2), so
-// HaloDec plugs into the generic spmv()/ThreadedSpmv/TaskGraphSpmv
-// drivers through a FormatOps specialisation alone; the distributed
+// HaloDec plugs into the generic spmv()/ThreadedSpmv drivers through a
+// FormatOps specialisation alone; the distributed
 // rank runtime (src/dist/rank.*) drives the two passes itself so the
 // local pass can run while halo bytes are still in flight.
 //

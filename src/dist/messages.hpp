@@ -32,7 +32,7 @@ namespace bspmv::dist {
 struct ShardMsg {
   std::uint32_t rank = 0;
   std::uint32_t ranks = 0;
-  std::uint32_t threads = 1;  ///< TaskPool workers for the local pass
+  std::uint32_t threads = 1;  ///< ThreadedSpmv workers for the local pass
   index_t row_begin = 0, row_end = 0;
   index_t x_begin = 0, x_end = 0;
   index_t cols = 0;                       ///< global matrix width

@@ -13,7 +13,7 @@
 #include "src/dist/messages.hpp"
 #include "src/dist/shard_plan.hpp"
 #include "src/formats/format_ops.hpp"
-#include "src/parallel/task_graph.hpp"
+#include "src/parallel/parallel_spmv.hpp"
 #include "src/util/aligned.hpp"
 #include "src/util/errors.hpp"
 #include "src/util/timing.hpp"
@@ -25,18 +25,19 @@ using serve::MsgType;
 namespace {
 
 /// One rank's prepared state: the column-split shard plus its local-pass
-/// executor. The TaskPool is constructed fresh in this (forked) process
-/// and passed explicitly — TaskPool::shared would hand back the parent's
-/// registry entry, whose worker threads died at fork.
+/// executor. A multi-thread rank builds its TaskPool fresh in this
+/// (forked) process and passes it explicitly — TaskPool::shared would
+/// hand back the parent's registry entry, whose worker threads died at
+/// fork.
 struct RankState {
   RankShard shard;
   HaloDec<double> mat;
   std::shared_ptr<TaskPool> pool;
-  std::unique_ptr<TaskGraphSpmv<Csr<double>>> local_graph;
+  std::unique_ptr<ThreadedSpmv<Csr<double>>> local_graph;
   FaultMsg fault;  ///< armed test fault (kFault); one-shot
 };
 
-/// Fills `st` in place: the TaskGraphSpmv keeps a pointer to the local
+/// Fills `st` in place: the ThreadedSpmv keeps a pointer to the local
 /// submatrix, so the HaloDec must already sit at its final address when
 /// the graph is built (no return-by-value moves after this).
 void prepare(const ShardMsg& msg, RankState& st) {
@@ -67,9 +68,9 @@ void prepare(const ShardMsg& msg, RankState& st) {
 
   const int threads = static_cast<int>(msg.threads);
   if (threads >= 1) {
-    st.pool = std::make_shared<TaskPool>(threads);
-    st.local_graph = std::make_unique<TaskGraphSpmv<Csr<double>>>(
-        st.mat.local(), threads, st.pool);
+    if (threads > 1) st.pool = std::make_shared<TaskPool>(threads);
+    st.local_graph = std::make_unique<ThreadedSpmv<Csr<double>>>(
+        st.mat.local(), threads, ExecBackend::kTasks, st.pool);
   }
 }
 

@@ -1,10 +1,11 @@
 // The rank runtime: what one forked child process runs.
 //
 // A rank receives its shard once (kShard), builds the local/halo column
-// split (HaloDec) plus a TaskGraphSpmv over the local submatrix, and
+// split (HaloDec) plus a ThreadedSpmv over the local submatrix, and
 // then serves kDistRun requests: per iteration it posts the halo
 // send/recv (HaloExchange), runs the local-columns pass — on a freshly
-// constructed TaskPool, never the inherited process-wide one: the
+// constructed TaskPool when it has more than one thread, never the
+// inherited process-wide one: the
 // parent's pool threads do not survive fork — while bytes are in
 // flight (overlap) or after the exchange completes (naive), then
 // accumulates the halo-columns pass once the halo buffer is full.

@@ -8,8 +8,8 @@
 //                  prepare call stays attributable to both.
 //   - counters   : monotonically increasing event counts (candidates
 //                  ranked, conversions failed, CSR fallbacks taken).
-//   - thread time: per-OpenMP-thread kernel time and assigned stored
-//                  values, recorded by the §V-A parallel drivers; the
+//   - thread time: per-worker kernel time and executed stored values,
+//                  recorded by the §V-A parallel driver; the
 //                  spread across tids is the direct load-imbalance view
 //                  the paper's nnz-balanced partitioning targets.
 //
@@ -52,7 +52,7 @@ struct SpanStat {
   std::uint64_t calls = 0;
 };
 
-/// Accumulated kernel time of one OpenMP thread under one metric.
+/// Accumulated kernel time of one worker under one metric.
 struct ThreadStat {
   double seconds = 0.0;      ///< total kernel wall time across calls
   std::uint64_t calls = 0;   ///< run() invocations recorded

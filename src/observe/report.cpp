@@ -1,13 +1,13 @@
 #include "src/observe/report.hpp"
 
-#include <omp.h>
-
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <thread>
 
 #include "src/core/selector.hpp"
 #include "src/dist/driver.hpp"
@@ -573,7 +573,10 @@ RunReport build_run_report(const Csr<V>& a, const std::string& name,
   r.machine_description = profile.description;
   r.bandwidth_bps = profile.bandwidth_bps;
   r.runtime_enabled = enabled();
-  r.threads = opt.threads > 0 ? opt.threads : omp_get_max_threads();
+  r.threads = opt.threads > 0
+                  ? opt.threads
+                  : static_cast<int>(
+                        std::max(1u, std::thread::hardware_concurrency()));
 
   const std::vector<Candidate> cands = model_candidates(true);
   const std::vector<CandidateCost> costs = all_candidate_costs(a, cands);

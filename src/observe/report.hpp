@@ -58,7 +58,7 @@ struct SelectionReport {
   double model_error = 0.0; ///< (predicted - measured)/measured
 };
 
-/// One OpenMP thread's accumulated kernel work (totals over all timed
+/// One worker's accumulated kernel work (totals over all timed
 /// run() calls; divide by `calls` for per-SpMV numbers).
 struct ThreadSample {
   int tid = 0;
@@ -189,14 +189,13 @@ void validate_report_json(const Json& j);
 
 struct ReportOptions {
   MeasureOptions measure;      ///< per-candidate timing knobs
-  int threads = 0;             ///< 0 = omp_get_max_threads()
+  int threads = 0;             ///< 0 = hardware_concurrency()
   bool measure_candidates = true;  ///< measure every candidate (Fig. 3 view)
   bool verbose = false;        ///< progress on stderr
-  /// Execution backend of the multithreaded timing step. With kTasks the
-  /// report's counters carry the scheduler telemetry (task.executed,
-  /// task.stolen, task.steal_attempts, task.steal_ns,
-  /// task.queue_depth_max) and thread_samples come from the
-  /// "tasks/<fmt>" metric instead of "parallel/<fmt>".
+  /// Schedule policy of the multithreaded timing step. Either schedule
+  /// records thread_samples under "parallel/<fmt>", and the report's
+  /// counters carry the pool telemetry (task.executed, task.stolen,
+  /// task.steal_attempts, task.parks, task.inline_runs).
   ExecBackend backend = ExecBackend::kBulk;
   /// Distributed section (double precision only): fork `dist_ranks`
   /// processes, measure both exchange modes over the same shard plan and
@@ -205,7 +204,7 @@ struct ReportOptions {
   /// profile carries none.
   int dist_ranks = 0;
   int dist_iterations = 10;       ///< per measured mode
-  int dist_threads_per_rank = 1;  ///< local-pass TaskPool workers
+  int dist_threads_per_rank = 1;  ///< local-pass ThreadedSpmv workers
   /// Run the distributed section under rank supervision (recovery +
   /// degradation ladder); outcome and recovery timeline land in the
   /// report's dist section.

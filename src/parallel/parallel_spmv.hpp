@@ -1,23 +1,39 @@
-// Multithreaded SpMV driver (OpenMP), generic over every format whose
+// The one multithreaded SpMV driver, generic over every format whose
 // FormatOps specialisation opts in with kParallel — for the library that
 // is CSR, BCSR, BCSD and the two decomposed variants, matching §V-A
-// (1D-VBL is deliberately excluded).
+// (1D-VBL is deliberately excluded). docs/tasking.md has the full story.
 //
-// ThreadedSpmv<Format> precomputes one nnz-balanced (padding-aware)
-// granule partition per pass (FormatOps<Format>::kPasses). Every library
-// format runs one pass — the decomposed formats fold their CSR remainder
-// into the block-row loop, so a granule's weight is its blocks' stored
-// values plus its rows' remainder nonzeros. run() executes y = A·x with
-// each thread owning a disjoint granule range per pass; pass 0 also
-// zero-fills the thread's contiguous row range. A format with a second
-// pass (dist::HaloDec) gets a barrier between passes because they
-// partition rows differently.
+// ThreadedSpmv<Format> plans each pass (FormatOps<Format>::kPasses) once:
+// the pass's granules are split into one nnz-balanced (padding-aware)
+// home range per worker — the paper's §V-A partition — and each home
+// range into tasks. The schedule policy (src/parallel/backend.hpp)
+// decides the split and who runs the tasks:
 //
-// Observability: when built with BSPMV_OBSERVE (src/observe/observe.hpp),
-// every run() records each thread's kernel wall time and assigned stored
-// values (the §V-A partition weights, padding included, summed over all
-// passes) under the "parallel/<format>" metric — the per-thread
-// load-imbalance telemetry a RunReport exposes.
+//   kBulk   one task per home range, no stealing: the paper's static
+//           driver, exactly;
+//   kTasks  up to kTasksPerThread nnz-balanced tasks per home range; a
+//           worker that drains its own range steals from the back of
+//           the others' (TaskPool, src/parallel/task_pool.hpp).
+//
+// A task covers a contiguous granule range and hence a contiguous row
+// range; pass-0 tasks zero-fill their rows before accumulating. Every
+// task runs exactly once and a row is written by exactly one task in
+// the serial per-row order, so the output is bitwise identical to the
+// serial kernels under either schedule, any thread count, run_multi
+// layout and k. A format with a second pass (dist::HaloDec) runs its
+// passes as consecutive batches; a batch's completion is the barrier.
+//
+// Execution: threads == 1 plans run inline on the caller and never touch
+// a pool. Wider plans run on a persistent TaskPool of that width (the
+// process-wide shared one unless a pool is injected) with the caller as
+// worker 0; a caller that finds the pool busy runs its plan inline.
+//
+// Observability: when built with BSPMV_OBSERVE (src/observe/observe.hpp)
+// and observation is on, every run records each worker's busy time and
+// executed stored values (padding included) under "parallel/<format>"
+// ("spmm/<format>" for run_multi, values × k) — the per-thread
+// load-imbalance telemetry a RunReport exposes — and flushes the pool's
+// task.* counters.
 //
 // The template is defined here (not in the .cpp) so formats registered
 // outside the library instantiate it too; the five built-in parallel
@@ -25,15 +41,20 @@
 // in parallel_spmv.cpp.
 #pragma once
 
-#include <omp.h>
-
 #include <algorithm>
+#include <exception>
+#include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/formats/format_ops.hpp"
 #include "src/observe/observe.hpp"
+#include "src/parallel/backend.hpp"
 #include "src/parallel/partition.hpp"
+#include "src/parallel/task_pool.hpp"
+#include "src/util/aligned.hpp"
 #include "src/util/macros.hpp"
 #include "src/util/run_control.hpp"
 
@@ -55,103 +76,285 @@ class ThreadedSpmv {
   /// that deadlines and stalls are observed promptly.
   static constexpr index_t kControlChunk = 256;
 
-  ThreadedSpmv(const Format& a, int threads);
+  /// Plan `a` for `threads` workers under `schedule`. With no pool given
+  /// a multi-thread plan joins the process-wide shared pool of that
+  /// width; an injected pool must have exactly `threads` workers.
+  ThreadedSpmv(const Format& a, int threads,
+               ExecBackend schedule = ExecBackend::kTasks,
+               std::shared_ptr<TaskPool> pool = nullptr);
 
-  /// y = A·x. Without a control this is the paper's driver, one
-  /// pass_run per pass per thread. With one, each thread executes its
-  /// granule range in kControlChunk slices, polling the control's stop
-  /// flag (one relaxed load) and heartbeating between slices; on a
-  /// cancellation/deadline/stall the remaining slices are skipped — all
-  /// threads still meet every pass barrier, then the caller's
-  /// control->check() surfaces the typed error. y is indeterminate after
-  /// an aborted run.
+  /// y = A·x. With a control, each task runs in kControlChunk slices,
+  /// polling the control's stop flag (one relaxed load) and heartbeating
+  /// its worker's slot between slices; on a cancellation/deadline/stall
+  /// the remaining slices are skipped — every batch still completes,
+  /// then the caller's control->check() surfaces the typed error. y is
+  /// indeterminate after an aborted run.
   void run(const V* x, V* y, Impl impl = Impl::kScalar,
            RunControl* control = nullptr) const;
 
   /// Y = A·X for k right-hand sides in the given layout (X cols×k,
   /// Y rows×k — see src/kernels/layout.hpp). Reuses the single-vector
-  /// granule partition: a granule's multi-vector work scales uniformly
-  /// by k, so the nnz-balanced bounds stay balanced. k == 1 is the
-  /// single-vector path (bitwise identical to run()); formats without
-  /// the pass_run_multi protocol fall back to one threaded run() per
-  /// vector. Cancellation behaves as in run(); Y is indeterminate after
-  /// an aborted run.
+  /// tasks: a granule's multi-vector work scales uniformly by k, so the
+  /// nnz-balanced split stays balanced. k == 1 is the single-vector path
+  /// (bitwise identical to run()); formats without the pass_run_multi
+  /// protocol fall back to one threaded run() per vector. Cancellation
+  /// behaves as in run(); Y is indeterminate after an aborted run.
   void run_multi(const V* X, V* Y, int k, Layout layout,
                  Impl impl = Impl::kScalar,
                  RunControl* control = nullptr) const;
+
+  /// Asynchronous y = A·x. On an async-capable plan this returns at once
+  /// and `done` fires once on a pool worker after the last pass (first
+  /// task exception or nullptr); otherwise the run executes inline and
+  /// `done` fires before the call returns. The matrix, this driver, x, y
+  /// and the control must stay alive until `done` fires.
+  void run_async(const V* x, V* y, Impl impl, RunControl* control,
+                 std::function<void(std::exception_ptr)> done) const;
+
+  /// True when run_async overlaps with the caller: a stealing plan on a
+  /// pool (no thread owns worker 0's range in an async run).
+  bool async_capable() const {
+    return pool_ != nullptr && schedule_ == ExecBackend::kTasks;
+  }
+
+  /// First-touch placement pass: each pass-0 task's home worker writes
+  /// the y rows that task will produce (zero-fill) and rewrites a
+  /// proportional slice of x in place, so the OS backs those pages on
+  /// the worker's node before the timed runs. Either pointer may be
+  /// null to skip that vector.
+  void warm_up(V* x, V* y) const;
+
   int threads() const { return threads_; }
+  /// The pool this plan runs on; nullptr for a one-thread plan.
+  TaskPool* pool() const { return pool_.get(); }
+  /// Decomposition introspection for tests.
+  std::size_t task_count(int pass) const {
+    return passes_[static_cast<std::size_t>(pass)].tasks.size();
+  }
 
  private:
+  struct Task {
+    index_t g0, g1;      ///< granule range (pass-local)
+    index_t row0, row1;  ///< row range (pass 0: also the zero-fill range)
+    std::size_t weight;  ///< stored values incl. padding (§V-A weights)
+  };
+  struct Pass {
+    std::vector<Task> tasks;
+    std::vector<std::uint32_t> home;  ///< threads+1 task bounds
+  };
+  template <class Body>
+  class Job;
+
+  /// Run `body(pass, task, worker)` over every task of every pass.
+  template <class Body>
+  void execute(const Body& body, bool steal, const std::string* metric,
+               std::size_t scale) const;
+  /// Zero-fill (pass 0) and accumulate one task, honouring `control`.
+  template <class PassFn>
+  static void run_sliced(int pass, const Task& tk, int worker,
+                         RunControl* control, PassFn&& pass_run);
+  void run_one(int pass, const Task& tk, int worker, const V* x, V* y,
+               Impl impl, RunControl* control) const;
+  void record(const std::string* metric,
+              std::span<const TaskPool::WorkerLoad> load,
+              std::size_t scale) const;
+
+  static const std::string& run_metric() {
+    static const std::string m = std::string("parallel/") + Ops::kName;
+    return m;
+  }
+  static const std::string& multi_metric() {
+    static const std::string m = std::string("spmm/") + Ops::kName;
+    return m;
+  }
+
   const Format* a_;
   int threads_;
-  /// Granule boundaries per pass, threads_+1 each.
-  std::vector<index_t> bounds_[static_cast<std::size_t>(Ops::kPasses)];
-  /// Stored values per thread, summed over all passes.
-  std::vector<std::size_t> part_weights_;
+  ExecBackend schedule_;
+  std::shared_ptr<TaskPool> pool_;
+  Pass passes_[static_cast<std::size_t>(Ops::kPasses)];
+};
+
+/// The pool job of one run: tasks and homes from the plan, the work
+/// from `Body`. Blocking runs keep it on the caller's stack; an async run
+/// owns it on the heap and deletes it in finish().
+template <class Format>
+template <class Body>
+class ThreadedSpmv<Format>::Job final : public TaskPool::Job {
+ public:
+  Job(const ThreadedSpmv& d, Body body, bool steal, const std::string* metric,
+      std::size_t scale,
+      std::function<void(std::exception_ptr)> done = nullptr)
+      : d_(d), body_(std::move(body)), steal_(steal), metric_(metric),
+        scale_(scale), done_(std::move(done)) {}
+
+  int passes() const override { return Ops::kPasses; }
+  std::span<const std::uint32_t> home(int pass) const override {
+    return d_.passes_[static_cast<std::size_t>(pass)].home;
+  }
+  bool steal() const override { return steal_; }
+  std::size_t run_task(int pass, std::uint32_t task, int worker) override {
+    const Task& tk = d_.passes_[static_cast<std::size_t>(pass)].tasks[task];
+    body_(pass, tk, worker);
+    return tk.weight;
+  }
+  void finish(std::span<const TaskPool::WorkerLoad> load,
+              std::exception_ptr err) override {
+    d_.record(metric_, load, scale_);
+    if (done_) {
+      const auto done = std::move(done_);
+      delete this;  // async jobs are heap-owned; nothing touches them now
+      done(err);
+    }
+  }
+
+ private:
+  const ThreadedSpmv& d_;
+  Body body_;
+  bool steal_;
+  const std::string* metric_;  ///< null: record nothing
+  std::size_t scale_;
+  std::function<void(std::exception_ptr)> done_;
 };
 
 template <class Format>
-ThreadedSpmv<Format>::ThreadedSpmv(const Format& a, int threads)
-    : a_(&a), threads_(threads) {
+ThreadedSpmv<Format>::ThreadedSpmv(const Format& a, int threads,
+                                   ExecBackend schedule,
+                                   std::shared_ptr<TaskPool> pool)
+    : a_(&a), threads_(threads), schedule_(schedule) {
   BSPMV_CHECK_MSG(threads >= 1, "thread count must be >= 1");
+  BSPMV_CHECK_MSG(pool == nullptr || pool->workers() == threads,
+                  "task pool width must equal the plan's thread count");
+  if (threads > 1) pool_ = pool ? std::move(pool) : TaskPool::shared(threads);
+  // One task per home range unless there is someone to steal it.
+  const std::size_t per_home =
+      schedule == ExecBackend::kTasks && threads > 1
+          ? static_cast<std::size_t>(kTasksPerThread)
+          : 1;
+  BSPMV_CHECK_MSG(static_cast<std::size_t>(threads) * per_home <=
+                      TaskCursor::kMaxTasks,
+                  "thread count too large for the task cursor");
   for (int pass = 0; pass < Ops::kPasses; ++pass) {
     const auto w = Ops::pass_weights(a, pass);
-    auto& bounds = bounds_[static_cast<std::size_t>(pass)];
-    bounds = balanced_partition(w, threads_);
-    const auto sums = part_weight_sums(w, bounds);
-    if (pass == 0) {
-      part_weights_ = sums;
-    } else {
-      for (std::size_t p = 0; p < part_weights_.size(); ++p)
-        part_weights_[p] += sums[p];
+    const auto homes = balanced_partition(w, threads);
+    Pass& p = passes_[static_cast<std::size_t>(pass)];
+    p.home.assign(static_cast<std::size_t>(threads) + 1, 0);
+    for (std::size_t t = 0; t < static_cast<std::size_t>(threads); ++t) {
+      const auto b0 = static_cast<std::size_t>(homes[t]);
+      const auto b1 = static_cast<std::size_t>(homes[t + 1]);
+      const std::size_t n = std::min(per_home, b1 - b0);
+      if (n > 0) {
+        const std::span<const std::size_t> range(w.data() + b0, b1 - b0);
+        const auto cuts = balanced_partition(range, static_cast<int>(n));
+        for (std::size_t s = 0; s < n; ++s) {
+          const index_t g0 = static_cast<index_t>(b0) + cuts[s];
+          const index_t g1 = static_cast<index_t>(b0) + cuts[s + 1];
+          if (g0 == g1) continue;  // empty slice: no rows, nothing to do
+          Task tk{g0, g1, Ops::pass_first_row(a, pass, g0),
+                  Ops::pass_first_row(a, pass, g1), 0};
+          for (index_t g = g0; g < g1; ++g)
+            tk.weight += w[static_cast<std::size_t>(g)];
+          p.tasks.push_back(tk);
+        }
+      }
+      p.home[t + 1] = static_cast<std::uint32_t>(p.tasks.size());
     }
   }
 }
 
 template <class Format>
+template <class Body>
+void ThreadedSpmv<Format>::execute(const Body& body, bool steal,
+                                   const std::string* metric,
+                                   std::size_t scale) const {
+  Job<const Body&> job(*this, body, steal, metric, scale);
+  if (pool_ != nullptr) {
+    pool_->run(job);
+  } else if (auto err = TaskPool::run_inline(job)) {
+    std::rethrow_exception(err);
+  }
+}
+
+template <class Format>
+template <class PassFn>
+void ThreadedSpmv<Format>::run_sliced(int pass, const Task& tk, int worker,
+                                      RunControl* control,
+                                      PassFn&& pass_run) {
+  // Publish the control to this thread so deep code (kernels, injected
+  // test formats) can poll cancellation without a plumbed parameter.
+  RunControl::ScopedCurrent ambient(control);
+  if (control == nullptr) {
+    pass_run(tk.g0, tk.g1, pass == 0);
+  } else if (!control->stop_requested()) {
+    for (index_t g = tk.g0; g < tk.g1; g += kControlChunk) {
+      if (control->stop_requested()) break;  // one relaxed load
+      pass_run(g, std::min<index_t>(tk.g1, g + kControlChunk),
+               pass == 0 && g == tk.g0);
+      control->heartbeat(worker);
+    }
+  }
+}
+
+template <class Format>
+void ThreadedSpmv<Format>::run_one(int pass, const Task& tk, int worker,
+                                   const V* x, V* y, Impl impl,
+                                   RunControl* control) const {
+  run_sliced(pass, tk, worker, control,
+             [&](index_t g0, index_t g1, bool zero) {
+    if (zero) std::fill(y + tk.row0, y + tk.row1, V{0});
+    Ops::pass_run(*a_, pass, g0, g1, x, y, impl);
+  });
+}
+
+template <class Format>
+void ThreadedSpmv<Format>::record(const std::string* metric,
+                                  std::span<const TaskPool::WorkerLoad> load,
+                                  std::size_t scale) const {
+#if defined(BSPMV_OBSERVE_HOOKS) && BSPMV_OBSERVE_HOOKS
+  if (metric == nullptr || !observe::enabled()) return;
+  auto& reg = observe::CounterRegistry::instance();
+  for (std::size_t w = 0; w < load.size(); ++w)
+    if (load[w].items != 0 || load[w].seconds != 0.0)
+      reg.add_thread_time(*metric, static_cast<int>(w), load[w].seconds,
+                          load[w].items * scale);
+  if (pool_ != nullptr) pool_->flush_observe();
+#else
+  (void)metric;
+  (void)load;
+  (void)scale;
+#endif
+}
+
+template <class Format>
 void ThreadedSpmv<Format>::run(const V* x, V* y, Impl impl,
                                RunControl* control) const {
-#pragma omp parallel num_threads(threads_)
-  {
-    const int tid = omp_get_thread_num();
-    BSPMV_OBS_THREAD_TIMER(obs_timer);
-    // Publish the control to this thread so deep code (kernels, injected
-    // test formats) can poll cancellation without a plumbed parameter.
-    RunControl::ScopedCurrent ambient(control);
-    for (int pass = 0; pass < Ops::kPasses; ++pass) {
-      if (pass > 0) {
-        // Later passes partition rows differently, so wait until every
-        // earlier-pass contribution has landed before accumulating.
-        // Cancellation must never skip this barrier — every thread
-        // reaches it on every pass, aborted or not, or the region hangs.
-#pragma omp barrier
-      }
-      const auto& bounds = bounds_[static_cast<std::size_t>(pass)];
-      const index_t g0 = bounds[static_cast<std::size_t>(tid)];
-      const index_t g1 = bounds[static_cast<std::size_t>(tid) + 1];
-      if (control == nullptr) {
-        if (pass == 0)
-          std::fill(y + Ops::pass_first_row(*a_, 0, g0),
-                    y + Ops::pass_first_row(*a_, 0, g1), V{0});
-        Ops::pass_run(*a_, pass, g0, g1, x, y, impl);
-      } else if (!control->stop_requested()) {
-        if (pass == 0)
-          std::fill(y + Ops::pass_first_row(*a_, 0, g0),
-                    y + Ops::pass_first_row(*a_, 0, g1), V{0});
-        for (index_t g = g0; g < g1; g += kControlChunk) {
-          if (control->stop_requested()) break;  // one relaxed load
-          Ops::pass_run(*a_, pass, g, std::min<index_t>(g1, g + kControlChunk),
-                        x, y, impl);
-          control->heartbeat(tid);
-        }
-      }
+  execute(
+      [&](int pass, const Task& tk, int worker) {
+        run_one(pass, tk, worker, x, y, impl, control);
+      },
+      schedule_ == ExecBackend::kTasks, &run_metric(), 1);
+}
+
+template <class Format>
+void ThreadedSpmv<Format>::run_async(
+    const V* x, V* y, Impl impl, RunControl* control,
+    std::function<void(std::exception_ptr)> done) const {
+  if (!async_capable()) {
+    std::exception_ptr err;
+    try {
+      run(x, y, impl, control);
+    } catch (...) {
+      err = std::current_exception();
     }
-#if defined(BSPMV_OBSERVE_HOOKS) && BSPMV_OBSERVE_HOOKS
-    static const std::string metric = std::string("parallel/") + Ops::kName;
-    BSPMV_OBS_THREAD_RECORD(metric.c_str(), tid, obs_timer,
-                            part_weights_[static_cast<std::size_t>(tid)]);
-#endif
+    done(err);
+    return;
   }
+  const auto body = [this, x, y, impl, control](int pass, const Task& tk,
+                                                int worker) {
+    run_one(pass, tk, worker, x, y, impl, control);
+  };
+  pool_->run_async(*new Job<decltype(body)>(*this, body, true, &run_metric(),
+                                            1, std::move(done)));
 }
 
 template <class Format>
@@ -192,57 +395,50 @@ void ThreadedSpmv<Format>::run_multi(const V* X, V* Y, int k, Layout layout,
     }
     return;
   } else {
-#pragma omp parallel num_threads(threads_)
-    {
-      const int tid = omp_get_thread_num();
-      BSPMV_OBS_THREAD_TIMER(obs_timer);
-      RunControl::ScopedCurrent ambient(control);
-      // Zero-fill a contiguous row range of Y in whichever layout.
-      const auto zero_rows = [&](index_t r0, index_t r1) {
-        if (layout == Layout::kRowMajor) {
-          std::fill(Y + static_cast<std::size_t>(r0) * kk,
-                    Y + static_cast<std::size_t>(r1) * kk, V{0});
-        } else {
-          for (std::size_t j = 0; j < kk; ++j)
-            std::fill(Y + j * rows + static_cast<std::size_t>(r0),
-                      Y + j * rows + static_cast<std::size_t>(r1), V{0});
-        }
-      };
-      for (int pass = 0; pass < Ops::kPasses; ++pass) {
-        if (pass > 0) {
-          // Same barrier discipline as run(): every thread reaches every
-          // pass barrier, aborted or not.
-#pragma omp barrier
-        }
-        const auto& bounds = bounds_[static_cast<std::size_t>(pass)];
-        const index_t g0 = bounds[static_cast<std::size_t>(tid)];
-        const index_t g1 = bounds[static_cast<std::size_t>(tid) + 1];
-        if (control == nullptr) {
-          if (pass == 0)
-            zero_rows(Ops::pass_first_row(*a_, 0, g0),
-                      Ops::pass_first_row(*a_, 0, g1));
-          Ops::pass_run_multi(*a_, pass, g0, g1, X, Y, k, layout, impl);
-        } else if (!control->stop_requested()) {
-          if (pass == 0)
-            zero_rows(Ops::pass_first_row(*a_, 0, g0),
-                      Ops::pass_first_row(*a_, 0, g1));
-          for (index_t g = g0; g < g1; g += kControlChunk) {
-            if (control->stop_requested()) break;  // one relaxed load
-            Ops::pass_run_multi(*a_, pass, g,
-                                std::min<index_t>(g1, g + kControlChunk), X,
-                                Y, k, layout, impl);
-            control->heartbeat(tid);
-          }
-        }
-      }
-#if defined(BSPMV_OBSERVE_HOOKS) && BSPMV_OBSERVE_HOOKS
-      static const std::string metric = std::string("spmm/") + Ops::kName;
-      BSPMV_OBS_THREAD_RECORD(metric.c_str(), tid, obs_timer,
-                              part_weights_[static_cast<std::size_t>(tid)] *
-                                  static_cast<std::size_t>(k));
-#endif
-    }
+    execute(
+        [&](int pass, const Task& tk, int worker) {
+          run_sliced(pass, tk, worker, control,
+                     [&](index_t g0, index_t g1, bool zero) {
+                     if (zero) {
+                       // Zero-fill the task's rows of Y in either layout.
+                       if (layout == Layout::kRowMajor) {
+                         std::fill(Y + static_cast<std::size_t>(tk.row0) * kk,
+                                   Y + static_cast<std::size_t>(tk.row1) * kk,
+                                   V{0});
+                       } else {
+                         for (std::size_t j = 0; j < kk; ++j)
+                           std::fill(Y + j * rows + tk.row0,
+                                     Y + j * rows + tk.row1, V{0});
+                       }
+                     }
+                     Ops::pass_run_multi(*a_, pass, g0, g1, X, Y, k, layout,
+                                         impl);
+                   });
+        },
+        schedule_ == ExecBackend::kTasks, &multi_metric(), kk);
   }
+}
+
+template <class Format>
+void ThreadedSpmv<Format>::warm_up(V* x, V* y) const {
+  const auto& tasks = passes_[0].tasks;
+  const std::size_t n = tasks.size();
+  const std::size_t cols = static_cast<std::size_t>(a_->cols());
+  // No stealing: each task runs on its home worker.
+  execute(
+      [&](int pass, const Task& tk, int) {
+        if (pass != 0) return;
+        if (y != nullptr) std::fill(y + tk.row0, y + tk.row1, V{0});
+        if (x != nullptr) {
+          // Volatile self-store: dirties each page (first touch allocates
+          // it on this worker's node) without changing any value.
+          const auto ti = static_cast<std::size_t>(&tk - tasks.data());
+          volatile V* vx = x;
+          for (std::size_t j = cols * ti / n; j < cols * (ti + 1) / n; ++j)
+            vx[j] = vx[j];
+        }
+      },
+      false, nullptr, 0);
 }
 
 #define BSPMV_DECL(V)            \

@@ -1,5 +1,5 @@
-// CPU topology for the task-graph backend: which logical CPUs belong to
-// which NUMA node, so the TaskPool can group its workers' deques by node
+// CPU topology for the threaded driver's TaskPool: which logical CPUs
+// belong to which NUMA node, so the pool can pin workers to their node
 // and steal node-local first (docs/tasking.md).
 //
 // Detection reads /sys/devices/system/node/node*/cpulist (Linux). When

@@ -646,8 +646,8 @@ void Server::handle_spmv(const std::shared_ptr<Connection>& conn,
     check_finite("run: input vector x", st->req.x.data(), st->req.x.size());
 
   if (st->entry->engine.async_capable()) {
-    // Task-graph plan: submit the graph and return this worker to the
-    // pool immediately; the reply is sent from the completion callback
+    // Stealing plan: queue the run on the task pool and return this
+    // worker immediately; the reply is sent from the completion callback
     // on a task-pool worker (StarPU-style asynchronous execution).
     async_inflight_.fetch_add(1, std::memory_order_acq_rel);
     BSPMV_OBS_COUNT("serve.async_submitted", 1);

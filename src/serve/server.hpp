@@ -63,12 +63,12 @@ struct ServerOptions {
   int engine_threads = 0;  ///< per-engine thread plan (0 = single-threaded)
   bool simd = true;        ///< allow simd candidates in selection
 
-  /// Execution backend of every threaded engine this server prepares.
-  /// kTasks shares one process-wide TaskPool of engine_threads workers
-  /// across all cached engines (concurrent requests interleave their
-  /// tasks on it), and non-batched spmv requests complete asynchronously:
-  /// the request worker submits the task graph and returns to the pool,
-  /// with the reply sent from a completion callback.
+  /// Schedule policy of every threaded engine this server prepares. All
+  /// cached engines share one process-wide TaskPool of engine_threads
+  /// workers; a request that finds it busy runs its SpMV inline on the
+  /// request worker. Under kTasks non-batched spmv requests complete
+  /// asynchronously: the request worker queues the run on the pool and
+  /// returns, with the reply sent from a completion callback.
   ExecBackend executor = ExecBackend::kBulk;
 
   /// Measured selection on prepare: convert each parallel-safe candidate
@@ -168,7 +168,7 @@ class Server {
 
   /// Completion of one non-batched spmv: reply or typed error, counters,
   /// degradation bookkeeping. Runs on the request worker for synchronous
-  /// plans and on a task-pool worker for asynchronous (task-graph) ones.
+  /// plans and on a task-pool worker for asynchronous (stealing) ones.
   void finish_spmv(const std::shared_ptr<Connection>& conn,
                    const std::shared_ptr<AsyncSpmv>& st,
                    std::exception_ptr err);

@@ -1,5 +1,5 @@
 // RunControl — the cooperative execution-control primitive threaded
-// through SpmvEngine::measure, the ThreadedSpmv drivers, the kernel
+// through SpmvEngine::measure, the ThreadedSpmv driver, the kernel
 // profiler and the STREAM benchmarks.
 //
 // One RunControl carries three cooperating facilities for a run:
@@ -24,7 +24,7 @@
 // stays aborted (callers construct a fresh one per logical attempt).
 //
 // RunControl::current() exposes the active control as a thread-local
-// ambient pointer inside ThreadedSpmv regions, so deep code (kernels,
+// ambient pointer inside ThreadedSpmv tasks, so deep code (kernels,
 // fault-injection test formats) can poll cancellation without plumbing a
 // parameter through every FormatOps signature.
 #pragma once
@@ -115,7 +115,7 @@ class RunControl {
 
   // --- progress --------------------------------------------------------
 
-  /// Record forward progress for `slot` (OpenMP thread id or 0 for the
+  /// Record forward progress for `slot` (pool worker slot or 0 for the
   /// measurement loop itself). Relaxed increment — safe at granule rate.
   void heartbeat(int slot) {
     beats_[static_cast<std::size_t>(slot) & (kThreadSlots - 1)].fetch_add(
@@ -138,7 +138,7 @@ class RunControl {
   // --- ambient control -------------------------------------------------
 
   /// The RunControl governing the current thread's work, or nullptr.
-  /// Set by ThreadedSpmv inside its parallel region via ScopedCurrent.
+  /// Set by ThreadedSpmv around every task via ScopedCurrent.
   static RunControl* current();
 
   /// RAII setter for current(); restores the previous value on exit.

@@ -9,7 +9,6 @@
 #include "src/formats/decomposed.hpp"
 #include "src/kernels/spmv.hpp"
 #include "src/parallel/parallel_spmv.hpp"
-#include "src/parallel/task_graph.hpp"
 #include "tests/test_helpers.hpp"
 
 namespace bspmv {
@@ -162,8 +161,9 @@ void expect_same_bits(const aligned_vector<V>& got,
 }
 
 // For one decomposed matrix, both impls: (a) serial spmv within
-// expect_vectors_near of the COO reference, (b) ThreadedSpmv and
-// TaskGraphSpmv at 1/2/4/7 threads bitwise equal to serial, (c) spmv_add
+// expect_vectors_near of the COO reference, (b) ThreadedSpmv under the
+// static and the stealing schedule at 1/2/4/7 threads bitwise equal to
+// serial, (c) spmv_add
 // onto a non-zero y equal to y + spmv within the same bound.
 template <class F, class V>
 void expect_fused_contract(const F& m, const aligned_vector<V>& x,
@@ -185,8 +185,8 @@ void expect_fused_contract(const F& m, const aligned_vector<V>& x,
     expect_vectors_near(y.data(), want.data(), n, ctx + " spmv_add");
   }
   for (const int threads : {1, 2, 4, 7}) {
-    const ThreadedSpmv<F> bulk(m, threads);
-    const TaskGraphSpmv<F> tasks(m, threads);
+    const ThreadedSpmv<F> bulk(m, threads, ExecBackend::kBulk);
+    const ThreadedSpmv<F> tasks(m, threads, ExecBackend::kTasks);
     for (int t = 0; t < 2; ++t) {
       const std::string ctx = what + " " + impl_name(kImpls[t]) + " " +
                               std::to_string(threads) + " threads";

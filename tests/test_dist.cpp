@@ -21,7 +21,6 @@
 #include "src/dist/shard_plan.hpp"
 #include "src/kernels/spmv.hpp"
 #include "src/parallel/parallel_spmv.hpp"
-#include "src/parallel/task_graph.hpp"
 #include "src/profile/comm_bench.hpp"
 #include "src/profile/machine_profile.hpp"
 #include "tests/fault_injection.hpp"
@@ -171,13 +170,15 @@ TEST(HaloDecFormat, GenericThreadedAndTaskGraphDriversAgree) {
 
   for (int threads : {2, 4}) {
     aligned_vector<double> yp(static_cast<std::size_t>(a.rows()), 1.0);
-    ThreadedSpmv<HaloDec<double>>(h, threads).run(x.data(), yp.data());
+    ThreadedSpmv<HaloDec<double>>(h, threads, ExecBackend::kBulk)
+        .run(x.data(), yp.data());
     expect_vectors_near(yp.data(), yref.data(), a.rows(), "threaded halo_dec");
 
     aligned_vector<double> yg(static_cast<std::size_t>(a.rows()), 1.0);
-    TaskGraphSpmv<HaloDec<double>>(h, threads).run(x.data(), yg.data());
+    ThreadedSpmv<HaloDec<double>>(h, threads, ExecBackend::kTasks)
+        .run(x.data(), yg.data());
     expect_vectors_near(yg.data(), yref.data(), a.rows(),
-                        "task-graph halo_dec");
+                        "stealing halo_dec");
   }
 }
 
@@ -185,7 +186,8 @@ TEST(HaloDecFormat, GenericThreadedAndTaskGraphDriversAgree) {
 // Multi-process parity.
 
 /// Reference for one rank, same decomposition and same executors the
-/// forked rank uses (TaskGraphSpmv local pass + serial halo pass), so
+/// forked rank uses (stealing ThreadedSpmv local pass + serial halo
+/// pass), so
 /// the comparison is bitwise.
 aligned_vector<double> rank_reference(const Csr<double>& a,
                                       const RankShard& sh,
@@ -201,8 +203,7 @@ aligned_vector<double> rank_reference(const Csr<double>& a,
 
   aligned_vector<double> y(static_cast<std::size_t>(h.rows()), 0.0);
   if (threads >= 1) {
-    auto pool = std::make_shared<TaskPool>(threads);
-    TaskGraphSpmv<Csr<double>>(h.local(), threads, pool)
+    ThreadedSpmv<Csr<double>>(h.local(), threads, ExecBackend::kTasks)
         .run(xs.data(), y.data(), impl);
   } else {
     FormatOps<Csr<double>>::spmv_add(h.local(), xs.data(), y.data(), impl);

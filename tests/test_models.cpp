@@ -171,10 +171,10 @@ TEST(Selector, PicksBlockedFormatOnPerfectlyBlockyMatrix) {
 
 TEST(Models, ParallelOverheadUniformWeights) {
   // 64 uniform granules, 4 threads: the bulk partition is perfect
-  // (imbalance 0); the task backend over-decomposes into 4×8 = 32 tasks
-  // of 2 granules each, so the straggler bound max_task/(total/P) is
-  // exactly 1/tasks_per_thread, and the scheduling fee is one
-  // seconds_per_task per non-empty task.
+  // (imbalance 0); with 8 tasks per thread the stealing schedule splits
+  // each 16-granule home range into 8 tasks of 2 granules each, so the
+  // straggler bound max_task/(total/P) is exactly 1/tasks_per_thread,
+  // and the scheduling fee is one seconds_per_task per non-empty task.
   const std::vector<std::size_t> w(64, 10);
   const auto o = parallel_overhead(w, 4, 8, 2e-6);
   EXPECT_NEAR(o.bulk_imbalance, 0.0, 1e-9);

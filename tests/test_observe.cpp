@@ -1,14 +1,15 @@
 // Tests for the observability subsystem (src/observe/): span nesting,
-// counter aggregation across OpenMP threads, the runtime master switch,
+// counter aggregation across threads, the runtime master switch,
 // RunReport JSON round-tripping and validation, trajectory files, and
 // the guarantee that a BSPMV_OBSERVE=OFF build keeps the registry empty
 // while running instrumented library code.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "src/core/selector.hpp"
 #include "src/formats/decomposed.hpp"
@@ -70,16 +71,16 @@ TEST_F(ObserveTest, SpansNestIntoSlashPaths) {
 
 TEST_F(ObserveTest, CountersAggregateAcrossOmpThreads) {
   constexpr int kPerThread = 1000;
-  int threads = 0;
-#pragma omp parallel
-  {
-#pragma omp single
-    threads = omp_get_num_threads();
-    for (int i = 0; i < kPerThread; ++i)
-      CounterRegistry::instance().add_count("test.events", 1);
-    CounterRegistry::instance().add_thread_time(
-        "test.metric", omp_get_thread_num(), 0.25, 10);
-  }
+  const int threads = 4;
+  std::vector<std::thread> pool;
+  for (int tid = 0; tid < threads; ++tid)
+    pool.emplace_back([tid] {
+      for (int i = 0; i < kPerThread; ++i)
+        CounterRegistry::instance().add_count("test.events", 1);
+      CounterRegistry::instance().add_thread_time("test.metric", tid, 0.25,
+                                                  10);
+    });
+  for (std::thread& t : pool) t.join();
 
   const Snapshot snap = CounterRegistry::instance().snapshot();
   ASSERT_GE(threads, 1);

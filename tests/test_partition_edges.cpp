@@ -12,7 +12,6 @@
 #include "src/kernels/spmv.hpp"
 #include "src/parallel/parallel_spmv.hpp"
 #include "src/parallel/partition.hpp"
-#include "src/parallel/task_graph.hpp"
 #include "src/util/errors.hpp"
 #include "tests/test_helpers.hpp"
 
@@ -127,11 +126,11 @@ TEST(PartitionEdges, PartWeightSumsMatchesManualSum) {
 // --------------------------- degenerate decompositions, both backends ----
 //
 // The same pathological shapes the partitioner tests cover above, pushed
-// through a full SpMV on the bulk-synchronous (ThreadedSpmv) and
-// task-graph (TaskGraphSpmv) backends: both must produce the serial
-// result bitwise no matter how empty or skewed the task decomposition is.
+// through a full SpMV under the static (kBulk) and the stealing (kTasks)
+// schedule: both must produce the serial result bitwise no matter how
+// empty or skewed the task decomposition is.
 
-/// Serial reference, then both backends at `threads`, bitwise compare.
+/// Serial reference, then both schedules at `threads`, bitwise compare.
 void expect_both_backends_match_serial(const Csr<double>& a, int threads,
                                        const std::string& context) {
   const auto x =
@@ -141,9 +140,11 @@ void expect_both_backends_match_serial(const Csr<double>& a, int threads,
   spmv(a, x.data(), ys.data());
 
   aligned_vector<double> yb(n, -1.0);
-  ThreadedSpmv<Csr<double>>(a, threads).run(x.data(), yb.data());
+  ThreadedSpmv<Csr<double>>(a, threads, ExecBackend::kBulk)
+      .run(x.data(), yb.data());
   aligned_vector<double> yt(n, -1.0);
-  TaskGraphSpmv<Csr<double>>(a, threads).run(x.data(), yt.data());
+  ThreadedSpmv<Csr<double>>(a, threads, ExecBackend::kTasks)
+      .run(x.data(), yt.data());
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(yb[i], ys[i]) << context << " bulk row " << i;
     ASSERT_EQ(yt[i], ys[i]) << context << " tasks row " << i;
@@ -182,14 +183,14 @@ TEST(PartitionEdges, MoreThreadsThanRowsThroughBothBackends) {
 }
 
 TEST(PartitionEdges, TaskDecompositionSkipsEmptySlices) {
-  // The task backend over-decomposes into threads*8 slices; on a 5-row
-  // matrix almost all are empty and must be dropped at build time, not
-  // submitted as zero-width tasks.
+  // The stealing schedule splits each home range into up to
+  // kTasksPerThread slices; on a 5-row matrix almost all are empty and
+  // must be dropped at build time, not submitted as zero-width tasks.
   Coo<double> coo(5, 5);
   coo.add(0, 0, 1.0);
   coo.add(4, 4, 1.0);
   const Csr<double> a = Csr<double>::from_coo(coo);
-  const TaskGraphSpmv<Csr<double>> d(a, 4);
+  const ThreadedSpmv<Csr<double>> d(a, 4, ExecBackend::kTasks);
   EXPECT_LE(d.task_count(0), 5u);  // never more tasks than granules
   EXPECT_GE(d.task_count(0), 1u);
 }

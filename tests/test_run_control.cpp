@@ -1,12 +1,8 @@
 // Unit tests for the resilient-execution substrate: RunControl
 // (deadline / cancellation / heartbeat), the Watchdog, the crash-safe
 // atomic_write_file + checksum reader, the MAD-based robust sampler and
-// the numeric health guards.
-//
-// Deliberately OpenMP-free (std::thread only) so the ThreadSanitizer CI
-// job can run this binary without libgomp's TSan false positives; the
-// engine/OpenMP integration is covered by test_engine and
-// test_fault_injection.
+// the numeric health guards. The engine integration is covered by
+// test_engine and test_fault_injection.
 #include <gtest/gtest.h>
 
 #include <atomic>

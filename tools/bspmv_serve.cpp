@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
   cli.add_option("engine-threads", "0",
                  "threads per engine plan (0 = single-threaded kernels)");
   cli.add_option("executor", "bulk",
-                 "threaded-engine backend: bulk (OpenMP, default) or tasks "
-                 "(work-stealing task graph; non-batched requests complete "
+                 "threaded-engine schedule: bulk (static, default) or tasks "
+                 "(work stealing; non-batched requests complete "
                  "asynchronously)");
   cli.add_option("spool-dir", "",
                  "persist submitted matrices here for crash recovery"
