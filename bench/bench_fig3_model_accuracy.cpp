@@ -1,5 +1,5 @@
 // Reproduces Figure 3: prediction accuracy of the MEM / MEMCOMP / OVERLAP
-// models (plus the MEMLAT extension). For every matrix we report the
+// models. For every matrix we report the
 // average predicted execution time normalised over the measured execution
 // time, averaged over all candidate (method, block) combinations, for
 // single and double precision; the header reports each model's average
@@ -17,7 +17,7 @@ using namespace bspmv::bench;
 namespace {
 
 constexpr ModelKind kModels[] = {ModelKind::kMem, ModelKind::kMemComp,
-                                 ModelKind::kOverlap, ModelKind::kMemLat};
+                                 ModelKind::kOverlap};
 
 /// Runs one precision and returns model name -> average relative distance
 /// |t_model - t_real| / t_real over all (matrix, candidate) pairs — the
@@ -44,14 +44,13 @@ std::map<std::string, double> run_precision(const BenchConfig& cfg,
     const Csr<V> a = build_suite_csr<V>(id, cfg.scale);
     const auto secs = sweep_matrix(a, id, cands, cfg, cache);
     const auto costs = all_candidate_costs(a, cands);
-    const IrregularityStats irr = irregularity_stats(a);
 
     Row row;
     row.id = id;
     for (ModelKind m : kModels) {
       double sum = 0.0;
       for (const auto& cost : costs) {
-        const double pred = predict(m, cost, profile, prec, &irr);
+        const double pred = predict(m, cost, profile, prec);
         const double real = secs.at(cost.candidate.id());
         sum += pred / real;
         dist_sum[m] += std::abs(pred - real) / real;
@@ -69,17 +68,17 @@ std::map<std::string, double> run_precision(const BenchConfig& cfg,
   for (ModelKind m : kModels)
     std::printf("  abs(t_%s - t_real) ~ %.1f%%\n", model_name(m),
                 100.0 * dist_sum[m] / static_cast<double>(dist_n));
-  print_rule(66);
-  std::printf("%-18s %10s %10s %10s %10s\n", "matrix", "t_mem", "t_memcomp",
-              "t_overlap", "t_memlat");
-  print_rule(66);
+  print_rule(55);
+  std::printf("%-18s %10s %10s %10s\n", "matrix", "t_mem", "t_memcomp",
+              "t_overlap");
+  print_rule(55);
   for (const Row& row : rows) {
     std::printf("%02d.%-15s", row.id,
                 suite_catalog()[static_cast<size_t>(row.id - 1)].name.c_str());
     for (ModelKind m : kModels) std::printf(" %10.3f", row.norm.at(m));
     std::printf("\n");
   }
-  print_rule(66);
+  print_rule(55);
 
   std::map<std::string, double> avg_dist;
   for (ModelKind m : kModels)

@@ -13,7 +13,7 @@ using namespace bspmv::bench;
 namespace {
 
 constexpr ModelKind kModels[] = {ModelKind::kMem, ModelKind::kMemComp,
-                                 ModelKind::kOverlap, ModelKind::kMemLat};
+                                 ModelKind::kOverlap};
 
 template <class V>
 void run_precision(const BenchConfig& cfg, const MachineProfile& profile,
@@ -25,11 +25,11 @@ void run_precision(const BenchConfig& cfg, const MachineProfile& profile,
               "overall time\n",
               prec == Precision::kSingle ? "single precision"
                                          : "double precision");
-  print_rule(94);
+  print_rule(84);
   std::printf("%-18s", "matrix");
   for (ModelKind m : kModels) std::printf(" %9s", model_name(m));
   std::printf("  %-24s\n", "overlap picked");
-  print_rule(94);
+  print_rule(84);
 
   std::map<ModelKind, double> sum;
   for (int id : ids) {
@@ -53,12 +53,12 @@ void run_precision(const BenchConfig& cfg, const MachineProfile& profile,
     }
     std::printf("  %-24s\n", overlap_pick.c_str());
   }
-  print_rule(94);
+  print_rule(84);
   std::printf("%-18s", "average");
   for (ModelKind m : kModels)
     std::printf(" %9.3f", sum[m] / static_cast<double>(ids.size()));
   std::printf("\n");
-  print_rule(94);
+  print_rule(84);
 }
 
 }  // namespace

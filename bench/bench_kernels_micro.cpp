@@ -128,7 +128,7 @@ void register_exec(const std::string& name, const Csr<double>& (*matrix)(),
 }
 
 void register_all() {
-  for (const Candidate& c : bench_candidates(true, true)) {
+  for (const Candidate& c : bench_candidates(true)) {
     benchmark::RegisterBenchmark(c.id().c_str(),
                                  [c](benchmark::State& s) {
                                    run_candidate(s, c);

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench/harness.hpp"
-#include "src/core/models.hpp"
 #include "src/kernels/spmv.hpp"
 #include "src/util/prng.hpp"
 
@@ -30,13 +29,12 @@ int main(int argc, char** argv) {
               "scale=%s\n",
               suite_scale_name(cfg.scale));
   print_rule(88);
-  std::printf("%-18s %12s %12s %10s %16s\n", "matrix", "t_normal(ms)",
-              "t_zeroed(ms)", "speedup", "irregular-lines");
+  std::printf("%-18s %12s %12s %10s\n", "matrix", "t_normal(ms)",
+              "t_zeroed(ms)", "speedup");
   print_rule(88);
 
   for (int id : ids) {
     Csr<double> a = build_suite_csr<double>(id, cfg.scale);
-    const IrregularityStats irr = irregularity_stats(a);
 
     aligned_vector<double> x(static_cast<std::size_t>(a.cols()));
     Xoshiro256 rng(1);
@@ -59,10 +57,9 @@ int main(int argc, char** argv) {
             .seconds_per_iter;
     do_not_optimize(y.data());
 
-    std::printf("%02d.%-15s %12.3f %12.3f %9.2fx %16zu\n", id,
+    std::printf("%02d.%-15s %12.3f %12.3f %9.2fx\n", id,
                 suite_catalog()[static_cast<size_t>(id - 1)].name.c_str(),
-                t_norm * 1e3, t_zero * 1e3, t_norm / t_zero,
-                irr.irregular_lines);
+                t_norm * 1e3, t_zero * 1e3, t_norm / t_zero);
   }
   print_rule(88);
   std::printf("speedup >> 1 indicates a latency-bound matrix (irregular "

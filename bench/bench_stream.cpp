@@ -1,6 +1,6 @@
 // Ablation / calibration: effective memory bandwidth (STREAM triad and
 // read-only) across working-set sizes, plus the dependent-load latency —
-// the machine-side inputs of eq. (1) and the MEMLAT extension. Useful for
+// the machine-side input of eq. (1) and its context. Useful for
 // sanity-checking a machine profile against the cache hierarchy.
 #include <cstdio>
 

@@ -16,7 +16,7 @@ namespace {
 // (the paper ran no vectorised 1D-VBL — Table II shows '-').
 std::vector<Candidate> config_candidates(Impl impl) {
   std::vector<Candidate> out;
-  for (const Candidate& c : bench_candidates(true, false))
+  for (const Candidate& c : bench_candidates(true))
     if (c.impl == impl) out.push_back(c);
   return out;
 }
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     if (cfg.verbose) std::fprintf(stderr, "matrix %d...\n", id);
     const Csr<double> ad = build_suite_csr<double>(id, cfg.scale);
     const Csr<float> af = build_suite_csr<float>(id, cfg.scale);
-    const auto all = bench_candidates(true, false);
+    const auto all = bench_candidates(true);
     const auto secs_d = sweep_matrix(ad, id, all, cfg, cache);
     const auto secs_f = sweep_matrix(af, id, all, cfg, cache);
 

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
 
   // Scalar candidates only (dp, no simd), plus 1D-VBL.
   std::vector<Candidate> cands;
-  for (const Candidate& c : bench_candidates(true, false))
+  for (const Candidate& c : bench_candidates(true))
     if (c.impl == Impl::kScalar) cands.push_back(c);
 
   std::vector<Row> rows;

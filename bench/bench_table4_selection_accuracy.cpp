@@ -12,7 +12,7 @@ using namespace bspmv::bench;
 namespace {
 
 constexpr ModelKind kModels[] = {ModelKind::kMem, ModelKind::kMemComp,
-                                 ModelKind::kOverlap, ModelKind::kMemLat};
+                                 ModelKind::kOverlap};
 
 struct Score {
   int correct = 0;

@@ -94,9 +94,7 @@ const char* format_label(FormatKind kind) {
     case FormatKind::kBcsd: return "BCSD";
     case FormatKind::kBcsdDec: return "BCSD-DEC";
     case FormatKind::kVbl: return "1D-VBL";
-    case FormatKind::kVbr: return "VBR";
     case FormatKind::kUbcsr: return "UBCSR";
-    case FormatKind::kCsrDelta: return "CSR-DELTA";
   }
   return "?";
 }

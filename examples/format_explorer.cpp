@@ -1,6 +1,6 @@
 // Format explorer — a textual reproduction of the paper's Figure 1: shows
-// how BCSR, BCSD, 1D-VBL and VBR split the same small matrix into blocks,
-// and prints each format's arrays.
+// how BCSR, BCSD, 1D-VBL and BCSR-DEC split the same small matrix into
+// blocks, and prints each format's arrays.
 //
 //   $ ./format_explorer
 #include <cstdio>
@@ -9,7 +9,6 @@
 #include "src/formats/bcsr.hpp"
 #include "src/formats/decomposed.hpp"
 #include "src/formats/vbl.hpp"
-#include "src/formats/vbr.hpp"
 
 using namespace bspmv;
 
@@ -77,16 +76,7 @@ int main() {
   print_array("blk_size", vbl.blk_size());
   print_array("val", vbl.val());
 
-  std::printf("\n(d) VBR, 2-D variable blocks (row/column partitions)\n");
-  const Vbr<double> vbr = Vbr<double>::from_csr(a);
-  std::printf("  %d block rows x %d block cols, %zu stored blocks\n",
-              vbr.block_rows(), vbr.block_cols(), vbr.blocks());
-  print_array("rpntr", vbr.rpntr());
-  print_array("cpntr", vbr.cpntr());
-  print_array("bindx", vbr.bindx());
-  print_array("val", vbr.val());
-
-  std::printf("\n(e) BCSR-DEC, full 2x2 blocks + CSR remainder\n");
+  std::printf("\n(d) BCSR-DEC, full 2x2 blocks + CSR remainder\n");
   const BcsrDec<double> dec = BcsrDec<double>::from_csr(a, BlockShape{2, 2});
   std::printf("  blocked part: %zu blocks (%zu nnz, zero padding); "
               "remainder: %zu nnz in CSR\n",

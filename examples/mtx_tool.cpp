@@ -466,8 +466,8 @@ int run(int argc, char** argv) {
                 layout_name(layout));
   else
     std::printf("\nmodel selections:\n");
-  for (ModelKind m : {ModelKind::kMem, ModelKind::kMemComp,
-                      ModelKind::kOverlap, ModelKind::kMemLat}) {
+  for (ModelKind m :
+       {ModelKind::kMem, ModelKind::kMemComp, ModelKind::kOverlap}) {
     const RankedCandidate best = select_best(m, a, profile, workload);
     std::printf("  %-8s -> %-22s (predicted %.3f ms%s)\n", model_name(m),
                 best.candidate.id().c_str(), best.predicted_seconds * 1e3,

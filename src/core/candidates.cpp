@@ -12,9 +12,7 @@ const char* format_name(FormatKind kind) {
     case FormatKind::kBcsd: return "bcsd";
     case FormatKind::kBcsdDec: return "bcsd_dec";
     case FormatKind::kVbl: return "vbl";
-    case FormatKind::kVbr: return "vbr";
     case FormatKind::kUbcsr: return "ubcsr";
-    case FormatKind::kCsrDelta: return "csr_delta";
   }
   return "?";
 }
@@ -77,20 +75,14 @@ std::vector<Candidate> extension_candidates(bool include_simd) {
   for (Impl impl : impls)
     for (BlockShape shape : bcsr_shapes())
       out.push_back(Candidate{FormatKind::kUbcsr, shape, 0, impl});
-  // The delta-decode loop is inherently serial: scalar only.
-  out.push_back(
-      Candidate{FormatKind::kCsrDelta, BlockShape{1, 1}, 0, Impl::kScalar});
   return out;
 }
 
-std::vector<Candidate> bench_candidates(bool include_simd, bool include_vbr) {
+std::vector<Candidate> bench_candidates(bool include_simd) {
   std::vector<Candidate> out = model_candidates(include_simd);
   // The paper never ran a vectorised 1D-VBL (Table II shows '-').
   out.push_back(
       Candidate{FormatKind::kVbl, BlockShape{1, 1}, 0, Impl::kScalar});
-  if (include_vbr)
-    out.push_back(
-        Candidate{FormatKind::kVbr, BlockShape{1, 1}, 0, Impl::kScalar});
   return out;
 }
 

@@ -17,9 +17,9 @@ enum class FormatKind {
   kBcsd,
   kBcsdDec,
   kVbl,
-  kVbr,
-  kUbcsr,     ///< extension: unaligned BCSR (Vuduc & Moon [17])
-  kCsrDelta,  ///< extension: delta-compressed CSR (Kourtis et al. [10])
+  // Values are stable across releases: 6 and 8 belonged to the retired
+  // VBR and CSR-delta formats and are not reused.
+  kUbcsr = 7,  ///< extension: unaligned BCSR (Vuduc & Moon [17])
 };
 
 const char* format_name(FormatKind kind);
@@ -45,22 +45,19 @@ struct Candidate {
 
 /// The candidates the performance models rank (§IV): CSR as degenerate
 /// 1×1 blocking plus every fixed-size blocking method and block; variable
-/// size blocking (VBL/VBR) is excluded, as in the paper.
+/// size blocking (1D-VBL) is excluded, as in the paper.
 std::vector<Candidate> model_candidates(bool include_simd = true);
 
-/// The formats benchmarked in §V-A — adds 1D-VBL (scalar only when
-/// include_simd is false; the paper ran no simd 1D-VBL either way, see
-/// Table II) and optionally the VBR extension.
-std::vector<Candidate> bench_candidates(bool include_simd = true,
-                                        bool include_vbr = false);
+/// The formats benchmarked in §V-A — adds scalar 1D-VBL (the paper ran
+/// no simd 1D-VBL, see Table II).
+std::vector<Candidate> bench_candidates(bool include_simd = true);
 
 /// Kernel profile key for the CSR kernel used by decomposed remainders.
 std::string csr_kernel_id(Impl impl);
 
-/// Extension formats beyond the paper's evaluation: UBCSR at every shape
-/// and delta-compressed CSR. They participate in profiling and can be
-/// ranked by the models once profiled, but are excluded from the paper's
-/// candidate sets so the reproduction benches match Tables II-IV.
+/// The extension format beyond the paper's evaluation: UBCSR at every
+/// BCSR shape. No model ranks it and the machine profile does not time
+/// it; it is a convertible, runnable format outside the candidate space.
 std::vector<Candidate> extension_candidates(bool include_simd = true);
 
 }  // namespace bspmv

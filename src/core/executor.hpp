@@ -30,7 +30,7 @@ template <class V>
 class AnyFormat {
  public:
   /// Convert `a` into the candidate's format (throws for unsupported
-  /// combinations, e.g. simd VBR is fine but simd VBL never enumerated).
+  /// combinations).
   static AnyFormat convert(const Csr<V>& a, const Candidate& c);
 
   const Candidate& candidate() const { return c_; }

@@ -14,44 +14,11 @@ const char* model_name(ModelKind kind) {
     case ModelKind::kMem: return "mem";
     case ModelKind::kMemComp: return "memcomp";
     case ModelKind::kOverlap: return "overlap";
-    case ModelKind::kMemLat: return "memlat";
   }
   return "?";
 }
 
-template <class V>
-IrregularityStats irregularity_stats(const Csr<V>& a) {
-  // Count input-vector cache-line switches within a row that are neither
-  // the same line nor the next sequential line — the access pattern the
-  // stride prefetchers cannot cover (§V-B's latency-bound matrices).
-  constexpr index_t kLineElems =
-      static_cast<index_t>(kCacheLineBytes / sizeof(V));
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_ind = a.col_ind();
-
-  IrregularityStats st;
-  st.x_bytes = static_cast<std::size_t>(a.cols()) * sizeof(V);
-  st.nnz = a.nnz();
-  for (index_t i = 0; i < a.rows(); ++i) {
-    index_t prev_line = -2;
-    for (index_t k = row_ptr[static_cast<std::size_t>(i)];
-         k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      const index_t line = col_ind[static_cast<std::size_t>(k)] / kLineElems;
-      if (line != prev_line && line != prev_line + 1) ++st.irregular_lines;
-      prev_line = line;
-    }
-  }
-  return st;
-}
-
 namespace {
-
-// MEMLAT slowdown per unit of (irregular-access ratio × out-of-cache
-// fraction of x). A deliberately simple constant: MEMLAT is the paper's
-// future-work direction, built as a first-order multiplicative
-// correction — latency exposure grows with both how irregular the access
-// stream is and how much of x cannot stay cache-resident.
-constexpr double kLatencyGamma = 2.0;
 
 double memory_time(const CandidateCost& cost, const MachineProfile& profile) {
   BSPMV_CHECK_MSG(profile.bandwidth_bps > 0,
@@ -89,8 +56,7 @@ double predict_overlap(const CandidateCost& cost,
 }
 
 double predict(ModelKind model, const CandidateCost& cost,
-               const MachineProfile& profile, Precision prec,
-               const IrregularityStats* irr) {
+               const MachineProfile& profile, Precision prec) {
   switch (model) {
     case ModelKind::kMem:
       return predict_mem(cost, profile);
@@ -98,53 +64,14 @@ double predict(ModelKind model, const CandidateCost& cost,
       return predict_memcomp(cost, profile, prec);
     case ModelKind::kOverlap:
       return predict_overlap(cost, profile, prec);
-    case ModelKind::kMemLat: {
-      BSPMV_CHECK_MSG(irr != nullptr,
-                      "MEMLAT model needs irregularity statistics");
-      // Irregular accesses cost extra only when x cannot stay resident in
-      // the private cache; the slowdown scales with the fraction of
-      // accesses that are irregular and the fraction of x beyond cache.
-      const double xb = static_cast<double>(irr->x_bytes);
-      const double miss_fraction =
-          xb > profile.private_cache_bytes
-              ? 1.0 - profile.private_cache_bytes / xb
-              : 0.0;
-      const double ratio =
-          irr->nnz == 0 ? 0.0
-                        : static_cast<double>(irr->irregular_lines) /
-                              static_cast<double>(irr->nnz);
-      return predict_overlap(cost, profile, prec) *
-             (1.0 + kLatencyGamma * ratio * miss_fraction);
-    }
   }
   BSPMV_CHECK_MSG(false, "unknown model");
   return 0.0;
 }
 
-namespace {
-
-/// The MEMLAT multiplicative correction factor (1.0 for other models).
-double latency_factor(ModelKind model, const MachineProfile& profile,
-                      const IrregularityStats* irr) {
-  if (model != ModelKind::kMemLat) return 1.0;
-  BSPMV_CHECK_MSG(irr != nullptr,
-                  "MEMLAT model needs irregularity statistics");
-  const double xb = static_cast<double>(irr->x_bytes);
-  const double miss_fraction = xb > profile.private_cache_bytes
-                                   ? 1.0 - profile.private_cache_bytes / xb
-                                   : 0.0;
-  const double ratio = irr->nnz == 0
-                           ? 0.0
-                           : static_cast<double>(irr->irregular_lines) /
-                                 static_cast<double>(irr->nnz);
-  return 1.0 + kLatencyGamma * ratio * miss_fraction;
-}
-
-}  // namespace
-
 double predict_spmm(ModelKind model, const CandidateCost& cost,
                     const MachineProfile& profile, Precision prec, int k,
-                    Layout layout, const IrregularityStats* irr) {
+                    Layout layout) {
   BSPMV_CHECK(k >= 1);
   BSPMV_CHECK_MSG(profile.bandwidth_bps > 0,
                   "machine profile has no measured bandwidth");
@@ -171,24 +98,19 @@ double predict_spmm(ModelKind model, const CandidateCost& cost,
       t_comp = kd * compute_time(cost, profile, prec, /*apply_nof=*/false);
       break;
     case ModelKind::kOverlap:
-    case ModelKind::kMemLat:
       t_comp = kd * compute_time(cost, profile, prec, /*apply_nof=*/true);
       break;
   }
-  // First-order: the latency exposure of irregular x accesses carries
-  // over per vector touched, so the correction stays multiplicative.
-  return (t_mem + t_comp) * latency_factor(model, profile, irr);
+  return t_mem + t_comp;
 }
 
 int spmm_crossover_k(ModelKind model, const CandidateCost& blocked,
                      const CandidateCost& csr,
                      const MachineProfile& profile, Precision prec,
-                     Layout layout, const std::vector<int>& ks,
-                     const IrregularityStats* irr) {
+                     Layout layout, const std::vector<int>& ks) {
   for (int k : ks) {
-    const double tb =
-        predict_spmm(model, blocked, profile, prec, k, layout, irr);
-    const double tc = predict_spmm(model, csr, profile, prec, k, layout, irr);
+    const double tb = predict_spmm(model, blocked, profile, prec, k, layout);
+    const double tc = predict_spmm(model, csr, profile, prec, k, layout);
     if (tb < tc) return k;
   }
   return 0;
@@ -196,13 +118,12 @@ int spmm_crossover_k(ModelKind model, const CandidateCost& blocked,
 
 int spmm_layout_crossover_k(ModelKind model, const CandidateCost& cost,
                             const MachineProfile& profile, Precision prec,
-                            const std::vector<int>& ks,
-                            const IrregularityStats* irr) {
+                            const std::vector<int>& ks) {
   for (int k : ks) {
-    const double tr = predict_spmm(model, cost, profile, prec, k,
-                                   Layout::kRowMajor, irr);
-    const double tc = predict_spmm(model, cost, profile, prec, k,
-                                   Layout::kColMajor, irr);
+    const double tr =
+        predict_spmm(model, cost, profile, prec, k, Layout::kRowMajor);
+    const double tc =
+        predict_spmm(model, cost, profile, prec, k, Layout::kColMajor);
     if (tr < tc) return k;
   }
   return 0;
@@ -220,7 +141,6 @@ double predict_multicore(ModelKind model, const CandidateCost& cost,
     case ModelKind::kMemComp:
       return t_mem + compute_time(cost, profile, prec, false) / threads;
     case ModelKind::kOverlap:
-    case ModelKind::kMemLat:
       return t_mem + compute_time(cost, profile, prec, true) / threads;
   }
   BSPMV_CHECK_MSG(false, "unknown model");
@@ -451,8 +371,5 @@ bool dist_degradation_beats_retry(double t_dist_iter_seconds,
   const double t_dist = compute + expected_failures * restart_seconds;
   return t_single < t_dist;
 }
-
-template IrregularityStats irregularity_stats(const Csr<float>&);
-template IrregularityStats irregularity_stats(const Csr<double>&);
 
 }  // namespace bspmv

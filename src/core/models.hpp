@@ -4,10 +4,7 @@
 //   MEMCOMP  (eq. 2): t = Σ_i ( ws_i/BW + nb_i·t_b_i )
 //   OVERLAP  (eq. 3): t = Σ_i ( ws_i/BW + nof_i·nb_i·t_b_i )
 //
-// Extensions (§VI future work, built here):
-//   MEMLAT: OVERLAP plus a latency term for irregular input-vector
-//           accesses — the failure mode the paper diagnoses on matrices
-//           #12/#14/#15/#28.
+// Extension (§VI future work, built here):
 //   predict_multicore: shared-bandwidth multicore adaptation.
 #pragma once
 
@@ -23,32 +20,13 @@
 
 namespace bspmv {
 
-enum class ModelKind { kMem, kMemComp, kOverlap, kMemLat };
+enum class ModelKind { kMem, kMemComp, kOverlap };
 
 const char* model_name(ModelKind kind);
 
-/// Structural irregularity of the input-vector access stream, the extra
-/// input of the MEMLAT model (computed once per matrix).
-struct IrregularityStats {
-  /// Estimated x-vector cache-line fetches that the stride prefetchers
-  /// cannot cover (non-sequential line jumps within a row).
-  std::size_t irregular_lines = 0;
-  /// Size of the input vector in bytes: an irregular access only pays a
-  /// memory-latency penalty when x does not fit in the private cache, so
-  /// the MEMLAT correction is gated by the fraction of x beyond it.
-  std::size_t x_bytes = 0;
-  /// Total nonzeros (normalises irregular_lines into a per-access ratio).
-  std::size_t nnz = 0;
-};
-
-template <class V>
-IrregularityStats irregularity_stats(const Csr<V>& a);
-
 /// Predicted execution time (seconds per SpMV) of `cost` under `model`.
-/// MEMLAT requires `irr`; the other models ignore it.
 double predict(ModelKind model, const CandidateCost& cost,
-               const MachineProfile& profile, Precision prec,
-               const IrregularityStats* irr = nullptr);
+               const MachineProfile& profile, Precision prec);
 
 /// Convenience wrappers for the three paper models.
 double predict_mem(const CandidateCost& cost, const MachineProfile& profile);
@@ -112,7 +90,7 @@ double predict_parallel(ModelKind model, const CandidateCost& cost,
 /// layout. Full derivation in docs/spmm.md.
 double predict_spmm(ModelKind model, const CandidateCost& cost,
                     const MachineProfile& profile, Precision prec, int k,
-                    Layout layout, const IrregularityStats* irr = nullptr);
+                    Layout layout);
 
 /// Smallest k in `ks` (scanned in order) where `blocked` is predicted
 /// strictly faster than `csr` at that k for the given layout; 0 when the
@@ -120,16 +98,14 @@ double predict_spmm(ModelKind model, const CandidateCost& cost,
 int spmm_crossover_k(ModelKind model, const CandidateCost& blocked,
                      const CandidateCost& csr,
                      const MachineProfile& profile, Precision prec,
-                     Layout layout, const std::vector<int>& ks,
-                     const IrregularityStats* irr = nullptr);
+                     Layout layout, const std::vector<int>& ks);
 
 /// Smallest k in `ks` where row-major is predicted strictly faster than
 /// col-major for `cost`; 0 when it never crosses within `ks` (i.e. the
 /// matrix is predicted cache-resident throughout).
 int spmm_layout_crossover_k(ModelKind model, const CandidateCost& cost,
                             const MachineProfile& profile, Precision prec,
-                            const std::vector<int>& ks,
-                            const IrregularityStats* irr = nullptr);
+                            const std::vector<int>& ks);
 
 // ----------------------------------------------------------------------
 // Distributed extension: t_comm = α·msgs + bytes/β
@@ -252,11 +228,5 @@ bool dist_degradation_beats_retry(double t_dist_iter_seconds,
                                   double t_single_iter_seconds,
                                   double restart_seconds,
                                   double mtbf_seconds, int remaining);
-
-#define BSPMV_DECL(V) \
-  extern template IrregularityStats irregularity_stats(const Csr<V>&);
-BSPMV_DECL(float)
-BSPMV_DECL(double)
-#undef BSPMV_DECL
 
 }  // namespace bspmv

@@ -18,17 +18,14 @@ std::vector<RankedCandidate> rank_candidates(ModelKind model, const Csr<V>& a,
   const std::vector<CandidateCost> costs = all_candidate_costs(a, candidates);
   constexpr Precision prec = precision_of<V>;
 
-  IrregularityStats irr;
-  if (model == ModelKind::kMemLat) irr = irregularity_stats(a);
-
   std::vector<RankedCandidate> out;
   out.reserve(costs.size());
   for (const CandidateCost& cost : costs) {
     const double seconds =
         workload.k > 1
             ? predict_spmm(model, cost, profile, prec, workload.k,
-                           workload.layout, &irr)
-            : predict(model, cost, profile, prec, &irr);
+                           workload.layout)
+            : predict(model, cost, profile, prec);
     out.push_back(RankedCandidate{cost.candidate, seconds});
   }
   BSPMV_OBS_COUNT("select.candidates_ranked", out.size());

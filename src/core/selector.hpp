@@ -35,7 +35,7 @@ struct Workload {
 ///
 /// Per §V-B, the MEM model cannot distinguish kernel implementations (it
 /// ignores the computational part), so it ranks the non-simd candidates
-/// only; MEMCOMP/OVERLAP/MEMLAT also pick between scalar and simd.
+/// only; MEMCOMP/OVERLAP also pick between scalar and simd.
 template <class V>
 std::vector<RankedCandidate> rank_candidates(ModelKind model, const Csr<V>& a,
                                              const MachineProfile& profile);

@@ -2,9 +2,7 @@
 
 #include <map>
 
-#include "src/formats/csr_delta.hpp"
 #include "src/formats/ubcsr.hpp"
-#include "src/formats/vbr.hpp"
 #include "src/util/macros.hpp"
 
 namespace bspmv {
@@ -69,8 +67,7 @@ CandidateCost cost_with_cache(const Csr<V>& a, const Candidate& c,
   CandidateCost cost;
   cost.candidate = c;
   const std::size_t vecs = vectors_bytes(a);
-  // Every branch below accounts one x+y pair in its working set (the VBR
-  // estimator folds it into Vbr::working_set_bytes()).
+  // Every branch below accounts one x+y pair in its working set.
   cost.xy_bytes = vecs;
 
   switch (c.kind) {
@@ -125,15 +122,6 @@ CandidateCost cost_with_cache(const Csr<V>& a, const Candidate& c,
       cost.parts.push_back(CostPart{c.kernel_id(), ws, blocks});
       break;
     }
-    case FormatKind::kVbr: {
-      // VBR has no cheap structural estimator in this library; derive the
-      // exact numbers from a materialised copy (the format is an
-      // extension outside the paper's model scope).
-      const Vbr<V> v = Vbr<V>::from_csr(a);
-      cost.parts.push_back(
-          CostPart{c.kernel_id(), v.working_set_bytes(), v.blocks()});
-      break;
-    }
     case FormatKind::kUbcsr: {
       const BlockStats st = ubcsr_stats(a, c.shape);
       const std::size_t brows =
@@ -145,37 +133,6 @@ CandidateCost cost_with_cache(const Csr<V>& a, const Candidate& c,
           st.stored_values * sizeof(V) + st.blocks * kIdx +
               (brows + 1) * kIdx + vecs,
           st.blocks});
-      break;
-    }
-    case FormatKind::kCsrDelta: {
-      // Exact ctl-stream size needs the varint lengths; one cheap scan.
-      const auto& row_ptr = a.row_ptr();
-      const auto& col_ind = a.col_ind();
-      std::size_t ctl_bytes = 0;
-      auto varint_len = [](index_t v) {
-        std::size_t len = 1;
-        while (v >= 0x80) {
-          v >>= 7;
-          ++len;
-        }
-        return len;
-      };
-      for (index_t i = 0; i < a.rows(); ++i) {
-        index_t prev = 0;
-        for (index_t k = row_ptr[static_cast<std::size_t>(i)];
-             k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-          const index_t j = col_ind[static_cast<std::size_t>(k)];
-          const bool first = k == row_ptr[static_cast<std::size_t>(i)];
-          ctl_bytes += varint_len(first ? j : j - prev);
-          prev = j;
-        }
-      }
-      cost.parts.push_back(CostPart{
-          c.kernel_id(),
-          a.nnz() * sizeof(V) +
-              2 * (static_cast<std::size_t>(a.rows()) + 1) * kIdx +
-              ctl_bytes + vecs,
-          a.nnz()});
       break;
     }
   }

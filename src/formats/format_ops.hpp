@@ -59,11 +59,9 @@
 #include "src/formats/bcsd.hpp"
 #include "src/formats/bcsr.hpp"
 #include "src/formats/csr.hpp"
-#include "src/formats/csr_delta.hpp"
 #include "src/formats/decomposed.hpp"
 #include "src/formats/ubcsr.hpp"
 #include "src/formats/vbl.hpp"
-#include "src/formats/vbr.hpp"
 #include "src/formats/validate.hpp"
 #include "src/kernels/bcsd_kernels.hpp"
 #include "src/kernels/bcsr_kernels.hpp"
@@ -72,7 +70,6 @@
 #include "src/kernels/spmm_kernels.hpp"
 #include "src/kernels/ubcsr_kernels.hpp"
 #include "src/kernels/vbl_kernels.hpp"
-#include "src/kernels/vbr_kernels.hpp"
 #include "src/util/aligned.hpp"
 
 namespace bspmv {
@@ -84,11 +81,10 @@ struct FormatOps;
 
 namespace detail {
 
-/// SpMM through k single-vector kernel runs — the column-major execution
-/// strategy for every format, and the row-major fallback for formats
-/// without a native interleaved kernel (UBCSR, VBR, CSR-delta, and any
-/// out-of-tree format). Row-major pays a deinterleave/reinterleave copy
-/// per vector; the formats with native kernels never take that path.
+/// SpMM through k single-vector kernel runs — the fallback for formats
+/// without a native multi-vector kernel (UBCSR and any out-of-tree
+/// format). Row-major pays a deinterleave/reinterleave copy per vector;
+/// the formats with native kernels never take that path.
 template <class F, class V = typename FormatOps<F>::value_type>
 void spmm_add_via_spmv(const F& a, const V* X, V* Y, int k, Layout layout,
                        Impl impl) {
@@ -329,35 +325,6 @@ struct FormatOps<Vbl<V>> {
   }
 };
 
-// ------------------------------------------------------------------ VBR ----
-
-template <class V>
-struct FormatOps<Vbr<V>> {
-  using value_type = V;
-  static constexpr FormatKind kKind = FormatKind::kVbr;
-  static constexpr const char* kName = "vbr";
-  static constexpr bool kParallel = false;
-  static constexpr int kPasses = 1;
-
-  static Vbr<V> convert(const Csr<V>& a, const Candidate&) {
-    return Vbr<V>::from_csr(a);
-  }
-  static void validate(const Vbr<V>& m) { bspmv::validate(m); }
-  static std::size_t working_set_bytes(const Vbr<V>& m) {
-    return m.working_set_bytes();
-  }
-  static void spmv_add(const Vbr<V>& a, const V* x, V* y, Impl impl) {
-    if (impl == Impl::kSimd)
-      vbr_spmv_simd(a, x, y);
-    else
-      vbr_spmv_scalar(a, x, y);
-  }
-  static void spmm_add(const Vbr<V>& a, const V* X, V* Y, int k,
-                       Layout layout, Impl impl) {
-    detail::spmm_add_via_spmv(a, X, Y, k, layout, impl);
-  }
-};
-
 // ------------------------------------------------------------- BCSR-DEC ----
 
 namespace detail {
@@ -525,34 +492,6 @@ struct FormatOps<Ubcsr<V>> {
                                                     y);
   }
   static void spmm_add(const Ubcsr<V>& a, const V* X, V* Y, int k,
-                       Layout layout, Impl impl) {
-    detail::spmm_add_via_spmv(a, X, Y, k, layout, impl);
-  }
-};
-
-// ------------------------------------------------------------ CSR-DELTA ----
-
-template <class V>
-struct FormatOps<CsrDelta<V>> {
-  using value_type = V;
-  static constexpr FormatKind kKind = FormatKind::kCsrDelta;
-  static constexpr const char* kName = "csr_delta";
-  static constexpr bool kParallel = false;
-  static constexpr int kPasses = 1;
-
-  static CsrDelta<V> convert(const Csr<V>& a, const Candidate&) {
-    return CsrDelta<V>::from_csr(a);
-  }
-  static void validate(const CsrDelta<V>& m) { bspmv::validate(m); }
-  static std::size_t working_set_bytes(const CsrDelta<V>& m) {
-    return m.working_set_bytes();
-  }
-  /// The delta-decode loop is inherently serial; the impl flag is accepted
-  /// for API symmetry and ignored.
-  static void spmv_add(const CsrDelta<V>& a, const V* x, V* y, Impl) {
-    csr_delta_spmv(a, x, y);
-  }
-  static void spmm_add(const CsrDelta<V>& a, const V* X, V* Y, int k,
                        Layout layout, Impl impl) {
     detail::spmm_add_via_spmv(a, X, Y, k, layout, impl);
   }

@@ -30,12 +30,12 @@ struct FormatList {
   static constexpr std::size_t size = sizeof...(Fs);
 };
 
-/// Every format the library ships, in the order of the FormatKind enum's
-/// introduction to AnyFormat (kept stable so variant indices don't churn).
+/// Every format the library ships: the paper's candidate space (CSR,
+/// BCSR, BCSD, their decomposed variants and 1D-VBL) plus the UBCSR
+/// extension.
 template <class V>
-using BuiltinFormats = FormatList<Csr<V>, Bcsr<V>, Bcsd<V>, Vbl<V>, Vbr<V>,
-                                  BcsrDec<V>, BcsdDec<V>, Ubcsr<V>,
-                                  CsrDelta<V>>;
+using BuiltinFormats = FormatList<Csr<V>, Bcsr<V>, Bcsd<V>, Vbl<V>,
+                                  BcsrDec<V>, BcsdDec<V>, Ubcsr<V>>;
 
 /// Iterate the built-in registry: fn(std::type_identity<F>{}) per format.
 template <class V, class Fn>

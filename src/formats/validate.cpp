@@ -173,56 +173,6 @@ void validate(const Vbl<V>& a) {
 }
 
 template <class V>
-void validate(const Vbr<V>& a) {
-  check_dims("vbr", a.rows(), a.cols());
-  const auto& rpntr = a.rpntr();
-  const auto& cpntr = a.cpntr();
-  auto check_partition = [&](const char* name,
-                             const aligned_vector<index_t>& p, index_t end) {
-    if (p.empty()) fail("vbr", std::string(name) + " is empty");
-    if (p.front() != 0) fail("vbr", std::string(name) + " does not start at 0");
-    for (std::size_t i = 1; i < p.size(); ++i)
-      if (p[i] <= p[i - 1])
-        fail("vbr", std::string(name) + " not strictly increasing at " +
-                        std::to_string(i));
-    if (p.back() != end)
-      fail("vbr", std::string(name) + " ends at " + std::to_string(p.back()) +
-                      ", expected " + std::to_string(end));
-  };
-  // Degenerate empty matrices keep single-element partitions.
-  if (a.rows() > 0) check_partition("rpntr", rpntr, a.rows());
-  if (a.cols() > 0 && cpntr.size() > 1)
-    check_partition("cpntr", cpntr, a.cols());
-  check_ptr("vbr", "brow_ptr", a.brow_ptr(),
-            static_cast<std::size_t>(a.block_rows() < 0 ? 0 : a.block_rows()),
-            a.blocks());
-  if (a.bval_ptr().size() != a.blocks() + 1)
-    fail("vbr", "bval_ptr has wrong length");
-  check_ptr("vbr", "bval_ptr", a.bval_ptr(), a.blocks(), a.val().size());
-  for (index_t br = 0; br < a.block_rows(); ++br) {
-    const index_t height = rpntr[static_cast<std::size_t>(br) + 1] -
-                           rpntr[static_cast<std::size_t>(br)];
-    for (index_t blk = a.brow_ptr()[static_cast<std::size_t>(br)];
-         blk < a.brow_ptr()[static_cast<std::size_t>(br) + 1]; ++blk) {
-      const index_t bc = a.bindx()[static_cast<std::size_t>(blk)];
-      if (bc < 0 || bc >= a.block_cols())
-        fail("vbr", "block column index " + std::to_string(bc) +
-                        " outside [0, " + std::to_string(a.block_cols()) +
-                        ")");
-      const index_t width = cpntr[static_cast<std::size_t>(bc) + 1] -
-                            cpntr[static_cast<std::size_t>(bc)];
-      const index_t stored =
-          a.bval_ptr()[static_cast<std::size_t>(blk) + 1] -
-          a.bval_ptr()[static_cast<std::size_t>(blk)];
-      if (stored != height * width)
-        fail("vbr", "block " + std::to_string(blk) + " stores " +
-                        std::to_string(stored) + " values, expected " +
-                        std::to_string(height * width));
-    }
-  }
-}
-
-template <class V>
 void validate(const Ubcsr<V>& a) {
   check_dims("ubcsr", a.rows(), a.cols());
   const index_t r = a.shape().r;
@@ -249,56 +199,6 @@ void validate(const Ubcsr<V>& a) {
 }
 
 template <class V>
-void validate(const CsrDelta<V>& a) {
-  check_dims("csr_delta", a.rows(), a.cols());
-  check_ptr("csr_delta", "row_ptr", a.row_ptr(),
-            static_cast<std::size_t>(a.rows()), a.nnz());
-  check_ptr("csr_delta", "ctl_ptr", a.ctl_ptr(),
-            static_cast<std::size_t>(a.rows()), a.ctl().size());
-  // Decode the whole varint stream: every byte must be consumed exactly,
-  // every decoded column must stay inside [0, cols) and strictly increase
-  // within its row.
-  const std::uint8_t* ctl = a.ctl().data();
-  for (index_t i = 0; i < a.rows(); ++i) {
-    const std::size_t row_nnz =
-        static_cast<std::size_t>(a.row_ptr()[static_cast<std::size_t>(i) + 1] -
-                                 a.row_ptr()[static_cast<std::size_t>(i)]);
-    std::size_t p = static_cast<std::size_t>(
-        a.ctl_ptr()[static_cast<std::size_t>(i)]);
-    const std::size_t p_end = static_cast<std::size_t>(
-        a.ctl_ptr()[static_cast<std::size_t>(i) + 1]);
-    long long col = -1;
-    for (std::size_t e = 0; e < row_nnz; ++e) {
-      std::uint32_t v = 0;
-      int shift = 0;
-      bool more = true;
-      while (more) {
-        if (p >= p_end || shift > 28)
-          fail("csr_delta", "truncated or oversized varint in row " +
-                                std::to_string(i));
-        const std::uint8_t byte = ctl[p++];
-        v |= static_cast<std::uint32_t>(byte & 0x7f) << shift;
-        shift += 7;
-        more = (byte & 0x80) != 0;
-      }
-      col = (e == 0) ? static_cast<long long>(v)
-                     : col + static_cast<long long>(v);
-      if (e > 0 && v == 0)
-        fail("csr_delta", "zero delta (duplicate column) in row " +
-                              std::to_string(i));
-      if (col < 0 || col >= a.cols())
-        fail("csr_delta", "decoded column " + std::to_string(col) +
-                              " in row " + std::to_string(i) +
-                              " outside [0, " + std::to_string(a.cols()) +
-                              ")");
-    }
-    if (p != p_end)
-      fail("csr_delta", "unconsumed control bytes in row " +
-                            std::to_string(i));
-  }
-}
-
-template <class V>
 void validate(const BcsrDec<V>& a) {
   validate(a.blocked());
   validate(a.remainder());
@@ -316,16 +216,14 @@ void validate(const BcsdDec<V>& a) {
     fail("bcsd_dec", "blocked and remainder dimensions differ");
 }
 
-#define BSPMV_INST(V)                          \
-  template void validate(const Coo<V>&);       \
-  template void validate(const Csr<V>&);       \
-  template void validate(const Bcsr<V>&);      \
-  template void validate(const Bcsd<V>&);      \
-  template void validate(const Vbl<V>&);       \
-  template void validate(const Vbr<V>&);       \
-  template void validate(const Ubcsr<V>&);     \
-  template void validate(const CsrDelta<V>&);  \
-  template void validate(const BcsrDec<V>&);   \
+#define BSPMV_INST(V)                        \
+  template void validate(const Coo<V>&);     \
+  template void validate(const Csr<V>&);     \
+  template void validate(const Bcsr<V>&);    \
+  template void validate(const Bcsd<V>&);    \
+  template void validate(const Vbl<V>&);     \
+  template void validate(const Ubcsr<V>&);   \
+  template void validate(const BcsrDec<V>&); \
   template void validate(const BcsdDec<V>&);
 BSPMV_INST(float)
 BSPMV_INST(double)

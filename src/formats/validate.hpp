@@ -16,11 +16,9 @@
 #include "src/formats/bcsr.hpp"
 #include "src/formats/coo.hpp"
 #include "src/formats/csr.hpp"
-#include "src/formats/csr_delta.hpp"
 #include "src/formats/decomposed.hpp"
 #include "src/formats/ubcsr.hpp"
 #include "src/formats/vbl.hpp"
-#include "src/formats/vbr.hpp"
 #include "src/util/errors.hpp"
 
 namespace bspmv {
@@ -36,26 +34,20 @@ void validate(const Bcsd<V>& a);
 template <class V>
 void validate(const Vbl<V>& a);
 template <class V>
-void validate(const Vbr<V>& a);
-template <class V>
 void validate(const Ubcsr<V>& a);
-template <class V>
-void validate(const CsrDelta<V>& a);
 template <class V>
 void validate(const BcsrDec<V>& a);
 template <class V>
 void validate(const BcsdDec<V>& a);
 
-#define BSPMV_DECL(V)                          \
-  extern template void validate(const Coo<V>&);      \
-  extern template void validate(const Csr<V>&);      \
-  extern template void validate(const Bcsr<V>&);     \
-  extern template void validate(const Bcsd<V>&);     \
-  extern template void validate(const Vbl<V>&);      \
-  extern template void validate(const Vbr<V>&);      \
-  extern template void validate(const Ubcsr<V>&);    \
-  extern template void validate(const CsrDelta<V>&); \
-  extern template void validate(const BcsrDec<V>&);  \
+#define BSPMV_DECL(V)                         \
+  extern template void validate(const Coo<V>&);     \
+  extern template void validate(const Csr<V>&);     \
+  extern template void validate(const Bcsr<V>&);    \
+  extern template void validate(const Bcsd<V>&);    \
+  extern template void validate(const Vbl<V>&);     \
+  extern template void validate(const Ubcsr<V>&);   \
+  extern template void validate(const BcsrDec<V>&); \
   extern template void validate(const BcsdDec<V>&);
 BSPMV_DECL(float)
 BSPMV_DECL(double)

@@ -23,7 +23,7 @@ namespace bspmv::observe {
 namespace {
 
 constexpr ModelKind kModels[] = {ModelKind::kMem, ModelKind::kMemComp,
-                                 ModelKind::kOverlap, ModelKind::kMemLat};
+                                 ModelKind::kOverlap};
 
 // Table IV convention: a selection is "optimal" when it reaches the best
 // measured time within timing noise.
@@ -452,11 +452,11 @@ std::string RunReport::to_csv() const {
   std::ostringstream os;
   os.precision(std::numeric_limits<double>::max_digits10);
   os << "id,format,impl,ws_bytes,pred_mem,pred_memcomp,pred_overlap,"
-        "pred_memlat,measured_seconds,skip_reason\n";
+        "measured_seconds,skip_reason\n";
   for (const CandidateReport& c : candidates) {
     os << c.id << ',' << c.format << ',' << c.impl << ',' << c.ws_bytes;
-    for (const char* m : {"mem", "memcomp", "overlap", "memlat"}) {
-      auto it = c.predicted_seconds.find(m);
+    for (ModelKind m : kModels) {
+      auto it = c.predicted_seconds.find(model_name(m));
       os << ',';
       if (it != c.predicted_seconds.end()) os << it->second;
     }
@@ -503,18 +503,19 @@ void validate_report_json(const Json& j) {
     if (!c.contains("id") || !c.contains("predicted"))
       fail("candidate entry missing id/predicted");
     const auto& pred = c.at("predicted").as_object();
-    for (const char* m : {"mem", "memcomp", "overlap"})
-      if (pred.find(m) == pred.end())
+    for (ModelKind m : kModels)
+      if (pred.find(model_name(m)) == pred.end())
         fail("candidate " + c.at("id").as_string() +
-             " missing prediction for model " + m);
+             " missing prediction for model " + model_name(m));
   }
 
   const auto& sels = j.at("selections").as_array();
-  for (const char* m : {"mem", "memcomp", "overlap", "memlat"}) {
+  for (ModelKind m : kModels) {
     bool found = false;
     for (const Json& s : sels)
-      if (s.at("model").as_string() == m) found = true;
-    if (!found) fail(std::string("no selection entry for model ") + m);
+      if (s.at("model").as_string() == model_name(m)) found = true;
+    if (!found)
+      fail(std::string("no selection entry for model ") + model_name(m));
   }
 
   const Json& threads_j = j.at("threads");
@@ -580,7 +581,6 @@ RunReport build_run_report(const Csr<V>& a, const std::string& name,
 
   const std::vector<Candidate> cands = model_candidates(true);
   const std::vector<CandidateCost> costs = all_candidate_costs(a, cands);
-  const IrregularityStats irr = irregularity_stats(a);
 
   // Predicted (every model) and measured time per candidate — Fig. 3.
   std::map<std::string, double> measured;
@@ -591,8 +591,7 @@ RunReport build_run_report(const Csr<V>& a, const std::string& name,
     cr.impl = impl_name(cost.candidate.impl);
     cr.ws_bytes = cost.total_ws();
     for (ModelKind m : kModels)
-      cr.predicted_seconds[model_name(m)] =
-          predict(m, cost, profile, prec, &irr);
+      cr.predicted_seconds[model_name(m)] = predict(m, cost, profile, prec);
     if (opt.measure_candidates) {
       std::string reason;
       if (auto f = try_convert(a, cost.candidate, &reason)) {

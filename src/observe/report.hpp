@@ -2,8 +2,8 @@
 // run, the machine-readable counterpart of the paper's evaluation:
 //
 //   - per candidate: predicted seconds under every model (MEM eq. 1,
-//     MEMCOMP eq. 2, OVERLAP eq. 3, plus the MEMLAT extension) next to
-//     the measured seconds — the Fig. 3 view;
+//     MEMCOMP eq. 2, OVERLAP eq. 3) next to the measured seconds — the
+//     Fig. 3 view;
 //   - per model: the selected candidate, its measured distance from the
 //     best measured candidate, and whether the selection was optimal —
 //     the Table IV selection-accuracy view;
@@ -137,8 +137,9 @@ struct RunReport {
   /// Bump on any change to the JSON layout; validate_report_json and
   /// from_json reject mismatches (same policy as MachineProfile).
   /// v2 added the distributed section ("dist"); v3 its supervision
-  /// fields (supervised/outcome/ranks_final/recovery).
-  static constexpr int kSchemaVersion = 3;
+  /// fields (supervised/outcome/ranks_final/recovery); v4 dropped the
+  /// MEMLAT model's predictions and selection.
+  static constexpr int kSchemaVersion = 4;
   static constexpr const char* kKind = "bspmv_run_report";
 
   // Matrix identity and structure.

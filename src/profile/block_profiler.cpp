@@ -8,8 +8,6 @@
 #include "src/formats/bcsd.hpp"
 #include "src/formats/bcsr.hpp"
 #include "src/formats/csr.hpp"
-#include "src/formats/csr_delta.hpp"
-#include "src/formats/ubcsr.hpp"
 #include "src/formats/vbl.hpp"
 #include "src/kernels/spmv.hpp"
 #include "src/profile/comm_bench.hpp"
@@ -154,42 +152,16 @@ void profile_precision(MachineProfile& profile, const ProfileOptions& opt,
     }
   }
 
-  // 1D-VBL (the models don't rank it, but the MEM model and the benches
-  // can still use the numbers).
+  // 1D-VBL: not ranked by the models, but benched (scalar only, as in
+  // the paper's Table II).
   {
     const Vbl<V> ms = Vbl<V>::from_csr(small_csr);
     const Vbl<V> ml = Vbl<V>::from_csr(large_csr);
-    for (Impl impl : impls) {
-      const Candidate c{FormatKind::kVbl, BlockShape{1, 1}, 0, impl};
-      profile_one(
-          c.id(), ms.blocks(), ml.blocks(), ml.working_set_bytes(),
-          [&] { spmv(ms, xs.data(), ys.data(), impl); },
-          [&] { spmv(ml, xl.data(), yl.data(), impl); });
-    }
-  }
-
-  // Extension kernels: UBCSR (every shape) and delta-compressed CSR, so
-  // the models can rank the extended candidate space too.
-  for (BlockShape shape : bcsr_shapes()) {
-    const Ubcsr<V> ms = Ubcsr<V>::from_csr(small_csr, shape);
-    const Ubcsr<V> ml = Ubcsr<V>::from_csr(large_csr, shape);
-    for (Impl impl : impls) {
-      const Candidate c{FormatKind::kUbcsr, shape, 0, impl};
-      profile_one(
-          c.kernel_id(), ms.blocks(), ml.blocks(), ml.working_set_bytes(),
-          [&] { spmv(ms, xs.data(), ys.data(), impl); },
-          [&] { spmv(ml, xl.data(), yl.data(), impl); });
-    }
-  }
-  {
-    const CsrDelta<V> ms = CsrDelta<V>::from_csr(small_csr);
-    const CsrDelta<V> ml = CsrDelta<V>::from_csr(large_csr);
-    const Candidate c{FormatKind::kCsrDelta, BlockShape{1, 1}, 0,
-                      Impl::kScalar};
+    const Candidate c{FormatKind::kVbl, BlockShape{1, 1}, 0, Impl::kScalar};
     profile_one(
-        c.id(), ms.nnz(), ml.nnz(), ml.working_set_bytes(),
-        [&] { spmv(ms, xs.data(), ys.data()); },
-        [&] { spmv(ml, xl.data(), yl.data()); });
+        c.kernel_id(), ms.blocks(), ml.blocks(), ml.working_set_bytes(),
+        [&] { spmv(ms, xs.data(), ys.data(), Impl::kScalar); },
+        [&] { spmv(ml, xl.data(), yl.data(), Impl::kScalar); });
   }
 }
 
@@ -216,20 +188,14 @@ MachineProfile profile_machine(const ProfileOptions& opt) {
   if (opt.verbose) std::fprintf(stderr, "profiling memory bandwidth...\n");
   profile.bandwidth_bps =
       opt.bandwidth_bps > 0 ? opt.bandwidth_bps : stream_triad_bandwidth(sopt);
-  profile.read_bandwidth_bps = stream_read_bandwidth(sopt);
-  profile.latency_seconds =
-      memory_latency_seconds(opt.quick ? (16u << 20) : (64u << 20));
   profile.effective_llc_bytes = static_cast<double>(cache.llc_bytes);
-  profile.private_cache_bytes = static_cast<double>(cache.l2_bytes);
   if (opt.verbose) std::fprintf(stderr, "profiling wire comm (alpha/beta)...\n");
   const CommProfile comm = profile_comm(opt.quick);
   profile.comm_alpha_seconds = comm.alpha_seconds;
   profile.comm_beta_bps = comm.beta_bps;
   if (opt.verbose)
-    std::fprintf(stderr, "BW=%.2f GiB/s read=%.2f GiB/s lat=%.0f ns\n",
-                 profile.bandwidth_bps / (1u << 30),
-                 profile.read_bandwidth_bps / (1u << 30),
-                 profile.latency_seconds * 1e9);
+    std::fprintf(stderr, "BW=%.2f GiB/s\n",
+                 profile.bandwidth_bps / (1u << 30));
 
   if (opt.verbose) std::fprintf(stderr, "profiling kernels (double)...\n");
   profile_precision<double>(profile, opt, cache);

@@ -38,8 +38,9 @@ struct ProfileOptions {
   RunControl* control = nullptr;
 };
 
-/// Run the full profiling pipeline (bandwidth, latency, t_b and nof for
-/// every fixed-size blocking kernel plus CSR and 1D-VBL, both precisions).
+/// Run the full profiling pipeline (bandwidth, wire α/β, t_b and nof for
+/// every kernel bench_candidates() runs: CSR, every fixed-size blocking
+/// kernel and scalar 1D-VBL, both precisions).
 MachineProfile profile_machine(const ProfileOptions& opt = {});
 
 /// Load `path` if it exists, else profile and save there. The cheap way

@@ -6,7 +6,7 @@
 //               matrix resident in L1 (eq. 2)
 //  - nof_b    : per-kernel non-overlapping factor, profiled on a dense
 //               matrix exceeding the LLC (eq. 4)
-//  - latency  : average memory latency (MEMLAT model extension)
+//  - α, β     : inter-process wire latency and bandwidth (t_comm)
 #pragma once
 
 #include <map>
@@ -28,18 +28,16 @@ class MachineProfile {
  public:
   /// Serialisation schema version. Bump when the JSON layout or the
   /// meaning of any profiled quantity changes; try_load treats a version
-  /// mismatch as "stale profile" and triggers re-profiling.
+  /// mismatch as "stale profile" and triggers re-profiling. Keys a
+  /// model no longer reads (read bandwidth, latency, private cache size)
+  /// are dropped without a bump: from_json ignores unknown keys, so
+  /// profiles written with them keep loading.
   static constexpr int kSchemaVersion = 2;
 
-  double bandwidth_bps = 0.0;       ///< STREAM triad bytes/second
-  double read_bandwidth_bps = 0.0;  ///< read-only bytes/second
-  double latency_seconds = 0.0;     ///< dependent-load miss latency
+  double bandwidth_bps = 0.0;  ///< STREAM triad bytes/second
   /// Effective last-level cache used by the profiler when sizing the nof
   /// matrix (clamped on huge shared caches; set by the profiler).
   double effective_llc_bytes = 32.0 * 1024 * 1024;
-  /// Private cache size (L2) — the MEMLAT model's threshold for how much
-  /// of the input vector enjoys cheap re-access.
-  double private_cache_bytes = 1024.0 * 1024;
   /// Inter-process wire parameters of t_comm = α·msgs + bytes/β, profiled
   /// over the same socketpair frame path the distributed runtime uses
   /// (profile_comm, src/profile/comm_bench.*). Zero β means "never

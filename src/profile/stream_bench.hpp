@@ -2,9 +2,9 @@
 //
 // The MEM model's BW parameter is "the effective memory bandwidth of the
 // system" measured STREAM-style (§V cites McCalpin's STREAM [11]); we
-// implement the triad kernel (a[i] = b[i] + s·c[i]) plus a read-only sum
-// used for sanity checks, and a dependent-load pointer chase that measures
-// memory latency for the MEMLAT model extension.
+// implement the triad kernel (a[i] = b[i] + s·c[i]). A read-only sum and a
+// dependent-load pointer chase (memory latency) are calibration aids that
+// bench_stream reports next to it; no model reads them.
 #pragma once
 
 #include <cstddef>

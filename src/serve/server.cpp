@@ -21,21 +21,6 @@ namespace bspmv::serve {
 
 namespace {
 
-/// Formats the §V-A drivers parallelise; a threaded engine plan is only
-/// legal for these.
-bool parallel_kind(FormatKind k) {
-  switch (k) {
-    case FormatKind::kCsr:
-    case FormatKind::kBcsr:
-    case FormatKind::kBcsrDec:
-    case FormatKind::kBcsd:
-    case FormatKind::kBcsdDec:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::string hash_hex(std::uint64_t h) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -441,13 +426,11 @@ std::shared_ptr<const CachedEngine> Server::prepare_and_cache(
   if (level > 0) BSPMV_OBS_COUNT("serve.degraded_prepares", 1);
   const int threads = level >= 2 ? 0 : opt_.engine_threads;
 
-  std::vector<Candidate> cands;
-  if (level >= 2) {
-    cands.push_back(Candidate{});  // scalar CSR only
-  } else {
-    for (const Candidate& c : model_candidates(opt_.simd && level == 0))
-      if (threads == 0 || parallel_kind(c.kind)) cands.push_back(c);
-  }
+  // Every model candidate has a threaded driver (FormatOps::kParallel),
+  // so the same list serves threaded and serial engines.
+  const std::vector<Candidate> cands =
+      level >= 2 ? std::vector<Candidate>{Candidate{}}  // scalar CSR only
+                 : model_candidates(opt_.simd && level == 0);
 
   // Measured selection (the paper's empirical ground truth, eq. vs §V):
   // convert + briefly time each candidate, keep the fastest. Bounded by

@@ -494,7 +494,6 @@ MachineProfile comm_profile(double alpha, double beta, double mem_bw) {
   p.comm_alpha_seconds = alpha;
   p.comm_beta_bps = beta;
   p.bandwidth_bps = mem_bw;
-  p.read_bandwidth_bps = mem_bw;
   return p;
 }
 

@@ -460,7 +460,6 @@ TEST(DistCommEpoch, StaleEpochFrameIsTypedParseError) {
 MachineProfile recovery_profile() {
   MachineProfile p;
   p.bandwidth_bps = 2e10;
-  p.read_bandwidth_bps = 2e10;
   p.comm_alpha_seconds = 1e-5;
   p.comm_beta_bps = 1e9;
   return p;

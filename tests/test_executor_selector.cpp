@@ -86,8 +86,8 @@ TEST(EndToEnd, SelectMaterialiseRunWithMicroProfile) {
   const Coo<double> coo = random_blocky_coo<double>(128, 128, 3, 0.4, 1.01, 4);
   const Csr<double> a = Csr<double>::from_coo(coo);
 
-  for (ModelKind model : {ModelKind::kMem, ModelKind::kMemComp,
-                          ModelKind::kOverlap, ModelKind::kMemLat}) {
+  for (ModelKind model :
+       {ModelKind::kMem, ModelKind::kMemComp, ModelKind::kOverlap}) {
     const RankedCandidate best = select_best(model, a, profile);
     EXPECT_GT(best.predicted_seconds, 0.0) << model_name(model);
     const AnyFormat<double> f = AnyFormat<double>::convert(a, best.candidate);

@@ -225,8 +225,8 @@ TEST(FaultInjection, SelectAndPrepareSurvivesStarvation) {
   tight.max_fill_ratio = 1.0 - 1e-9;
   ConversionGuard::Scope scope(tight);
 
-  for (ModelKind model : {ModelKind::kMem, ModelKind::kMemComp,
-                          ModelKind::kOverlap, ModelKind::kMemLat}) {
+  for (ModelKind model :
+       {ModelKind::kMem, ModelKind::kMemComp, ModelKind::kOverlap}) {
     const PreparedExecutor<double> prep = select_and_prepare(model, a, profile);
     // Whatever survived must be runnable and correct.
     EXPECT_NO_THROW(prep.format.validate()) << model_name(model);
@@ -296,7 +296,7 @@ TEST(FaultInjection, EveryConvertedCandidateValidatesAndRuns) {
   const Coo<double> coo = random_blocky_coo<double>(60, 52, 4, 0.35, 0.8, 77);
   const auto a = Csr<double>::from_coo(coo);
 
-  std::vector<Candidate> all = bench_candidates(true, true);
+  std::vector<Candidate> all = bench_candidates(true);
   for (const Candidate& c : extension_candidates(true)) all.push_back(c);
 
   int converted = 0;

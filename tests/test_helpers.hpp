@@ -116,11 +116,9 @@ inline MachineProfile synthetic_profile(double bw = 10e9, double tb = 2e-9,
                                         double nof = 0.3) {
   MachineProfile p;
   p.bandwidth_bps = bw;
-  p.read_bandwidth_bps = bw;
-  p.latency_seconds = 80e-9;
   p.description = "synthetic test profile";
   for (Precision prec : {Precision::kSingle, Precision::kDouble}) {
-    for (const Candidate& c : bench_candidates(true, true)) {
+    for (const Candidate& c : bench_candidates(true)) {
       p.set_kernel(prec, c.kernel_id(), KernelProfile{tb, nof});
       p.set_kernel(prec, c.id(), KernelProfile{tb, nof});
     }

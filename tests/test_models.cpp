@@ -1,6 +1,5 @@
 // Performance-model tests: eq. (1)-(3) arithmetic against hand-computed
-// values, model orderings, the MEMLAT extension and the multicore
-// adaptation.
+// values, model orderings and the multicore adaptation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,17 +62,12 @@ TEST(Models, OrderingMemLeqOverlapLeqMemcomp) {
 TEST(Models, PredictDispatchesAllKinds) {
   const MachineProfile p = synthetic_profile();
   const CandidateCost cost = hand_cost();
-  const IrregularityStats irr{1000, 1ull << 30, 2000};  // x >> cache
   EXPECT_DOUBLE_EQ(predict(ModelKind::kMem, cost, p, Precision::kDouble),
                    predict_mem(cost, p));
   EXPECT_DOUBLE_EQ(predict(ModelKind::kMemComp, cost, p, Precision::kDouble),
                    predict_memcomp(cost, p, Precision::kDouble));
   EXPECT_DOUBLE_EQ(predict(ModelKind::kOverlap, cost, p, Precision::kDouble),
                    predict_overlap(cost, p, Precision::kDouble));
-  EXPECT_GT(predict(ModelKind::kMemLat, cost, p, Precision::kDouble, &irr),
-            predict_overlap(cost, p, Precision::kDouble));
-  EXPECT_THROW(predict(ModelKind::kMemLat, cost, p, Precision::kDouble),
-               invalid_argument_error);
 }
 
 TEST(Models, MissingKernelProfileThrows) {
@@ -88,32 +82,6 @@ TEST(Models, MissingKernelProfileThrows) {
 TEST(Models, MissingBandwidthThrows) {
   const MachineProfile p;  // bandwidth 0
   EXPECT_THROW(predict_mem(hand_cost(), p), invalid_argument_error);
-}
-
-TEST(Models, IrregularityDetectsScatteredColumns) {
-  // Sequential row: one irregular line at the start of each row only.
-  Coo<double> seq(4, 512);
-  for (index_t i = 0; i < 4; ++i)
-    for (index_t j = 0; j < 64; ++j) seq.add(i, j, 1.0);
-  const auto irr_seq = irregularity_stats(Csr<double>::from_coo(seq));
-  // 8 doubles per line -> 64 cols = 8 lines walked sequentially; only the
-  // first access of each row is a non-sequential jump.
-  EXPECT_EQ(irr_seq.irregular_lines, 4u);
-
-  // Scattered row: every access far apart -> every access irregular.
-  Coo<double> scat(1, 512);
-  for (index_t j = 0; j < 512; j += 32) scat.add(0, j, 1.0);
-  const auto irr_scat = irregularity_stats(Csr<double>::from_coo(scat));
-  EXPECT_EQ(irr_scat.irregular_lines, 16u);
-}
-
-TEST(Models, MemLatPenalisesIrregularMatrices) {
-  const MachineProfile p = synthetic_profile();
-  const CandidateCost cost = hand_cost();
-  const IrregularityStats low{10, 1ull << 30, 100000};
-  const IrregularityStats high{100000, 1ull << 30, 100000};
-  EXPECT_LT(predict(ModelKind::kMemLat, cost, p, Precision::kDouble, &low),
-            predict(ModelKind::kMemLat, cost, p, Precision::kDouble, &high));
 }
 
 TEST(Models, MulticoreShrinksComputeOnly) {
@@ -275,8 +243,7 @@ TEST(Selector, KAwareRankingUsesSpmmPredictions) {
     ASSERT_NE(it, costs.end());
     EXPECT_DOUBLE_EQ(r.predicted_seconds,
                      predict_spmm(ModelKind::kOverlap, *it, p,
-                                  Precision::kDouble, 8, Layout::kRowMajor,
-                                  nullptr));
+                                  Precision::kDouble, 8, Layout::kRowMajor));
     EXPECT_LE(r.predicted_seconds / 8,
               predict(ModelKind::kOverlap, *it, p, Precision::kDouble) +
                   1e-15);

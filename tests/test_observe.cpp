@@ -166,20 +166,20 @@ RunReport synthetic_report() {
   r.runtime_enabled = true;
   r.chosen_id = "bcsr_3x3_scalar";
   r.fallback = false;
-  r.prepare_failures.emplace_back("vbr_scalar", "resource limit");
+  r.prepare_failures.emplace_back("bcsr_8x1_scalar", "resource limit");
 
   CandidateReport c;
   c.id = "bcsr_3x3_scalar";
   c.format = "bcsr";
   c.impl = "scalar";
   c.ws_bytes = 8000;
-  c.predicted_seconds = {{"mem", 1e-4}, {"memcomp", 1.5e-4},
-                         {"overlap", 1.2e-4}, {"memlat", 1.3e-4}};
+  c.predicted_seconds = {
+      {"mem", 1e-4}, {"memcomp", 1.5e-4}, {"overlap", 1.2e-4}};
   c.measured_seconds = 1.4e-4;
   c.measured = true;
   r.candidates.push_back(c);
 
-  for (const char* m : {"mem", "memcomp", "overlap", "memlat"}) {
+  for (const char* m : {"mem", "memcomp", "overlap"}) {
     SelectionReport s;
     s.model = m;
     s.selected_id = "bcsr_3x3_scalar";
@@ -210,7 +210,7 @@ TEST_F(ObserveTest, RunReportJsonRoundTrip) {
   EXPECT_EQ(back.to_json(), j);
   EXPECT_EQ(back.matrix_name, "synthetic");
   EXPECT_EQ(back.candidates.size(), 1u);
-  EXPECT_EQ(back.selections.size(), 4u);
+  EXPECT_EQ(back.selections.size(), 3u);
   EXPECT_EQ(back.thread_samples.size(), 2u);
   EXPECT_EQ(back.prepare_failures.size(), 1u);
   EXPECT_DOUBLE_EQ(
@@ -304,7 +304,7 @@ TEST_F(ObserveTest, BuildRunReportEndToEnd) {
   EXPECT_EQ(r.matrix_name, "unit");
   EXPECT_EQ(r.rows, 96);
   EXPECT_FALSE(r.candidates.empty());
-  EXPECT_EQ(r.selections.size(), 4u);
+  EXPECT_EQ(r.selections.size(), 3u);  // one per model
   EXPECT_FALSE(r.chosen_id.empty());
   for (const CandidateReport& c : r.candidates) {
     ASSERT_EQ(c.predicted_seconds.count("mem"), 1u) << c.id;

@@ -150,9 +150,9 @@ INSTANTIATE_TEST_SUITE_P(Threads, SpmmParity, ::testing::Values(1, 2, 4, 7));
 
 // ------------------------------------------------ generic front-end ----
 
-// spmm() over EVERY registry format (including the single-vector
-// fallback formats VBR/UBCSR/CSR-delta): numerically equal to k
-// independent spmv runs in both layouts.
+// spmm() over EVERY registry format (including UBCSR, which takes the
+// single-vector fallback): numerically equal to k independent spmv runs
+// in both layouts.
 TEST(SpmmAllFormats, GenericFrontEndMatchesSpmv) {
   const Csr<double> a = Csr<double>::from_coo(
       random_blocky_coo<double>(60, 54, 2, 0.4, 0.85, 11));

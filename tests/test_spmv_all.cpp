@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "src/core/engine.hpp"
 #include "src/core/executor.hpp"
 #include "src/gen/generators.hpp"
 #include "tests/test_helpers.hpp"
@@ -59,7 +60,7 @@ TEST_P(AllCandidates, FloatMatchesReferenceOnRandom) {
 }
 
 std::vector<Candidate> full_candidate_space() {
-  std::vector<Candidate> all = bench_candidates(true, true);
+  std::vector<Candidate> all = bench_candidates(true);
   const auto ext = extension_candidates(true);
   all.insert(all.end(), ext.begin(), ext.end());
   return all;
@@ -94,12 +95,20 @@ TEST(CandidateSpace, MatchesPaperCounts) {
   // CSR + 19*2 (BCSR, BCSR-DEC) + 7*2 (BCSD, BCSD-DEC) = 53 per impl.
   EXPECT_EQ(model_candidates(false).size(), 53u);
   EXPECT_EQ(model_candidates(true).size(), 106u);
-  // Bench space adds scalar 1D-VBL (and VBR when requested).
-  EXPECT_EQ(bench_candidates(true, false).size(), 107u);
-  EXPECT_EQ(bench_candidates(true, true).size(), 108u);
-  // Extensions: UBCSR at 19 shapes x 2 impls + scalar CsrDelta.
-  EXPECT_EQ(extension_candidates(true).size(), 39u);
-  EXPECT_EQ(extension_candidates(false).size(), 20u);
+  // Bench space adds scalar 1D-VBL.
+  EXPECT_EQ(bench_candidates(true).size(), 107u);
+  // Extension: UBCSR at 19 shapes x 2 impls.
+  EXPECT_EQ(extension_candidates(true).size(), 38u);
+  EXPECT_EQ(extension_candidates(false).size(), 19u);
+  // Every ranked candidate has a threaded driver, so any selection can
+  // back a threaded engine.
+  const Csr<double> a =
+      Csr<double>::from_coo(bspmv::testing::random_coo<double>(40, 36, 0.1, 5));
+  for (const Candidate& c : model_candidates(true)) {
+    const SpmvEngine<double> e = SpmvEngine<double>::prepare(a, c, 2);
+    EXPECT_EQ(e.threads(), 2) << c.id();
+    EXPECT_EQ(e.format().candidate(), c);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Acceptance test for the FormatOps registry contract: a brand-new
 // storage format defined entirely in this test TU — a trivial row-sorted
-// COO wrapper — plugs into the generic spmv()/spmv_add() front-end AND
-// the generic ThreadedSpmv driver through nothing but a FormatOps
+// COO wrapper — plugs into the generic spmv()/spmv_add()/spmm() front-end
+// AND the generic ThreadedSpmv driver through nothing but a FormatOps
 // specialisation. No file in src/core or src/parallel is modified (or
 // even mentions this format); that is the "adding a format is one trait
 // specialisation" guarantee of docs/architecture.md.
@@ -143,6 +143,42 @@ TEST(ToyFormat, GenericThreadedDriverPicksUpTheSpecialisation) {
     ThreadedSpmv<ToyCoo<double>>(toy, threads).run(x.data(), yp.data());
     for (std::size_t i = 0; i < 71; ++i)
       EXPECT_EQ(yp[i], ys[i]) << threads << " threads, row " << i;
+  }
+}
+
+TEST(ToyFormat, GenericSpmmFallsBackToSingleVectorRuns) {
+  // The toy format has no multi-vector members, so spmm() takes the
+  // k-single-vector fallback: per vector it must equal spmv exactly.
+  constexpr index_t kRows = 41, kCols = 37;
+  constexpr int k = 3;
+  const Csr<double> a =
+      Csr<double>::from_coo(random_coo<double>(kRows, kCols, 0.1, 27));
+  const ToyCoo<double> toy = ToyCoo<double>::from_csr(a);
+  std::vector<aligned_vector<double>> xs, ys;
+  for (int j = 0; j < k; ++j) {
+    xs.push_back(random_x<double>(kCols, 30 + static_cast<std::uint64_t>(j)));
+    ys.emplace_back(kRows, 0.0);
+    spmv(toy, xs.back().data(), ys.back().data());
+  }
+  for (Layout layout : {Layout::kRowMajor, Layout::kColMajor}) {
+    const bool row = layout == Layout::kRowMajor;
+    auto at = [&](index_t i, int j, index_t n) {
+      return row ? static_cast<std::size_t>(i) * k + static_cast<std::size_t>(j)
+                 : static_cast<std::size_t>(j) * static_cast<std::size_t>(n) +
+                       static_cast<std::size_t>(i);
+    };
+    aligned_vector<double> X(static_cast<std::size_t>(kCols) * k);
+    aligned_vector<double> Y(static_cast<std::size_t>(kRows) * k, -1.0);
+    for (int j = 0; j < k; ++j)
+      for (index_t i = 0; i < kCols; ++i)
+        X[at(i, j, kCols)] = xs[static_cast<std::size_t>(j)]
+                               [static_cast<std::size_t>(i)];
+    spmm(toy, X.data(), Y.data(), k, layout);
+    for (int j = 0; j < k; ++j)
+      for (index_t i = 0; i < kRows; ++i)
+        EXPECT_EQ(Y[at(i, j, kRows)],
+                  ys[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)])
+            << layout_name(layout) << " vector " << j << " row " << i;
   }
 }
 

@@ -54,21 +54,15 @@ TEST_P(CostVsMaterialised, WsAndNbMatchExactly) {
       case FormatKind::kVbl:
         EXPECT_EQ(nb_total, Vbl<double>::from_csr(a).blocks());
         break;
-      case FormatKind::kVbr:
-        EXPECT_EQ(nb_total, Vbr<double>::from_csr(a).blocks());
-        break;
       case FormatKind::kUbcsr:
         EXPECT_EQ(nb_total, Ubcsr<double>::from_csr(a, c.shape).blocks());
-        break;
-      case FormatKind::kCsrDelta:
-        EXPECT_EQ(nb_total, a.nnz());
         break;
     }
   }
 }
 
 std::vector<Candidate> cost_candidate_space() {
-  std::vector<Candidate> all = bench_candidates(true, true);
+  std::vector<Candidate> all = bench_candidates(true);
   const auto ext = extension_candidates(true);
   all.insert(all.end(), ext.begin(), ext.end());
   return all;
