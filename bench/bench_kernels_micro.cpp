@@ -14,6 +14,10 @@
 // exec/dispatch_tiny runs a 512-row diagonal, where the kernel is
 // nearly free: the steal-minus-static time over the extra tasks is the
 // per-task scheduling fee parallel_overhead charges (docs/models.md).
+//
+// The select/ group times one OVERLAP ranking of the exec group's band
+// and R-MAT matrices: 26 structural scans, run as tasks on the shared
+// pool, then 106 predictions (docs/models.md, "Selection cost").
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -23,6 +27,7 @@
 
 #include "src/core/engine.hpp"
 #include "src/core/executor.hpp"
+#include "src/core/selector.hpp"
 #include "src/gen/generators.hpp"
 #include "src/parallel/backend.hpp"
 #include "src/util/prng.hpp"
@@ -109,6 +114,34 @@ const Csr<double>& tiny_matrix() {
   return a;
 }
 
+// Every model kernel at one t_b and nof: ranking time is the scans' and
+// the predictions', neither of which depends on the profile's numbers.
+const MachineProfile& flat_profile() {
+  static const MachineProfile p = [] {
+    MachineProfile m;
+    m.bandwidth_bps = 10e9;
+    for (const Candidate& c : model_candidates(true))
+      m.set_kernel(Precision::kDouble, c.kernel_id(), KernelProfile{2e-9, 0.3});
+    return m;
+  }();
+  return p;
+}
+
+void run_rank(benchmark::State& state, const Csr<double>& a) {
+  // The ranking's pool may be new here: the same untimed thread warm-up
+  // as run_backend, once per process.
+  static bool warm = false;
+  if (!warm) {
+    warm = true;
+    const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (std::chrono::steady_clock::now() < end)
+      (void)rank_candidates(ModelKind::kOverlap, a, flat_profile());
+  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        rank_candidates(ModelKind::kOverlap, a, flat_profile()));
+}
+
 const char* schedule_label(ExecBackend b) {
   return b == ExecBackend::kTasks ? "steal" : "static";
 }
@@ -156,6 +189,17 @@ void register_all() {
     register_exec(std::string("exec/dispatch_tiny/") + schedule_label(b) +
                       "/4",
                   &tiny_matrix, csr, b, 4);
+  for (bool skewed : {false, true})
+    benchmark::RegisterBenchmark(
+        (std::string("select/rank/") +
+         (skewed ? "rmat_skewed" : "band_balanced"))
+            .c_str(),
+        [skewed](benchmark::State& s) {
+          run_rank(s, skewed ? skewed_matrix() : shared_matrix());
+        })
+        ->Unit(benchmark::kMillisecond)
+        ->MinTime(0.10)
+        ->UseRealTime();
 }
 
 }  // namespace

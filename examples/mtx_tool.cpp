@@ -466,9 +466,13 @@ int run(int argc, char** argv) {
                 layout_name(layout));
   else
     std::printf("\nmodel selections:\n");
+  // One set of structural scans serves every model's ranking below.
+  const std::vector<CandidateCost> costs =
+      all_candidate_costs(a, model_candidates(true));
   for (ModelKind m :
        {ModelKind::kMem, ModelKind::kMemComp, ModelKind::kOverlap}) {
-    const RankedCandidate best = select_best(m, a, profile, workload);
+    const RankedCandidate best =
+        rank_costs(m, costs, profile, Precision::kDouble, workload).front();
     std::printf("  %-8s -> %-22s (predicted %.3f ms%s)\n", model_name(m),
                 best.candidate.id().c_str(), best.predicted_seconds * 1e3,
                 rhs > 1 ? "/multiply" : "");
@@ -478,8 +482,8 @@ int run(int argc, char** argv) {
               "oski", h.candidate.id().c_str(), h.predicted_seconds * 1e3,
               h.est_fill);
 
-  const auto ranked =
-      rank_candidates(ModelKind::kOverlap, a, profile, workload);
+  const auto ranked = rank_costs(ModelKind::kOverlap, costs, profile,
+                                 Precision::kDouble, workload);
   const auto top = static_cast<std::size_t>(cli.get_int("top"));
   if (rhs > 1)
     std::printf("\ntop %zu candidates by the OVERLAP model (ranked by "

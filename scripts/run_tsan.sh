@@ -17,6 +17,12 @@
 #     (docs/distribution.md), and the two-pass HaloDec format through
 #     both schedules. The fork-based DistSpmv cases stay out (TSan's
 #     runtime does not survive multi-threaded fork() children);
+#   - test_working_set, CandidateCost cases: the ranking's structural
+#     scans, one task per blocking on the shared TaskPool with
+#     caller-owned per-slot scratch — parity with single-candidate
+#     costing, four concurrent rankings, and a ranking from inside a
+#     running pool task (the busy-pool inline path);
+#   - test_stats, StatsScratch cases: the scratch those scans reuse;
 #   - test_dist_recovery, fork-free supervisor paths only: the
 #     epoch-consistency rejection across two in-process exchange
 #     endpoints (DistCommEpoch — a real two-thread wire race), plus the
@@ -39,11 +45,11 @@ cmake -B "$build_dir" -S "$repo_root" \
 cmake --build "$build_dir" -j "$(nproc)" \
   --target test_run_control test_schedule test_parallel test_engine \
            test_partition_edges test_spmm test_decomposed test_dist \
-           test_dist_recovery
+           test_dist_recovery test_working_set test_stats
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
 ctest --test-dir "$build_dir" --output-on-failure --timeout 600 \
   -j "$(nproc)" \
-  -R '^(RunControl|Watchdog|AtomicFile|RobustSamples|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskSchedule|TaskGraph|Threads/TaskGraphParity|Partition|PartitionEdges|Threads/ThreadedParity|ThreadedSpmvEdge|SpmvEngine|Threads/SpmmParity|SpmmAllFormats|SpmmEngine|SpmmSmoke|DecFused|HaloDecFormat|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel)\.' \
+  -R '^(RunControl|Watchdog|AtomicFile|RobustSamples|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskSchedule|TaskGraph|Threads/TaskGraphParity|Partition|PartitionEdges|Threads/ThreadedParity|ThreadedSpmvEdge|SpmvEngine|Threads/SpmmParity|SpmmAllFormats|SpmmEngine|SpmmSmoke|DecFused|HaloDecFormat|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel|CandidateCost|StatsScratch)\.' \
   "$@"

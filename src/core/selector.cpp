@@ -7,20 +7,17 @@
 
 namespace bspmv {
 
-template <class V>
-std::vector<RankedCandidate> rank_candidates(ModelKind model, const Csr<V>& a,
-                                             const MachineProfile& profile,
-                                             const Workload& workload) {
-  BSPMV_OBS_SPAN("rank");
+std::vector<RankedCandidate> rank_costs(ModelKind model,
+                                        const std::vector<CandidateCost>& costs,
+                                        const MachineProfile& profile,
+                                        Precision prec,
+                                        const Workload& workload) {
   BSPMV_CHECK_MSG(workload.k >= 1, "workload rhs count must be >= 1");
-  const bool include_simd = model != ModelKind::kMem;
-  const std::vector<Candidate> candidates = model_candidates(include_simd);
-  const std::vector<CandidateCost> costs = all_candidate_costs(a, candidates);
-  constexpr Precision prec = precision_of<V>;
-
   std::vector<RankedCandidate> out;
   out.reserve(costs.size());
   for (const CandidateCost& cost : costs) {
+    if (model == ModelKind::kMem && cost.candidate.impl == Impl::kSimd)
+      continue;
     const double seconds =
         workload.k > 1
             ? predict_spmm(model, cost, profile, prec, workload.k,
@@ -38,6 +35,18 @@ std::vector<RankedCandidate> rank_candidates(ModelKind model, const Csr<V>& a,
                      return x.candidate.id() < y.candidate.id();
                    });
   return out;
+}
+
+template <class V>
+std::vector<RankedCandidate> rank_candidates(ModelKind model, const Csr<V>& a,
+                                             const MachineProfile& profile,
+                                             const Workload& workload) {
+  BSPMV_OBS_SPAN("rank");
+  // MEM ranks scalar candidates only (§V-B): cost just those.
+  const std::vector<Candidate> candidates =
+      model_candidates(model != ModelKind::kMem);
+  return rank_costs(model, all_candidate_costs(a, candidates), profile,
+                    precision_of<V>, workload);
 }
 
 template <class V>

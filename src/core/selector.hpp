@@ -47,6 +47,18 @@ std::vector<RankedCandidate> rank_candidates(ModelKind model, const Csr<V>& a,
                                              const MachineProfile& profile,
                                              const Workload& workload);
 
+/// Rank precomputed costs (all_candidate_costs of a matrix with values of
+/// precision `prec`) the way rank_candidates ranks them, so several models
+/// or workloads can share one set of structural scans. Under MEM the simd
+/// costs are skipped. rank_candidates(model, a, profile, workload) equals
+/// rank_costs(model, all_candidate_costs(a, model_candidates(true)),
+/// profile, precision_of<V>, workload).
+std::vector<RankedCandidate> rank_costs(ModelKind model,
+                                        const std::vector<CandidateCost>& costs,
+                                        const MachineProfile& profile,
+                                        Precision prec,
+                                        const Workload& workload = {});
+
 /// The model's selection: the top-ranked candidate.
 template <class V>
 RankedCandidate select_best(ModelKind model, const Csr<V>& a,

@@ -1,8 +1,13 @@
 #include "src/core/working_set.hpp"
 
+#include <algorithm>
+#include <exception>
 #include <map>
+#include <span>
+#include <thread>
 
 #include "src/formats/ubcsr.hpp"
+#include "src/parallel/task_pool.hpp"
 #include "src/util/macros.hpp"
 
 namespace bspmv {
@@ -41,29 +46,96 @@ std::size_t bcsd_arrays_bytes(const BlockStats& st, index_t rows, int b) {
          (segs + 1) * kIdx + segs * kIdx;
 }
 
-// Memoised structural scans shared across candidates: one pass per block
-// shape serves the padded and decomposed variants and both impls.
+// Structural scans shared across candidates: one pass per block shape
+// serves the padded and decomposed variants and both impls. The cache
+// runs every pass its candidates need up front, so costing only reads it.
 template <class V>
 struct StatsCache {
-  const Csr<V>& a;
   std::map<std::pair<int, int>, BlockingStats> bcsr;
   std::map<int, BlockingStats> bcsd;
 
-  const BlockingStats& get_bcsr(BlockShape s) {
-    auto [it, fresh] = bcsr.try_emplace({s.r, s.c});
-    if (fresh) it->second = bcsr_blocking_stats(a, s);
-    return it->second;
+  StatsCache(const Csr<V>& a, std::span<const Candidate> candidates);
+
+  const BlockingStats& get_bcsr(BlockShape s) const {
+    return bcsr.at({s.r, s.c});
   }
-  const BlockingStats& get_bcsd(int b) {
-    auto [it, fresh] = bcsd.try_emplace(b);
-    if (fresh) it->second = bcsd_blocking_stats(a, b);
-    return it->second;
-  }
+  const BlockingStats& get_bcsd(int b) const { return bcsd.at(b); }
+};
+
+// One blocking's pass: BCSR when b == 0, else BCSD of length b.
+struct Scan {
+  BlockingStats* out;
+  BlockShape shape;
+  int b;
 };
 
 template <class V>
+void run_scan(const Csr<V>& a, const Scan& s, detail::ScanScratch& scratch) {
+  *s.out = s.b == 0 ? detail::bcsr_blocking_stats(a, s.shape, scratch)
+                    : detail::bcsd_blocking_stats(a, s.b, scratch);
+}
+
+// The passes as one stealing pool job: a task per pass, run in the
+// scratch of the slot that takes it.
+template <class V>
+class ScanJob final : public TaskPool::Job {
+ public:
+  ScanJob(const Csr<V>& a, std::span<const Scan> scans,
+          std::span<detail::ScanScratch> scratch)
+      : a_(a), scans_(scans), scratch_(scratch), home_(scratch.size() + 1) {
+    for (std::size_t w = 0; w < home_.size(); ++w)
+      home_[w] = static_cast<std::uint32_t>(scans.size() * w /
+                                            scratch.size());
+  }
+
+  int passes() const override { return 1; }
+  std::span<const std::uint32_t> home(int) const override { return home_; }
+  bool steal() const override { return true; }
+  std::size_t run_task(int, std::uint32_t task, int worker) override {
+    run_scan(a_, scans_[task], scratch_[static_cast<std::size_t>(worker)]);
+    return 1;
+  }
+  void finish(std::span<const TaskPool::WorkerLoad>,
+              std::exception_ptr) override {}
+
+ private:
+  const Csr<V>& a_;
+  std::span<const Scan> scans_;
+  std::span<detail::ScanScratch> scratch_;
+  std::vector<std::uint32_t> home_;
+};
+
+template <class V>
+StatsCache<V>::StatsCache(const Csr<V>& a,
+                          std::span<const Candidate> candidates) {
+  std::vector<Scan> scans;
+  for (const Candidate& c : candidates) {
+    if (c.kind == FormatKind::kBcsr || c.kind == FormatKind::kBcsrDec) {
+      auto [it, fresh] = bcsr.try_emplace({c.shape.r, c.shape.c});
+      if (fresh) scans.push_back(Scan{&it->second, c.shape, 0});
+    } else if (c.kind == FormatKind::kBcsd || c.kind == FormatKind::kBcsdDec) {
+      auto [it, fresh] = bcsd.try_emplace(c.b);
+      if (fresh) scans.push_back(Scan{&it->second, BlockShape{}, c.b});
+    }
+  }
+  if (scans.size() < 2) {
+    detail::ScanScratch scratch;
+    for (const Scan& s : scans) run_scan(a, s, scratch);
+    return;
+  }
+  // The pool's threads scan in buffers this thread allocates (and frees),
+  // so no scan leaves memory behind in a worker's malloc arena.
+  const auto pool = TaskPool::shared(
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+  std::vector<detail::ScanScratch> scratch(
+      static_cast<std::size_t>(pool->workers()), detail::scan_scratch(a));
+  ScanJob<V> job(a, scans, scratch);
+  pool->run(job);
+}
+
+template <class V>
 CandidateCost cost_with_cache(const Csr<V>& a, const Candidate& c,
-                              StatsCache<V>& cache) {
+                              const StatsCache<V>& cache) {
   CandidateCost cost;
   cost.candidate = c;
   const std::size_t vecs = vectors_bytes(a);
@@ -143,14 +215,14 @@ CandidateCost cost_with_cache(const Csr<V>& a, const Candidate& c,
 
 template <class V>
 CandidateCost candidate_cost(const Csr<V>& a, const Candidate& c) {
-  StatsCache<V> cache{a, {}, {}};
+  const StatsCache<V> cache(a, {&c, 1});
   return cost_with_cache(a, c, cache);
 }
 
 template <class V>
 std::vector<CandidateCost> all_candidate_costs(
     const Csr<V>& a, const std::vector<Candidate>& candidates) {
-  StatsCache<V> cache{a, {}, {}};
+  const StatsCache<V> cache(a, candidates);
   std::vector<CandidateCost> out;
   out.reserve(candidates.size());
   for (const Candidate& c : candidates)

@@ -46,13 +46,17 @@ struct CandidateCost {
 };
 
 /// Compute the cost structure of `c` for matrix `a` with value type V.
-/// The x and y vectors are accounted once, in the first part.
+/// The x and y vectors are accounted once, in the first part. Scans on
+/// the calling thread.
 template <class V>
 CandidateCost candidate_cost(const Csr<V>& a, const Candidate& c);
 
 /// Costs for all candidates, reusing shared statistics scans (the one scan
 /// for a given shape serves both the padded and decomposed variants and
-/// both impls).
+/// both impls). The distinct scans run first, one task each on
+/// TaskPool::shared(hardware_concurrency) (inline when that pool is busy);
+/// the result equals candidate_cost of each candidate. Not for forked
+/// children, whose shared pool's threads died at fork (docs/tasking.md).
 template <class V>
 std::vector<CandidateCost> all_candidate_costs(
     const Csr<V>& a, const std::vector<Candidate>& candidates);

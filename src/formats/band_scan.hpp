@@ -67,20 +67,21 @@ struct BcsdBlocking {
   }
 };
 
-/// Count every band's keys in `count` (all zero, blk.keys(cols) long) and
-/// call on_band(lo, hi, keys, n) for the band of rows [lo, hi): keys[0, n)
-/// are its distinct keys in first-occurrence order and count[key] their
-/// occurrences. on_band may permute keys[0, n) and overwrite their
-/// counters, and must zero them before it returns (the statistics fold
-/// that into the pass that reads them).
+/// Count every band's keys in `count` (all zero, at least blk.keys(cols)
+/// long) and call on_band(lo, hi, keys, n) for the band of rows [lo, hi):
+/// keys[0, n) are its distinct keys in first-occurrence order and
+/// count[key] their occurrences. on_band may permute keys[0, n) and
+/// overwrite their counters, and must zero them before it returns (the
+/// statistics fold that into the pass that reads them). `touched` holds
+/// the keys; it grows only when a band has more nonzeros than it holds.
 template <class V, class Blocking, class BandFn>
 void scan_bands(const Csr<V>& a, const Blocking& blk,
-                std::vector<std::uint32_t>& count, BandFn on_band) {
+                std::vector<std::uint32_t>& count,
+                std::vector<std::uint32_t>& touched, BandFn on_band) {
   const auto n = static_cast<std::size_t>(a.rows());
   const auto band = static_cast<std::size_t>(blk.band);
   const auto& row_ptr = a.row_ptr();
   const auto& col_ind = a.col_ind();
-  std::vector<std::uint32_t> touched;
   for (std::size_t lo = 0; lo < n; lo += band) {
     const std::size_t hi = std::min(n, lo + band);
     const auto band_nnz = static_cast<std::size_t>(row_ptr[hi] - row_ptr[lo]);
@@ -131,6 +132,7 @@ std::size_t convert_bands(const Csr<V>& a, const Blocking& blk,
       format, blk.keys(a.cols()), sizeof(std::uint32_t));
   ConversionGuard::check(format, 0, a.nnz(), sizeof(V), count_bytes);
   std::vector<std::uint32_t> count(blk.keys(a.cols()), 0);
+  std::vector<std::uint32_t> band_keys;
 
   brow_ptr.assign((n + band - 1) / band + 1, 0);
   std::size_t rem_nnz = 0;
@@ -146,7 +148,7 @@ std::size_t convert_bands(const Csr<V>& a, const Blocking& blk,
     brow_ptr[lo / band + 1] =
         brow_ptr[lo / band] + static_cast<index_t>(blocks);
   };
-  scan_bands(a, blk, count, size_band);
+  scan_bands(a, blk, count, band_keys, size_band);
 
   const auto nblocks = static_cast<std::size_t>(brow_ptr.back());
   const std::size_t stored = ConversionGuard::mul(format, nblocks, elems);
@@ -214,7 +216,7 @@ std::size_t convert_bands(const Csr<V>& a, const Blocking& blk,
     }
     for (std::size_t t = 0; t < touched; ++t) count[keys[t]] = 0;
   };
-  scan_bands(a, blk, count, fill_band);
+  scan_bands(a, blk, count, band_keys, fill_band);
 
   if (remainder)
     *remainder = Csr<V>(a.rows(), a.cols(), std::move(rem_ptr),

@@ -1,5 +1,6 @@
 #include "src/formats/stats.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -13,12 +14,14 @@ namespace {
 
 // One band scan fills both layouts of a blocking (band_scan.hpp).
 template <class V, class Blocking>
-BlockingStats blocking_stats(const Csr<V>& a, const Blocking& blk) {
+BlockingStats blocking_stats(const Csr<V>& a, const Blocking& blk,
+                             detail::ScanScratch& scratch) {
   BSPMV_OBS_COUNT("select.stats_scans", 1);
-  std::vector<std::uint32_t> count(blk.keys(a.cols()), 0);
+  std::vector<std::uint32_t>& count = scratch.count;
+  if (count.size() < blk.keys(a.cols())) count.resize(blk.keys(a.cols()), 0);
   BlockingStats st;
   detail::scan_bands(
-      a, blk, count,
+      a, blk, count, scratch.touched,
       [&](std::size_t, std::size_t, const std::uint32_t* keys,
           std::size_t distinct) {
         st.padded.blocks += distinct;
@@ -41,16 +44,48 @@ BlockingStats blocking_stats(const Csr<V>& a, const Blocking& blk) {
 
 }  // namespace
 
+namespace detail {
+
+template <class V>
+ScanScratch scan_scratch(const Csr<V>& a) {
+  const auto& row_ptr = a.row_ptr();
+  const auto n = static_cast<std::size_t>(a.rows());
+  const auto h = static_cast<std::size_t>(kMaxBlockElems);
+  index_t widest = 0;
+  for (std::size_t lo = 0; lo < n; ++lo)
+    widest = std::max(widest, row_ptr[std::min(n, lo + h)] - row_ptr[lo]);
+  ScanScratch s;
+  s.count.assign(static_cast<std::size_t>(a.cols()) + h, 0);
+  s.touched.resize(static_cast<std::size_t>(widest));
+  return s;
+}
+
+template <class V>
+BlockingStats bcsr_blocking_stats(const Csr<V>& a, BlockShape shape,
+                                  ScanScratch& scratch) {
+  BSPMV_CHECK(shape.r >= 1 && shape.c >= 1);
+  return blocking_stats(a, BcsrBlocking(shape), scratch);
+}
+
+template <class V>
+BlockingStats bcsd_blocking_stats(const Csr<V>& a, int b,
+                                  ScanScratch& scratch) {
+  BSPMV_CHECK(b >= 1);
+  return blocking_stats(a, BcsdBlocking(b), scratch);
+}
+
+}  // namespace detail
+
 template <class V>
 BlockingStats bcsr_blocking_stats(const Csr<V>& a, BlockShape shape) {
-  BSPMV_CHECK(shape.r >= 1 && shape.c >= 1);
-  return blocking_stats(a, detail::BcsrBlocking(shape));
+  detail::ScanScratch scratch;
+  return detail::bcsr_blocking_stats(a, shape, scratch);
 }
 
 template <class V>
 BlockingStats bcsd_blocking_stats(const Csr<V>& a, int b) {
-  BSPMV_CHECK(b >= 1);
-  return blocking_stats(a, detail::BcsdBlocking(b));
+  detail::ScanScratch scratch;
+  return detail::bcsd_blocking_stats(a, b, scratch);
 }
 
 template <class V>
@@ -96,6 +131,18 @@ std::size_t vbl_block_count(const Csr<V>& a) {
   return blocks;
 }
 
+template detail::ScanScratch detail::scan_scratch(const Csr<float>&);
+template detail::ScanScratch detail::scan_scratch(const Csr<double>&);
+template BlockingStats detail::bcsr_blocking_stats(const Csr<float>&,
+                                                   BlockShape,
+                                                   detail::ScanScratch&);
+template BlockingStats detail::bcsr_blocking_stats(const Csr<double>&,
+                                                   BlockShape,
+                                                   detail::ScanScratch&);
+template BlockingStats detail::bcsd_blocking_stats(const Csr<float>&, int,
+                                                   detail::ScanScratch&);
+template BlockingStats detail::bcsd_blocking_stats(const Csr<double>&, int,
+                                                   detail::ScanScratch&);
 template BlockingStats bcsr_blocking_stats(const Csr<float>&, BlockShape);
 template BlockingStats bcsr_blocking_stats(const Csr<double>&, BlockShape);
 template BlockingStats bcsd_blocking_stats(const Csr<float>&, int);

@@ -5,12 +5,15 @@
 // pair: the number of blocks nb, the padding, and from those the working
 // set. One counting pass over CSR per block shape yields both the padded
 // and the decomposed layout, so ranking all 106 OVERLAP candidates costs
-// 26 passes and no conversion: 0.17–0.47 s per `small` suite matrix of
-// 1.2–2.5 M nonzeros on a 4-vCPU Xeon VM, against 1.0–3.6 s for the 52
-// sorting passes this replaced (docs/models.md, "Selection cost").
+// 26 passes and no conversion. The ranking runs the passes as tasks on
+// the shared TaskPool: 39–121 ms per `small` suite matrix of 1.2–2.5 M
+// nonzeros on a 4-vCPU Xeon VM, against 168–549 ms for the same passes
+// on one thread (docs/models.md, "Selection cost").
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "src/formats/block_shapes.hpp"
 #include "src/formats/csr.hpp"
@@ -53,6 +56,35 @@ BlockingStats bcsr_blocking_stats(const Csr<V>& a, BlockShape shape);
 /// BCSD-DEC.
 template <class V>
 BlockingStats bcsd_blocking_stats(const Csr<V>& a, int b);
+
+namespace detail {
+
+/// The buffers a structural scan works in: the dense key counters (all
+/// zero between scans) and one band's distinct keys. A caller that runs
+/// many scans on several threads (the ranking, src/core/working_set.cpp)
+/// makes one per thread with scan_scratch on its own thread, so the scans
+/// themselves allocate nothing.
+struct ScanScratch {
+  std::vector<std::uint32_t> count;
+  std::vector<std::uint32_t> touched;
+};
+
+/// Scratch large enough for every blocking of `a` whose block dimensions
+/// are at most kMaxBlockElems: cols + kMaxBlockElems counters and the
+/// most nonzeros in any kMaxBlockElems consecutive rows.
+template <class V>
+ScanScratch scan_scratch(const Csr<V>& a);
+
+/// bcsr_blocking_stats / bcsd_blocking_stats in `scratch`, which they
+/// leave zeroed (and grow if it is too small).
+template <class V>
+BlockingStats bcsr_blocking_stats(const Csr<V>& a, BlockShape shape,
+                                  ScanScratch& scratch);
+template <class V>
+BlockingStats bcsd_blocking_stats(const Csr<V>& a, int b,
+                                  ScanScratch& scratch);
+
+}  // namespace detail
 
 /// BCSR with padding: every aligned r×c block containing >= 1 nonzero.
 template <class V>

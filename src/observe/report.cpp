@@ -579,8 +579,11 @@ RunReport build_run_report(const Csr<V>& a, const std::string& name,
                   : static_cast<int>(
                         std::max(1u, std::thread::hardware_concurrency()));
 
-  const std::vector<Candidate> cands = model_candidates(true);
-  const std::vector<CandidateCost> costs = all_candidate_costs(a, cands);
+  std::vector<CandidateCost> costs;
+  {
+    BSPMV_OBS_SPAN("rank");
+    costs = all_candidate_costs(a, model_candidates(true));
+  }
 
   // Predicted (every model) and measured time per candidate — Fig. 3.
   std::map<std::string, double> measured;
@@ -616,9 +619,16 @@ RunReport build_run_report(const Csr<V>& a, const std::string& name,
       best_id = id;
     }
 
-  // Each model's selection scored against the measured best — Table IV.
+  // Each model's selection scored against the measured best — Table IV —
+  // ranked from the costs above: one set of structural scans per report.
+  std::vector<Candidate> overlap_order;
   for (ModelKind m : kModels) {
-    const RankedCandidate sel = select_best(m, a, profile);
+    const std::vector<RankedCandidate> ranked =
+        rank_costs(m, costs, profile, prec);
+    if (m == ModelKind::kOverlap)
+      for (const RankedCandidate& rc : ranked)
+        overlap_order.push_back(rc.candidate);
+    const RankedCandidate& sel = ranked.front();
     SelectionReport s;
     s.model = model_name(m);
     s.selected_id = sel.candidate.id();
@@ -637,7 +647,7 @@ RunReport build_run_report(const Csr<V>& a, const std::string& name,
 
   // Fault-tolerant selection (OVERLAP, the paper's most accurate model)
   // and its audit trail.
-  PreparedExecutor<V> prep = select_and_prepare(ModelKind::kOverlap, a, profile);
+  PreparedExecutor<V> prep = try_prepare(a, overlap_order);
   r.chosen_id = prep.format.candidate().id();
   r.fallback = prep.fallback;
   for (const PrepareFailure& f : prep.failures)

@@ -223,6 +223,26 @@ TEST(Selector, WorkloadDefaultMatchesPlainRanking) {
   }
 }
 
+TEST(Selector, RankCostsMatchesRankCandidatesForEveryModel) {
+  // One set of costs ranked per model and workload equals a fresh
+  // ranking of the matrix; MEM drops the simd costs (§V-B).
+  const MachineProfile p = synthetic_profile(10e9, 2e-9, 0.3);
+  const Csr<float> a = Csr<float>::from_coo(
+      random_blocky_coo<float>(61, 59, 3, 0.4, 0.8, 11));
+  const auto costs = all_candidate_costs(a, model_candidates(true));
+  for (ModelKind m :
+       {ModelKind::kMem, ModelKind::kMemComp, ModelKind::kOverlap})
+    for (const Workload wl : {Workload{}, Workload{4, Layout::kColMajor}}) {
+      const auto want = rank_candidates(m, a, p, wl);
+      const auto got = rank_costs(m, costs, p, Precision::kSingle, wl);
+      ASSERT_EQ(got.size(), want.size()) << model_name(m);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].candidate.id(), want[i].candidate.id());
+        EXPECT_EQ(got[i].predicted_seconds, want[i].predicted_seconds);
+      }
+    }
+}
+
 TEST(Selector, KAwareRankingUsesSpmmPredictions) {
   const MachineProfile p = synthetic_profile();
   const Csr<double> a = Csr<double>::from_coo(

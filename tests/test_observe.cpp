@@ -323,4 +323,23 @@ TEST_F(ObserveTest, BuildRunReportEndToEnd) {
   }
 }
 
+TEST_F(ObserveTest, RunReportScansEachBlockingOnce) {
+  // Every model's selection and the prepared OVERLAP order are ranked
+  // from one set of structural scans: 19 BCSR shapes + 7 BCSD sizes.
+  const Csr<double> a = Csr<double>::from_coo(
+      random_blocky_coo<double>(96, 96, 3, 0.4, 0.9, 7));
+  ReportOptions opt;
+  opt.measure_candidates = false;
+  opt.measure.iterations = 1;
+  opt.measure.reps = 1;
+  opt.measure.warmup = 0;
+  opt.threads = 1;
+  const RunReport r = build_run_report(a, "unit", synthetic_profile(), opt);
+  if (kHooksEnabled) {
+    EXPECT_EQ(r.counters.at("select.stats_scans"), 26u);
+  } else {
+    EXPECT_EQ(r.counters.count("select.stats_scans"), 0u);
+  }
+}
+
 }  // namespace

@@ -476,5 +476,45 @@ TEST(StatsAdversarial, BcsdKeysBelowTheBandsFirstRowDiagonal) {
       "lower narrow");
 }
 
+TEST(StatsScratch, OneScratchServesEveryBlockingWithoutGrowing) {
+  // scan_scratch sizes the buffers for every blocking up front, so scans
+  // in it never allocate (the ranking's pool threads rely on that), and
+  // every scan leaves the counters zeroed for the next.
+  std::vector<std::vector<index_t>> tail(13);
+  tail[12] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10};  // widest rows last
+  const index_t n = index_t{1} << 20;
+  const Csr<double> mats[] = {
+      Csr<double>::from_coo(random_blocky_coo<double>(71, 67, 3, 0.3, 0.8, 5)),
+      raw_csr(13, 11, tail),
+      raw_csr(11, 13, {{5, 1, 0, 12, 1}, {}, {3, 2, 2, 3, 0, 1}}),
+      raw_csr(1, n, {{n - 1, 0, 7, n - 2, 7, n / 2}}),
+      raw_csr(0, 0, {})};
+  for (const Csr<double>& a : mats) {
+    const std::string what = std::to_string(a.rows()) + "x" +
+                             std::to_string(a.cols());
+    detail::ScanScratch s = detail::scan_scratch(a);
+    const std::vector<std::uint32_t> count0 = s.count;
+    const std::uint32_t* count = s.count.data();
+    const std::uint32_t* touched = s.touched.data();
+    const std::size_t touched_size = s.touched.size();
+    for (const BlockShape shape : bcsr_shapes()) {
+      const BlockingStats want = bcsr_blocking_stats(a, shape);
+      const BlockingStats got = detail::bcsr_blocking_stats(a, shape, s);
+      expect_same(got.padded, want.padded, what + " " + shape.to_string());
+      expect_same(got.dec, want.dec, what + " " + shape.to_string());
+    }
+    for (const int b : bcsd_sizes()) {
+      const BlockingStats want = bcsd_blocking_stats(a, b);
+      const BlockingStats got = detail::bcsd_blocking_stats(a, b, s);
+      expect_same(got.padded, want.padded, what + " b=" + std::to_string(b));
+      expect_same(got.dec, want.dec, what + " b=" + std::to_string(b));
+    }
+    EXPECT_EQ(s.count.data(), count) << what;
+    EXPECT_EQ(s.touched.data(), touched) << what;
+    EXPECT_EQ(s.touched.size(), touched_size) << what;
+    EXPECT_EQ(s.count, count0) << what;  // all zero, as made
+  }
+}
+
 }  // namespace
 }  // namespace bspmv

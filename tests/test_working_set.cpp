@@ -3,8 +3,14 @@
 // strongest possible check that eq. (1)-(3) see the right ws and nb.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "src/core/executor.hpp"
+#include "src/core/selector.hpp"
 #include "src/core/working_set.hpp"
+#include "src/gen/suite.hpp"
+#include "src/observe/registry.hpp"
+#include "src/parallel/task_pool.hpp"
 #include "tests/test_helpers.hpp"
 
 namespace bspmv {
@@ -12,6 +18,8 @@ namespace {
 
 using bspmv::testing::random_blocky_coo;
 using bspmv::testing::random_coo;
+using bspmv::testing::raw_csr;
+using bspmv::testing::synthetic_profile;
 
 class CostVsMaterialised : public ::testing::TestWithParam<Candidate> {};
 
@@ -129,6 +137,170 @@ TEST(CandidateCost, CachedCostsEqualUncachedFieldForField) {
           << cands[i].id() << " part " << p;
     }
   }
+}
+
+// ---- parallel scans: all_candidate_costs runs one pool task per blocking
+
+void expect_parallel_equals_single(const Csr<double>& a,
+                                   const std::string& what) {
+  // model_candidates lists the scalar candidates, then the same ones in
+  // simd. A simd candidate's single cost is its scalar twin's with the
+  // simd kernel ids, which saves half the single-candidate scans.
+  const auto cands = model_candidates(true);
+  const std::size_t half = cands.size() / 2;
+  const auto all = all_candidate_costs(a, cands);
+  ASSERT_EQ(all.size(), cands.size()) << what;
+  std::vector<CandidateCost> scalar;
+  for (std::size_t i = 0; i < half; ++i)
+    scalar.push_back(candidate_cost(a, cands[i]));
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    CandidateCost one = scalar[i % half];
+    if (i >= half) {
+      Candidate twin = cands[i];
+      twin.impl = Impl::kScalar;
+      ASSERT_EQ(twin, one.candidate) << what;
+      one.candidate = cands[i];
+      one.parts[0].kernel_id = cands[i].kernel_id();
+      if (one.parts.size() == 2)
+        one.parts[1].kernel_id = csr_kernel_id(Impl::kSimd);
+    }
+    const std::string id = what + " " + cands[i].id();
+    EXPECT_EQ(all[i].candidate.id(), one.candidate.id()) << id;
+    EXPECT_EQ(all[i].xy_bytes, one.xy_bytes) << id;
+    ASSERT_EQ(all[i].parts.size(), one.parts.size()) << id;
+    for (std::size_t p = 0; p < one.parts.size(); ++p) {
+      EXPECT_EQ(all[i].parts[p].kernel_id, one.parts[p].kernel_id) << id;
+      EXPECT_EQ(all[i].parts[p].ws_bytes, one.parts[p].ws_bytes) << id;
+      EXPECT_EQ(all[i].parts[p].nb, one.parts[p].nb) << id;
+    }
+  }
+}
+
+void expect_same_ranking(const std::vector<RankedCandidate>& got,
+                         const std::vector<RankedCandidate>& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].candidate.id(), want[i].candidate.id()) << what;
+    // Bitwise: the statistics are integer counts, whoever scans them.
+    EXPECT_EQ(got[i].predicted_seconds, want[i].predicted_seconds) << what;
+  }
+}
+
+TEST(CandidateCost, ParallelScansMatchSingleCandidateOnTinySuite) {
+  for (const SuiteMatrixInfo& m : suite_catalog())
+    expect_parallel_equals_single(
+        build_suite_csr<double>(m.id, SuiteScale::kTiny),
+        "suite #" + std::to_string(m.id));
+}
+
+TEST(CandidateCost, ParallelScansMatchSingleCandidateOnAdversarialShapes) {
+  // The StatsAdversarial shapes (test_stats.cpp): empty matrices, one
+  // row of 2^20 columns, rows % 8 != 0 with unsorted and duplicate
+  // columns, and BCSD keys below a band's first-row diagonal.
+  expect_parallel_equals_single(raw_csr(9, 7, {}), "no nonzeros");
+  expect_parallel_equals_single(raw_csr(0, 0, {}), "0x0");
+  expect_parallel_equals_single(raw_csr(0, 5, {}), "0x5");
+  const index_t n = index_t{1} << 20;
+  expect_parallel_equals_single(
+      raw_csr(1, n, {{n - 1, 0, 7, n - 2, 7, n / 2, n / 2 + 1}}), "1xn");
+  expect_parallel_equals_single(
+      raw_csr(11, 13,
+              {{5, 1, 0, 12, 1},
+               {},
+               {3, 2, 2, 3, 0, 1},
+               {12, 11, 10, 9, 8, 7, 6, 5},
+               {0, 0, 0, 0, 0, 0, 0, 0},
+               {4, 6, 5, 4},
+               {},
+               {9, 3, 9, 3, 9, 3},
+               {1, 2},
+               {0, 12, 6}}),
+      "unsorted");
+  std::vector<std::vector<index_t>> lower(23);
+  for (index_t i = 0; i < 23; ++i) {
+    lower[static_cast<std::size_t>(i)] = {0};
+    if (i >= 1) lower[static_cast<std::size_t>(i)].push_back(i - 1);
+    if (i >= 7) lower[static_cast<std::size_t>(i)].push_back(i - 7);
+  }
+  expect_parallel_equals_single(raw_csr(23, 23, lower), "lower");
+  expect_parallel_equals_single(
+      raw_csr(8, 3, {{}, {0}, {1, 0}, {0, 2, 1}, {0}, {2, 0}, {1}, {0}}),
+      "lower narrow");
+}
+
+TEST(CandidateCost, ParallelScansRankIdenticallyFromConcurrentThreads) {
+  // Four rankings at once: one holds the shared pool, the others find it
+  // busy and scan inline; every one must match a ranking made alone.
+  const Csr<double> a = build_suite_csr<double>(21, SuiteScale::kTiny);
+  const MachineProfile p = synthetic_profile();
+  const auto want = rank_candidates(ModelKind::kOverlap, a, p);
+  std::vector<std::vector<RankedCandidate>> got(4);
+  std::vector<std::thread> threads;
+  for (auto& g : got)
+    threads.emplace_back(
+        [&] { g = rank_candidates(ModelKind::kOverlap, a, p); });
+  for (std::thread& t : threads) t.join();
+  for (const auto& g : got) expect_same_ranking(g, want, "concurrent");
+}
+
+TEST(CandidateCost, ParallelScansRankIdenticallyInsidePoolTask) {
+  // A ranking made from a running task of the pool it would use runs its
+  // scans inline (TaskPool::run on a busy pool).
+  class RankJob final : public TaskPool::Job {
+   public:
+    RankJob(int workers, const Csr<double>& a, const MachineProfile& p)
+        : home_(static_cast<std::size_t>(workers) + 1, 1), a_(a), p_(p) {
+      home_[0] = 0;
+    }
+    int passes() const override { return 1; }
+    std::span<const std::uint32_t> home(int) const override { return home_; }
+    bool steal() const override { return false; }
+    std::size_t run_task(int, std::uint32_t, int) override {
+      ranked = rank_candidates(ModelKind::kOverlap, a_, p_);
+      return 1;
+    }
+    void finish(std::span<const TaskPool::WorkerLoad>,
+                std::exception_ptr) override {}
+    std::vector<RankedCandidate> ranked;
+
+   private:
+    std::vector<std::uint32_t> home_;
+    const Csr<double>& a_;
+    const MachineProfile& p_;
+  };
+  const Csr<double> a = build_suite_csr<double>(26, SuiteScale::kTiny);
+  const MachineProfile p = synthetic_profile();
+  const auto want = rank_candidates(ModelKind::kOverlap, a, p);
+  const auto pool = TaskPool::shared(
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+  const std::uint64_t inline_before = pool->stats().inline_runs;
+  RankJob job(pool->workers(), a, p);
+  pool->run(job);
+  expect_same_ranking(job.ranked, want, "inside a pool task");
+  if (pool->workers() > 1) {
+    EXPECT_GT(pool->stats().inline_runs, inline_before);
+  }
+}
+
+TEST(CandidateCost, ParallelScansCountTwentySixPerRanking) {
+  // One scan per BCSR shape (19) and BCSD size (7), wherever it runs
+  // (an OFF build records nothing).
+  auto& reg = observe::CounterRegistry::instance();
+  observe::set_enabled(true);
+  const Csr<double> a = build_suite_csr<double>(20, SuiteScale::kTiny);
+  const MachineProfile p = synthetic_profile();
+  for (const ModelKind m : {ModelKind::kMem, ModelKind::kOverlap}) {
+    reg.reset();
+    (void)rank_candidates(m, a, p);
+    const auto counters = reg.snapshot().counters;
+    if (observe::kHooksEnabled) {
+      EXPECT_EQ(counters.at("select.stats_scans"), 26u) << model_name(m);
+    } else {
+      EXPECT_EQ(counters.count("select.stats_scans"), 0u);
+    }
+  }
+  reg.reset();
 }
 
 TEST(CandidateCost, BlockingShrinksIndexStructures) {
