@@ -14,8 +14,10 @@
 #     through both schedules at 1/2/4/7 threads;
 #   - test_dist, DistComm and HaloDecFormat cases: the halo exchange's
 #     per-peer send/recv threads over real socketpairs, in-process
-#     (docs/distribution.md), and the two-pass HaloDec format through
-#     both schedules. The fork-based DistSpmv cases stay out (TSan's
+#     (docs/distribution.md), and HaloDecFormat's edge-split case: a
+#     rank's local columns through a ThreadedSpmv at 1/2/4 threads under
+#     both schedules, then its serial halo product, on empty, whole and
+#     interior owned ranges. The fork-based DistSpmv cases stay out (TSan's
 #     runtime does not survive multi-threaded fork() children);
 #   - test_working_set, CandidateCost cases: the ranking's structural
 #     scans, one task per blocking on the shared TaskPool with

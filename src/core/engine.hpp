@@ -196,7 +196,7 @@ class SpmvEngine {
 
   /// Asynchronous y = A·x. On a stealing plan with two or more threads
   /// this returns immediately and `done` fires on a pool worker when the
-  /// last pass completes (StarPU-style completion callback); on a bulk,
+  /// last task completes (StarPU-style completion callback); on a bulk,
   /// one-thread or plain plan the run executes inline and `done` fires
   /// before the call returns. `done` receives the first failure (including the
   /// control's typed abort error) or nullptr; x, y and the control must

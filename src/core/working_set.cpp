@@ -88,10 +88,9 @@ class ScanJob final : public TaskPool::Job {
                                             scratch.size());
   }
 
-  int passes() const override { return 1; }
-  std::span<const std::uint32_t> home(int) const override { return home_; }
+  std::span<const std::uint32_t> home() const override { return home_; }
   bool steal() const override { return true; }
-  std::size_t run_task(int, std::uint32_t task, int worker) override {
+  std::size_t run_task(std::uint32_t task, int worker) override {
     run_scan(a_, scans_[task], scratch_[static_cast<std::size_t>(worker)]);
     return 1;
   }

@@ -77,7 +77,6 @@ HaloDec<V> HaloDec<V>::split(const Csr<V>& a, index_t row_begin,
                     std::move(halo_cols));
 }
 
-template class HaloDec<float>;
 template class HaloDec<double>;
 
 }  // namespace bspmv::dist

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/formats/format_ops.hpp"
 #include "src/parallel/partition.hpp"
 #include "src/util/macros.hpp"
 
@@ -35,7 +36,8 @@ ShardPlan plan_shards(const Csr<V>& a, int ranks) {
   plan.cols = a.cols();
 
   // Rows: the same nnz-balanced contiguous cuts the threaded drivers use.
-  plan.row_bounds = balanced_partition(row_weights(a), ranks);
+  plan.row_bounds =
+      balanced_partition(FormatOps<Csr<V>>::pass_weights(a), ranks);
 
   // Owned x: square matrices align the x cut with the row cut (the solver
   // case — each rank's y slice is next iteration's x slice, so alignment

@@ -2,8 +2,8 @@
 //
 // The matrix is split row-wise into `ranks` contiguous shards with
 // near-equal nonzero counts (the same §V-A nnz balancing the threaded
-// drivers use, via balanced_partition over row_weights). Each rank owns
-// the matching slice of the input vector x; the columns a shard touches
+// driver uses, via balanced_partition over CSR pass_weights). Each rank
+// owns the matching slice of the input vector x; the columns a shard touches
 // outside its own x slice form its *halo* — the only data that must move
 // between ranks each iteration (Schubert/Hager/Wellein, arXiv 1101.0091).
 //

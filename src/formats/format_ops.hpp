@@ -14,20 +14,18 @@
 //   static constexpr FormatKind kKind;     // registry dispatch key
 //   static constexpr const char* kName;    // == format_name(kKind)
 //   static constexpr bool kParallel;       // has a threaded driver (§V-A)
-//   static constexpr int kPasses;          // 1 for every builtin format
 //   static F convert(const Csr<V>&, const Candidate&);
 //   static void validate(const F&);        // throws validation_error
 //   static std::size_t working_set_bytes(const F&);
 //   static void spmv_add(const F&, const V* x, V* y, Impl);  // y += A·x
-// and, when kParallel (the §V-A protocol — each pass is split into
-// contiguous granule ranges of near-equal stored-value weight, and a
-// thread's pass-0 granules own a contiguous row range it zero-fills;
-// a second pass, separated by a barrier, is for a format whose parts
-// partition rows differently — only dist::HaloDec uses it. The decomposed
-// formats run their blocks and CSR remainder band by band in one pass):
-//   static std::vector<std::size_t> pass_weights(const F&, int pass);
-//   static index_t pass_first_row(const F&, int pass, index_t g);
-//   static void pass_run(const F&, int pass, index_t g0, index_t g1,
+// and, when kParallel (the §V-A protocol — the driver walks the format's
+// row granules once: it splits them into contiguous ranges of near-equal
+// stored-value weight, and each range owns the contiguous row range it
+// zero-fills before accumulating. The decomposed formats run their blocks
+// and CSR remainder band by band within the same granule):
+//   static std::vector<std::size_t> pass_weights(const F&);
+//   static index_t pass_first_row(const F&, index_t g);
+//   static void pass_run(const F&, index_t g0, index_t g1,
 //                        const V* x, V* y, Impl);             // accumulates
 //
 // Optional multi-vector (SpMM) members — every builtin format provides
@@ -35,7 +33,7 @@
 // spmm/run_multi API through a single-vector fallback (the generic
 // front-ends detect the members with `requires`):
 //   static void spmm_add(const F&, const V* X, V* Y, int k, Layout, Impl);
-//   static void pass_run_multi(const F&, int pass, index_t g0, index_t g1,
+//   static void pass_run_multi(const F&, index_t g0, index_t g1,
 //                              const V* X, V* Y, int k, Layout, Impl);
 //   static void spmm_store(const F&, const V* X, V* Y, int k, Impl);
 // Row-major X/Y stream the matrix once across all k vectors (the native
@@ -118,7 +116,6 @@ struct FormatOps<Csr<V>> {
   static constexpr FormatKind kKind = FormatKind::kCsr;
   static constexpr const char* kName = "csr";
   static constexpr bool kParallel = true;
-  static constexpr int kPasses = 1;
 
   static Csr<V> convert(const Csr<V>& a, const Candidate&) { return a; }
   static void validate(const Csr<V>& m) { bspmv::validate(m); }
@@ -126,39 +123,39 @@ struct FormatOps<Csr<V>> {
     return m.working_set_bytes();
   }
   static void spmv_add(const Csr<V>& a, const V* x, V* y, Impl impl) {
-    pass_run(a, 0, 0, a.rows(), x, y, impl);
+    pass_run(a, 0, a.rows(), x, y, impl);
   }
   static void spmm_add(const Csr<V>& a, const V* X, V* Y, int k,
                        Layout layout, Impl impl) {
-    pass_run_multi(a, 0, 0, a.rows(), X, Y, k, layout, impl);
+    pass_run_multi(a, 0, a.rows(), X, Y, k, layout, impl);
   }
   static void spmm_store(const Csr<V>& a, const V* X, V* Y, int k,
                          Impl impl) {
     csr_spmm_rm(a, 0, a.rows(), X, Y, k, impl == Impl::kSimd, false);
   }
 
-  static std::vector<std::size_t> pass_weights(const Csr<V>& a, int) {
+  static std::vector<std::size_t> pass_weights(const Csr<V>& a) {
     std::vector<std::size_t> w(static_cast<std::size_t>(a.rows()));
     for (index_t i = 0; i < a.rows(); ++i)
       w[static_cast<std::size_t>(i)] = static_cast<std::size_t>(a.row_nnz(i));
     return w;
   }
-  static index_t pass_first_row(const Csr<V>&, int, index_t g) { return g; }
-  static void pass_run(const Csr<V>& a, int, index_t g0, index_t g1,
+  static index_t pass_first_row(const Csr<V>&, index_t g) { return g; }
+  static void pass_run(const Csr<V>& a, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
     if (impl == Impl::kSimd)
       csr_spmv_simd(a, g0, g1, x, y);
     else
       csr_spmv_scalar(a, g0, g1, x, y);
   }
-  static void pass_run_multi(const Csr<V>& a, int pass, index_t g0,
+  static void pass_run_multi(const Csr<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
                              Layout layout, Impl impl) {
     if (layout == Layout::kRowMajor) {
       csr_spmm_rm(a, g0, g1, X, Y, k, impl == Impl::kSimd);
     } else {
       for (int j = 0; j < k; ++j)
-        pass_run(a, pass, g0, g1,
+        pass_run(a, g0, g1,
                  X + static_cast<std::size_t>(j) * a.cols(),
                  Y + static_cast<std::size_t>(j) * a.rows(), impl);
     }
@@ -173,7 +170,6 @@ struct FormatOps<Bcsr<V>> {
   static constexpr FormatKind kKind = FormatKind::kBcsr;
   static constexpr const char* kName = "bcsr";
   static constexpr bool kParallel = true;
-  static constexpr int kPasses = 1;
 
   static Bcsr<V> convert(const Csr<V>& a, const Candidate& c) {
     return Bcsr<V>::from_csr(a, c.shape);
@@ -183,11 +179,11 @@ struct FormatOps<Bcsr<V>> {
     return m.working_set_bytes();
   }
   static void spmv_add(const Bcsr<V>& a, const V* x, V* y, Impl impl) {
-    pass_run(a, 0, 0, a.block_rows(), x, y, impl);
+    pass_run(a, 0, a.block_rows(), x, y, impl);
   }
   static void spmm_add(const Bcsr<V>& a, const V* X, V* Y, int k,
                        Layout layout, Impl impl) {
-    pass_run_multi(a, 0, 0, a.block_rows(), X, Y, k, layout, impl);
+    pass_run_multi(a, 0, a.block_rows(), X, Y, k, layout, impl);
   }
   /// Empty block rows still flush their (zero) accumulators, so every
   /// row of Y is written even where the matrix stores nothing.
@@ -197,7 +193,7 @@ struct FormatOps<Bcsr<V>> {
   }
 
   /// Per-block-row stored values including padding (blocks · r · c).
-  static std::vector<std::size_t> pass_weights(const Bcsr<V>& a, int) {
+  static std::vector<std::size_t> pass_weights(const Bcsr<V>& a) {
     const auto& brow_ptr = a.brow_ptr();
     const std::size_t elems = static_cast<std::size_t>(a.shape().elems());
     std::vector<std::size_t> w(static_cast<std::size_t>(a.block_rows()));
@@ -205,21 +201,21 @@ struct FormatOps<Bcsr<V>> {
       w[br] = static_cast<std::size_t>(brow_ptr[br + 1] - brow_ptr[br]) * elems;
     return w;
   }
-  static index_t pass_first_row(const Bcsr<V>& a, int, index_t g) {
+  static index_t pass_first_row(const Bcsr<V>& a, index_t g) {
     return std::min(a.rows(), g * a.shape().r);
   }
-  static void pass_run(const Bcsr<V>& a, int, index_t g0, index_t g1,
+  static void pass_run(const Bcsr<V>& a, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
     bcsr_kernel<V>(a.shape(), impl == Impl::kSimd)(a, nullptr, g0, g1, x, y);
   }
-  static void pass_run_multi(const Bcsr<V>& a, int pass, index_t g0,
+  static void pass_run_multi(const Bcsr<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
                              Layout layout, Impl impl) {
     if (layout == Layout::kRowMajor) {
       bcsr_spmm_rm(a, g0, g1, X, Y, k, impl == Impl::kSimd);
     } else {
       for (int j = 0; j < k; ++j)
-        pass_run(a, pass, g0, g1,
+        pass_run(a, g0, g1,
                  X + static_cast<std::size_t>(j) * a.cols(),
                  Y + static_cast<std::size_t>(j) * a.rows(), impl);
     }
@@ -234,7 +230,6 @@ struct FormatOps<Bcsd<V>> {
   static constexpr FormatKind kKind = FormatKind::kBcsd;
   static constexpr const char* kName = "bcsd";
   static constexpr bool kParallel = true;
-  static constexpr int kPasses = 1;
 
   static Bcsd<V> convert(const Csr<V>& a, const Candidate& c) {
     return Bcsd<V>::from_csr(a, c.b);
@@ -244,11 +239,11 @@ struct FormatOps<Bcsd<V>> {
     return m.working_set_bytes();
   }
   static void spmv_add(const Bcsd<V>& a, const V* x, V* y, Impl impl) {
-    pass_run(a, 0, 0, a.segments(), x, y, impl);
+    pass_run(a, 0, a.segments(), x, y, impl);
   }
   static void spmm_add(const Bcsd<V>& a, const V* X, V* Y, int k,
                        Layout layout, Impl impl) {
-    pass_run_multi(a, 0, 0, a.segments(), X, Y, k, layout, impl);
+    pass_run_multi(a, 0, a.segments(), X, Y, k, layout, impl);
   }
   static void spmm_store(const Bcsd<V>& a, const V* X, V* Y, int k,
                          Impl impl) {
@@ -256,7 +251,7 @@ struct FormatOps<Bcsd<V>> {
   }
 
   /// Per-segment stored values including padding (diagonals · b).
-  static std::vector<std::size_t> pass_weights(const Bcsd<V>& a, int) {
+  static std::vector<std::size_t> pass_weights(const Bcsd<V>& a) {
     const auto& brow_ptr = a.brow_ptr();
     const std::size_t b = static_cast<std::size_t>(a.b());
     std::vector<std::size_t> w(static_cast<std::size_t>(a.segments()));
@@ -264,21 +259,21 @@ struct FormatOps<Bcsd<V>> {
       w[s] = static_cast<std::size_t>(brow_ptr[s + 1] - brow_ptr[s]) * b;
     return w;
   }
-  static index_t pass_first_row(const Bcsd<V>& a, int, index_t g) {
+  static index_t pass_first_row(const Bcsd<V>& a, index_t g) {
     return std::min(a.rows(), g * a.b());
   }
-  static void pass_run(const Bcsd<V>& a, int, index_t g0, index_t g1,
+  static void pass_run(const Bcsd<V>& a, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
     bcsd_kernel<V>(a.b(), impl == Impl::kSimd)(a, nullptr, g0, g1, x, y);
   }
-  static void pass_run_multi(const Bcsd<V>& a, int pass, index_t g0,
+  static void pass_run_multi(const Bcsd<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
                              Layout layout, Impl impl) {
     if (layout == Layout::kRowMajor) {
       bcsd_spmm_rm(a, g0, g1, X, Y, k, impl == Impl::kSimd);
     } else {
       for (int j = 0; j < k; ++j)
-        pass_run(a, pass, g0, g1,
+        pass_run(a, g0, g1,
                  X + static_cast<std::size_t>(j) * a.cols(),
                  Y + static_cast<std::size_t>(j) * a.rows(), impl);
     }
@@ -294,7 +289,6 @@ struct FormatOps<Vbl<V>> {
   static constexpr const char* kName = "vbl";
   // The paper found 1D-VBL uncompetitive and did not parallelise it (§V-A).
   static constexpr bool kParallel = false;
-  static constexpr int kPasses = 1;
 
   static Vbl<V> convert(const Csr<V>& a, const Candidate&) {
     return Vbl<V>::from_csr(a);
@@ -357,7 +351,6 @@ struct FormatOps<BcsrDec<V>> {
   static constexpr FormatKind kKind = FormatKind::kBcsrDec;
   static constexpr const char* kName = "bcsr_dec";
   static constexpr bool kParallel = true;
-  static constexpr int kPasses = 1;
 
   static BcsrDec<V> convert(const Csr<V>& a, const Candidate& c) {
     return BcsrDec<V>::from_csr(a, c.shape);
@@ -367,11 +360,11 @@ struct FormatOps<BcsrDec<V>> {
     return m.working_set_bytes();
   }
   static void spmv_add(const BcsrDec<V>& a, const V* x, V* y, Impl impl) {
-    pass_run(a, 0, 0, a.blocked().block_rows(), x, y, impl);
+    pass_run(a, 0, a.blocked().block_rows(), x, y, impl);
   }
   static void spmm_add(const BcsrDec<V>& a, const V* X, V* Y, int k,
                        Layout layout, Impl impl) {
-    pass_run_multi(a, 0, 0, a.blocked().block_rows(), X, Y, k, layout, impl);
+    pass_run_multi(a, 0, a.blocked().block_rows(), X, Y, k, layout, impl);
   }
   static void spmm_store(const BcsrDec<V>& a, const V* X, V* Y, int k,
                          Impl impl) {
@@ -380,20 +373,20 @@ struct FormatOps<BcsrDec<V>> {
   }
 
   /// Per-block-row stored values plus the band's remainder nonzeros.
-  static std::vector<std::size_t> pass_weights(const BcsrDec<V>& a, int) {
+  static std::vector<std::size_t> pass_weights(const BcsrDec<V>& a) {
     return detail::add_band_remainder(
-        FormatOps<Bcsr<V>>::pass_weights(a.blocked(), 0), a.remainder(),
+        FormatOps<Bcsr<V>>::pass_weights(a.blocked()), a.remainder(),
         a.shape().r);
   }
-  static index_t pass_first_row(const BcsrDec<V>& a, int, index_t g) {
-    return FormatOps<Bcsr<V>>::pass_first_row(a.blocked(), 0, g);
+  static index_t pass_first_row(const BcsrDec<V>& a, index_t g) {
+    return FormatOps<Bcsr<V>>::pass_first_row(a.blocked(), g);
   }
-  static void pass_run(const BcsrDec<V>& a, int, index_t g0, index_t g1,
+  static void pass_run(const BcsrDec<V>& a, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
     bcsr_kernel<V>(a.shape(), impl == Impl::kSimd, true)(
         a.blocked(), &a.remainder(), g0, g1, x, y);
   }
-  static void pass_run_multi(const BcsrDec<V>& a, int pass, index_t g0,
+  static void pass_run_multi(const BcsrDec<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
                              Layout layout, Impl impl) {
     if (layout == Layout::kRowMajor) {
@@ -401,7 +394,7 @@ struct FormatOps<BcsrDec<V>> {
                    &a.remainder());
     } else {
       for (int j = 0; j < k; ++j)
-        pass_run(a, pass, g0, g1,
+        pass_run(a, g0, g1,
                  X + static_cast<std::size_t>(j) * a.cols(),
                  Y + static_cast<std::size_t>(j) * a.rows(), impl);
     }
@@ -419,7 +412,6 @@ struct FormatOps<BcsdDec<V>> {
   static constexpr FormatKind kKind = FormatKind::kBcsdDec;
   static constexpr const char* kName = "bcsd_dec";
   static constexpr bool kParallel = true;
-  static constexpr int kPasses = 1;
 
   static BcsdDec<V> convert(const Csr<V>& a, const Candidate& c) {
     return BcsdDec<V>::from_csr(a, c.b);
@@ -429,11 +421,11 @@ struct FormatOps<BcsdDec<V>> {
     return m.working_set_bytes();
   }
   static void spmv_add(const BcsdDec<V>& a, const V* x, V* y, Impl impl) {
-    pass_run(a, 0, 0, a.blocked().segments(), x, y, impl);
+    pass_run(a, 0, a.blocked().segments(), x, y, impl);
   }
   static void spmm_add(const BcsdDec<V>& a, const V* X, V* Y, int k,
                        Layout layout, Impl impl) {
-    pass_run_multi(a, 0, 0, a.blocked().segments(), X, Y, k, layout, impl);
+    pass_run_multi(a, 0, a.blocked().segments(), X, Y, k, layout, impl);
   }
   static void spmm_store(const BcsdDec<V>& a, const V* X, V* Y, int k,
                          Impl impl) {
@@ -442,20 +434,20 @@ struct FormatOps<BcsdDec<V>> {
   }
 
   /// Per-segment stored values plus the segment's remainder nonzeros.
-  static std::vector<std::size_t> pass_weights(const BcsdDec<V>& a, int) {
+  static std::vector<std::size_t> pass_weights(const BcsdDec<V>& a) {
     return detail::add_band_remainder(
-        FormatOps<Bcsd<V>>::pass_weights(a.blocked(), 0), a.remainder(),
+        FormatOps<Bcsd<V>>::pass_weights(a.blocked()), a.remainder(),
         a.b());
   }
-  static index_t pass_first_row(const BcsdDec<V>& a, int, index_t g) {
-    return FormatOps<Bcsd<V>>::pass_first_row(a.blocked(), 0, g);
+  static index_t pass_first_row(const BcsdDec<V>& a, index_t g) {
+    return FormatOps<Bcsd<V>>::pass_first_row(a.blocked(), g);
   }
-  static void pass_run(const BcsdDec<V>& a, int, index_t g0, index_t g1,
+  static void pass_run(const BcsdDec<V>& a, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
     bcsd_kernel<V>(a.b(), impl == Impl::kSimd, true)(
         a.blocked(), &a.remainder(), g0, g1, x, y);
   }
-  static void pass_run_multi(const BcsdDec<V>& a, int pass, index_t g0,
+  static void pass_run_multi(const BcsdDec<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
                              Layout layout, Impl impl) {
     if (layout == Layout::kRowMajor) {
@@ -463,7 +455,7 @@ struct FormatOps<BcsdDec<V>> {
                    &a.remainder());
     } else {
       for (int j = 0; j < k; ++j)
-        pass_run(a, pass, g0, g1,
+        pass_run(a, g0, g1,
                  X + static_cast<std::size_t>(j) * a.cols(),
                  Y + static_cast<std::size_t>(j) * a.rows(), impl);
     }
@@ -478,7 +470,6 @@ struct FormatOps<Ubcsr<V>> {
   static constexpr FormatKind kKind = FormatKind::kUbcsr;
   static constexpr const char* kName = "ubcsr";
   static constexpr bool kParallel = false;
-  static constexpr int kPasses = 1;
 
   static Ubcsr<V> convert(const Csr<V>& a, const Candidate& c) {
     return Ubcsr<V>::from_csr(a, c.shape);

@@ -3,11 +3,10 @@
 // is CSR, BCSR, BCSD and the two decomposed variants, matching §V-A
 // (1D-VBL is deliberately excluded). docs/tasking.md has the full story.
 //
-// ThreadedSpmv<Format> plans each pass (FormatOps<Format>::kPasses) once:
-// the pass's granules are split into one nnz-balanced (padding-aware)
-// home range per worker — the paper's §V-A partition — and each home
-// range into tasks. The schedule policy (src/parallel/backend.hpp)
-// decides the split and who runs the tasks:
+// ThreadedSpmv<Format> plans once: the format's granules are split into
+// one nnz-balanced (padding-aware) home range per worker — the paper's
+// §V-A partition — and each home range into tasks. The schedule policy
+// (src/parallel/backend.hpp) decides the split and who runs the tasks:
 //
 //   kBulk   one task per home range, no stealing: the paper's static
 //           driver, exactly;
@@ -16,12 +15,11 @@
 //           the others' (TaskPool, src/parallel/task_pool.hpp).
 //
 // A task covers a contiguous granule range and hence a contiguous row
-// range; pass-0 tasks zero-fill their rows before accumulating. Every
-// task runs exactly once and a row is written by exactly one task in
-// the serial per-row order, so the output is bitwise identical to the
+// range; a task zero-fills its rows before accumulating. Every task
+// runs exactly once and a row is written by exactly one task in the
+// serial per-row order, so the output is bitwise identical to the
 // serial kernels under either schedule, any thread count, run_multi
-// layout and k. A format with a second pass (dist::HaloDec) runs its
-// passes as consecutive batches; a batch's completion is the barrier.
+// layout and k.
 //
 // Execution: threads == 1 plans run inline on the caller and never touch
 // a pool. Wider plans run on a persistent TaskPool of that width (the
@@ -86,7 +84,7 @@ class ThreadedSpmv {
   /// y = A·x. With a control, each task runs in kControlChunk slices,
   /// polling the control's stop flag (one relaxed load) and heartbeating
   /// its worker's slot between slices; on a cancellation/deadline/stall
-  /// the remaining slices are skipped — every batch still completes,
+  /// the remaining slices are skipped — every task still completes,
   /// then the caller's control->check() surfaces the typed error. y is
   /// indeterminate after an aborted run.
   void run(const V* x, V* y, Impl impl = Impl::kScalar,
@@ -104,7 +102,7 @@ class ThreadedSpmv {
                  RunControl* control = nullptr) const;
 
   /// Asynchronous y = A·x. On an async-capable plan this returns at once
-  /// and `done` fires once on a pool worker after the last pass (first
+  /// and `done` fires once on a pool worker after the last task (first
   /// task exception or nullptr); otherwise the run executes inline and
   /// `done` fires before the call returns. The matrix, this driver, x, y
   /// and the control must stay alive until `done` fires.
@@ -117,7 +115,7 @@ class ThreadedSpmv {
     return pool_ != nullptr && schedule_ == ExecBackend::kTasks;
   }
 
-  /// First-touch placement pass: each pass-0 task's home worker writes
+  /// First-touch placement pass: each task's home worker writes
   /// the y rows that task will produce (zero-fill) and rewrites a
   /// proportional slice of x in place, so the OS backs those pages on
   /// the worker's node before the timed runs. Either pointer may be
@@ -128,33 +126,27 @@ class ThreadedSpmv {
   /// The pool this plan runs on; nullptr for a one-thread plan.
   TaskPool* pool() const { return pool_.get(); }
   /// Decomposition introspection for tests.
-  std::size_t task_count(int pass) const {
-    return passes_[static_cast<std::size_t>(pass)].tasks.size();
-  }
+  std::size_t task_count() const { return tasks_.size(); }
 
  private:
   struct Task {
-    index_t g0, g1;      ///< granule range (pass-local)
-    index_t row0, row1;  ///< row range (pass 0: also the zero-fill range)
+    index_t g0, g1;      ///< granule range
+    index_t row0, row1;  ///< row range, also the zero-fill range
     std::size_t weight;  ///< stored values incl. padding (§V-A weights)
-  };
-  struct Pass {
-    std::vector<Task> tasks;
-    std::vector<std::uint32_t> home;  ///< threads+1 task bounds
   };
   template <class Body>
   class Job;
 
-  /// Run `body(pass, task, worker)` over every task of every pass.
+  /// Run `body(task, worker)` over every task.
   template <class Body>
   void execute(const Body& body, bool steal, const std::string* metric,
                std::size_t scale) const;
-  /// Zero-fill (pass 0) and accumulate one task, honouring `control`.
+  /// Zero-fill and accumulate one task, honouring `control`.
   template <class PassFn>
-  static void run_sliced(int pass, const Task& tk, int worker,
-                         RunControl* control, PassFn&& pass_run);
-  void run_one(int pass, const Task& tk, int worker, const V* x, V* y,
-               Impl impl, RunControl* control) const;
+  static void run_sliced(const Task& tk, int worker, RunControl* control,
+                         PassFn&& pass_run);
+  void run_one(const Task& tk, int worker, const V* x, V* y, Impl impl,
+               RunControl* control) const;
   void record(const std::string* metric,
               std::span<const TaskPool::WorkerLoad> load,
               std::size_t scale) const;
@@ -172,7 +164,8 @@ class ThreadedSpmv {
   int threads_;
   ExecBackend schedule_;
   std::shared_ptr<TaskPool> pool_;
-  Pass passes_[static_cast<std::size_t>(Ops::kPasses)];
+  std::vector<Task> tasks_;
+  std::vector<std::uint32_t> home_;  ///< threads+1 task bounds
 };
 
 /// The pool job of one run: tasks and homes from the plan, the work
@@ -188,14 +181,11 @@ class ThreadedSpmv<Format>::Job final : public TaskPool::Job {
       : d_(d), body_(std::move(body)), steal_(steal), metric_(metric),
         scale_(scale), done_(std::move(done)) {}
 
-  int passes() const override { return Ops::kPasses; }
-  std::span<const std::uint32_t> home(int pass) const override {
-    return d_.passes_[static_cast<std::size_t>(pass)].home;
-  }
+  std::span<const std::uint32_t> home() const override { return d_.home_; }
   bool steal() const override { return steal_; }
-  std::size_t run_task(int pass, std::uint32_t task, int worker) override {
-    const Task& tk = d_.passes_[static_cast<std::size_t>(pass)].tasks[task];
-    body_(pass, tk, worker);
+  std::size_t run_task(std::uint32_t task, int worker) override {
+    const Task& tk = d_.tasks_[task];
+    body_(tk, worker);
     return tk.weight;
   }
   void finish(std::span<const TaskPool::WorkerLoad> load,
@@ -234,31 +224,28 @@ ThreadedSpmv<Format>::ThreadedSpmv(const Format& a, int threads,
   BSPMV_CHECK_MSG(static_cast<std::size_t>(threads) * per_home <=
                       TaskCursor::kMaxTasks,
                   "thread count too large for the task cursor");
-  for (int pass = 0; pass < Ops::kPasses; ++pass) {
-    const auto w = Ops::pass_weights(a, pass);
-    const auto homes = balanced_partition(w, threads);
-    Pass& p = passes_[static_cast<std::size_t>(pass)];
-    p.home.assign(static_cast<std::size_t>(threads) + 1, 0);
-    for (std::size_t t = 0; t < static_cast<std::size_t>(threads); ++t) {
-      const auto b0 = static_cast<std::size_t>(homes[t]);
-      const auto b1 = static_cast<std::size_t>(homes[t + 1]);
-      const std::size_t n = std::min(per_home, b1 - b0);
-      if (n > 0) {
-        const std::span<const std::size_t> range(w.data() + b0, b1 - b0);
-        const auto cuts = balanced_partition(range, static_cast<int>(n));
-        for (std::size_t s = 0; s < n; ++s) {
-          const index_t g0 = static_cast<index_t>(b0) + cuts[s];
-          const index_t g1 = static_cast<index_t>(b0) + cuts[s + 1];
-          if (g0 == g1) continue;  // empty slice: no rows, nothing to do
-          Task tk{g0, g1, Ops::pass_first_row(a, pass, g0),
-                  Ops::pass_first_row(a, pass, g1), 0};
-          for (index_t g = g0; g < g1; ++g)
-            tk.weight += w[static_cast<std::size_t>(g)];
-          p.tasks.push_back(tk);
-        }
+  const auto w = Ops::pass_weights(a);
+  const auto homes = balanced_partition(w, threads);
+  home_.assign(static_cast<std::size_t>(threads) + 1, 0);
+  for (std::size_t t = 0; t < static_cast<std::size_t>(threads); ++t) {
+    const auto b0 = static_cast<std::size_t>(homes[t]);
+    const auto b1 = static_cast<std::size_t>(homes[t + 1]);
+    const std::size_t n = std::min(per_home, b1 - b0);
+    if (n > 0) {
+      const std::span<const std::size_t> range(w.data() + b0, b1 - b0);
+      const auto cuts = balanced_partition(range, static_cast<int>(n));
+      for (std::size_t s = 0; s < n; ++s) {
+        const index_t g0 = static_cast<index_t>(b0) + cuts[s];
+        const index_t g1 = static_cast<index_t>(b0) + cuts[s + 1];
+        if (g0 == g1) continue;  // empty slice: no rows, nothing to do
+        Task tk{g0, g1, Ops::pass_first_row(a, g0),
+                Ops::pass_first_row(a, g1), 0};
+        for (index_t g = g0; g < g1; ++g)
+          tk.weight += w[static_cast<std::size_t>(g)];
+        tasks_.push_back(tk);
       }
-      p.home[t + 1] = static_cast<std::uint32_t>(p.tasks.size());
     }
+    home_[t + 1] = static_cast<std::uint32_t>(tasks_.size());
   }
 }
 
@@ -277,32 +264,31 @@ void ThreadedSpmv<Format>::execute(const Body& body, bool steal,
 
 template <class Format>
 template <class PassFn>
-void ThreadedSpmv<Format>::run_sliced(int pass, const Task& tk, int worker,
+void ThreadedSpmv<Format>::run_sliced(const Task& tk, int worker,
                                       RunControl* control,
                                       PassFn&& pass_run) {
   // Publish the control to this thread so deep code (kernels, injected
   // test formats) can poll cancellation without a plumbed parameter.
   RunControl::ScopedCurrent ambient(control);
   if (control == nullptr) {
-    pass_run(tk.g0, tk.g1, pass == 0);
+    pass_run(tk.g0, tk.g1, true);
   } else if (!control->stop_requested()) {
     for (index_t g = tk.g0; g < tk.g1; g += kControlChunk) {
       if (control->stop_requested()) break;  // one relaxed load
-      pass_run(g, std::min<index_t>(tk.g1, g + kControlChunk),
-               pass == 0 && g == tk.g0);
+      pass_run(g, std::min<index_t>(tk.g1, g + kControlChunk), g == tk.g0);
       control->heartbeat(worker);
     }
   }
 }
 
 template <class Format>
-void ThreadedSpmv<Format>::run_one(int pass, const Task& tk, int worker,
-                                   const V* x, V* y, Impl impl,
+void ThreadedSpmv<Format>::run_one(const Task& tk, int worker, const V* x,
+                                   V* y, Impl impl,
                                    RunControl* control) const {
-  run_sliced(pass, tk, worker, control,
+  run_sliced(tk, worker, control,
              [&](index_t g0, index_t g1, bool zero) {
     if (zero) std::fill(y + tk.row0, y + tk.row1, V{0});
-    Ops::pass_run(*a_, pass, g0, g1, x, y, impl);
+    Ops::pass_run(*a_, g0, g1, x, y, impl);
   });
 }
 
@@ -329,8 +315,8 @@ template <class Format>
 void ThreadedSpmv<Format>::run(const V* x, V* y, Impl impl,
                                RunControl* control) const {
   execute(
-      [&](int pass, const Task& tk, int worker) {
-        run_one(pass, tk, worker, x, y, impl, control);
+      [&](const Task& tk, int worker) {
+        run_one(tk, worker, x, y, impl, control);
       },
       schedule_ == ExecBackend::kTasks, &run_metric(), 1);
 }
@@ -349,9 +335,9 @@ void ThreadedSpmv<Format>::run_async(
     done(err);
     return;
   }
-  const auto body = [this, x, y, impl, control](int pass, const Task& tk,
+  const auto body = [this, x, y, impl, control](const Task& tk,
                                                 int worker) {
-    run_one(pass, tk, worker, x, y, impl, control);
+    run_one(tk, worker, x, y, impl, control);
   };
   pool_->run_async(*new Job<decltype(body)>(*this, body, true, &run_metric(),
                                             1, std::move(done)));
@@ -370,7 +356,7 @@ void ThreadedSpmv<Format>::run_multi(const V* X, V* Y, int k, Layout layout,
   const std::size_t cols = static_cast<std::size_t>(a_->cols());
   const std::size_t kk = static_cast<std::size_t>(k);
   if constexpr (!requires(const Format& f, const V* x, V* y) {
-                  Ops::pass_run_multi(f, 0, index_t{0}, index_t{0}, x, y, 1,
+                  Ops::pass_run_multi(f, index_t{0}, index_t{0}, x, y, 1,
                                       Layout::kRowMajor, Impl::kScalar);
                 }) {
     // Out-of-tree format without the multi-vector protocol: one threaded
@@ -396,8 +382,8 @@ void ThreadedSpmv<Format>::run_multi(const V* X, V* Y, int k, Layout layout,
     return;
   } else {
     execute(
-        [&](int pass, const Task& tk, int worker) {
-          run_sliced(pass, tk, worker, control,
+        [&](const Task& tk, int worker) {
+          run_sliced(tk, worker, control,
                      [&](index_t g0, index_t g1, bool zero) {
                      if (zero) {
                        // Zero-fill the task's rows of Y in either layout.
@@ -411,7 +397,7 @@ void ThreadedSpmv<Format>::run_multi(const V* X, V* Y, int k, Layout layout,
                                      Y + j * rows + tk.row1, V{0});
                        }
                      }
-                     Ops::pass_run_multi(*a_, pass, g0, g1, X, Y, k, layout,
+                     Ops::pass_run_multi(*a_, g0, g1, X, Y, k, layout,
                                          impl);
                    });
         },
@@ -421,18 +407,16 @@ void ThreadedSpmv<Format>::run_multi(const V* X, V* Y, int k, Layout layout,
 
 template <class Format>
 void ThreadedSpmv<Format>::warm_up(V* x, V* y) const {
-  const auto& tasks = passes_[0].tasks;
-  const std::size_t n = tasks.size();
+  const std::size_t n = tasks_.size();
   const std::size_t cols = static_cast<std::size_t>(a_->cols());
   // No stealing: each task runs on its home worker.
   execute(
-      [&](int pass, const Task& tk, int) {
-        if (pass != 0) return;
+      [&](const Task& tk, int) {
         if (y != nullptr) std::fill(y + tk.row0, y + tk.row1, V{0});
         if (x != nullptr) {
           // Volatile self-store: dirties each page (first touch allocates
           // it on this worker's node) without changing any value.
-          const auto ti = static_cast<std::size_t>(&tk - tasks.data());
+          const auto ti = static_cast<std::size_t>(&tk - tasks_.data());
           volatile V* vx = x;
           for (std::size_t j = cols * ti / n; j < cols * (ti + 1) / n; ++j)
             vx[j] = vx[j];

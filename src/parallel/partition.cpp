@@ -39,28 +39,12 @@ std::vector<std::size_t> part_weight_sums(std::span<const std::size_t> weights,
   return sums;
 }
 
-// The per-format weight vectors are defined by FormatOps::pass_weights;
-// these named helpers are kept as the documented §V-A entry points.
 template <class V>
 std::vector<std::size_t> row_weights(const Csr<V>& a) {
-  return FormatOps<Csr<V>>::pass_weights(a, 0);
-}
-
-template <class V>
-std::vector<std::size_t> block_row_weights(const Bcsr<V>& a) {
-  return FormatOps<Bcsr<V>>::pass_weights(a, 0);
-}
-
-template <class V>
-std::vector<std::size_t> segment_weights(const Bcsd<V>& a) {
-  return FormatOps<Bcsd<V>>::pass_weights(a, 0);
+  return FormatOps<Csr<V>>::pass_weights(a);
 }
 
 template std::vector<std::size_t> row_weights(const Csr<float>&);
 template std::vector<std::size_t> row_weights(const Csr<double>&);
-template std::vector<std::size_t> block_row_weights(const Bcsr<float>&);
-template std::vector<std::size_t> block_row_weights(const Bcsr<double>&);
-template std::vector<std::size_t> segment_weights(const Bcsd<float>&);
-template std::vector<std::size_t> segment_weights(const Bcsd<double>&);
 
 }  // namespace bspmv

@@ -12,8 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "src/formats/bcsd.hpp"
-#include "src/formats/bcsr.hpp"
 #include "src/formats/csr.hpp"
 
 namespace bspmv {
@@ -31,23 +29,13 @@ std::vector<index_t> balanced_partition(std::span<const std::size_t> weights,
 std::vector<std::size_t> part_weight_sums(std::span<const std::size_t> weights,
                                           std::span<const index_t> bounds);
 
-/// Per-row stored-value weights (CSR: row nnz).
+/// Per-row stored-value weights (CSR: row nnz): FormatOps<Csr<V>>::
+/// pass_weights behind a header that does not pull in FormatOps. The
+/// layer benchmark (layerbench/) calls it.
 template <class V>
 std::vector<std::size_t> row_weights(const Csr<V>& a);
 
-/// Per-block-row weights including padding (blocks · r · c).
-template <class V>
-std::vector<std::size_t> block_row_weights(const Bcsr<V>& a);
-
-/// Per-segment weights including padding (diagonals · b).
-template <class V>
-std::vector<std::size_t> segment_weights(const Bcsd<V>& a);
-
 extern template std::vector<std::size_t> row_weights(const Csr<float>&);
 extern template std::vector<std::size_t> row_weights(const Csr<double>&);
-extern template std::vector<std::size_t> block_row_weights(const Bcsr<float>&);
-extern template std::vector<std::size_t> block_row_weights(const Bcsr<double>&);
-extern template std::vector<std::size_t> segment_weights(const Bcsd<float>&);
-extern template std::vector<std::size_t> segment_weights(const Bcsd<double>&);
 
 }  // namespace bspmv

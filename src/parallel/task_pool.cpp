@@ -105,30 +105,26 @@ std::shared_ptr<TaskPool> TaskPool::shared(int workers) {
 }
 
 void TaskPool::validate(const Job& job) const {
-  for (int pass = 0; pass < job.passes(); ++pass) {
-    const auto home = job.home(pass);
-    BSPMV_CHECK_MSG(home.size() == slots_.size() + 1 && home.front() == 0,
-                    "task homes must give one range per pool worker");
-    for (std::size_t w = 0; w + 1 < home.size(); ++w)
-      BSPMV_CHECK_MSG(home[w] <= home[w + 1],
-                      "task home ranges must be non-decreasing");
-    BSPMV_CHECK_MSG(home.back() <= TaskCursor::kMaxTasks,
-                    "too many tasks in one pass");
-  }
+  const auto home = job.home();
+  BSPMV_CHECK_MSG(home.size() == slots_.size() + 1 && home.front() == 0,
+                  "task homes must give one range per pool worker");
+  for (std::size_t w = 0; w + 1 < home.size(); ++w)
+    BSPMV_CHECK_MSG(home[w] <= home[w + 1],
+                    "task home ranges must be non-decreasing");
+  BSPMV_CHECK_MSG(home.back() <= TaskCursor::kMaxTasks,
+                  "too many tasks in one job");
 }
 
 std::exception_ptr TaskPool::run_inline(Job& job) {
   WorkerLoad load;
   std::exception_ptr err;
   Timer timer;
-  for (int pass = 0; pass < job.passes() && !err; ++pass) {
-    const std::uint32_t n = job.home(pass).back();
-    for (std::uint32_t t = 0; t < n; ++t) {
-      try {
-        load.items += job.run_task(pass, t, 0);
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
+  const std::uint32_t n = job.home().back();
+  for (std::uint32_t t = 0; t < n; ++t) {
+    try {
+      load.items += job.run_task(t, 0);
+    } catch (...) {
+      if (!err) err = std::current_exception();
     }
   }
   load.seconds = timer.elapsed();
@@ -150,10 +146,8 @@ void TaskPool::run(Job& job) {
     return;
   }
   reset_job_state(/*async=*/false);
-  const bool steal = job.steal();
-  for (int pass = 0; pass < job.passes(); ++pass) {
-    if (!publish(job, pass)) continue;
-    participate(0, epoch_.load(std::memory_order_relaxed), &job, pass, steal,
+  if (publish(job)) {
+    participate(0, epoch_.load(std::memory_order_relaxed), &job, job.steal(),
                 false);
     // The caller spins on the completion count, yielding past the budget
     // (a descheduled worker may still hold a task).
@@ -163,7 +157,6 @@ void TaskPool::run(Job& job) {
       if ((i & kSpinCheckMask) == 0 && spin.elapsed() > kSpinSeconds)
         std::this_thread::yield();
     }
-    if (failed_.load(std::memory_order_acquire)) break;
   }
   const std::exception_ptr err = error_;
   finish_job(job);
@@ -202,14 +195,13 @@ void TaskPool::reset_job_state(bool async) {
   async_.store(async, std::memory_order_relaxed);
 }
 
-bool TaskPool::publish(Job& job, int pass) {
-  const auto home = job.home(pass);
+bool TaskPool::publish(Job& job) {
+  const auto home = job.home();
   const std::uint32_t n = home.back();
   if (n == 0) return false;
   const std::uint32_t gen = epoch_.load(std::memory_order_relaxed) + 1;
   remaining_.store(n, std::memory_order_relaxed);
   job_.store(&job, std::memory_order_relaxed);
-  pass_.store(pass, std::memory_order_relaxed);
   steal_.store(job.steal(), std::memory_order_relaxed);
   for (std::size_t w = 0; w < slots_.size(); ++w)
     slots_[w].cursor.reset(gen, home[w], home[w + 1]);
@@ -221,8 +213,8 @@ bool TaskPool::publish(Job& job, int pass) {
   return true;
 }
 
-void TaskPool::participate(int w, std::uint32_t gen, Job* job, int pass,
-                           bool steal, bool async) {
+void TaskPool::participate(int w, std::uint32_t gen, Job* job, bool steal,
+                           bool async) {
   Slot& me = slots_[static_cast<std::size_t>(w)];
   std::uint32_t done = 0;
   std::uint64_t items = 0;
@@ -230,7 +222,7 @@ void TaskPool::participate(int w, std::uint32_t gen, Job* job, int pass,
   const auto execute = [&](std::uint32_t task) {
     if (done++ == 0) busy.reset();
     try {
-      items += job->run_task(pass, task, w);
+      items += job->run_task(task, w);
     } catch (...) {
       if (!failed_.exchange(true, std::memory_order_acq_rel))
         error_ = std::current_exception();
@@ -263,11 +255,7 @@ void TaskPool::participate(int w, std::uint32_t gen, Job* job, int pass,
   if (remaining_.fetch_sub(done, std::memory_order_acq_rel) != done ||
       !async)
     return;
-  // This slot completed a batch of an async job: chain the next pass or
-  // finish the job and hand the pool on.
-  if (!failed_.load(std::memory_order_acquire))
-    for (int p = pass + 1; p < job->passes(); ++p)
-      if (publish(*job, p)) return;
+  // This slot completed an async job: finish it and hand the pool on.
   finish_job(*job);
   if (Job* next = release_and_next()) start(next);
 }
@@ -293,8 +281,7 @@ void TaskPool::start(Job* job) {
   // is empty (a job without tasks finishes right here).
   while (job != nullptr) {
     reset_job_state(/*async=*/true);
-    for (int pass = 0; pass < job->passes(); ++pass)
-      if (publish(*job, pass)) return;
+    if (publish(*job)) return;
     finish_job(*job);
     job = release_and_next();
   }
@@ -327,7 +314,6 @@ void TaskPool::worker_loop(int w) {
     seen = wait_epoch(seen);
     if (shutdown_.load(std::memory_order_acquire)) return;
     participate(w, seen, job_.load(std::memory_order_relaxed),
-                pass_.load(std::memory_order_relaxed),
                 steal_.load(std::memory_order_relaxed),
                 async_.load(std::memory_order_relaxed));
   }

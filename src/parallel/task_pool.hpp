@@ -3,16 +3,15 @@
 //
 // A pool of width W owns W-1 std::thread workers (slots 1..W-1); the
 // thread that calls run() is slot 0 for that run. Work arrives as a Job:
-// one or more passes, each a batch of tasks [0, n) whose home ranges
-// (one contiguous range per slot) the job supplies. Every slot holds one
-// TaskCursor — its remaining home tasks packed into a single 64-bit word
-// — and takes tasks from the front with a CAS. With stealing on, a slot
+// one batch of tasks [0, n) whose home ranges (one contiguous range per
+// slot) the job supplies. Every slot holds one TaskCursor — its
+// remaining home tasks packed into a single 64-bit word — and takes
+// tasks from the front with a CAS. With stealing on, a slot
 // whose range is empty sweeps the other slots once (same NUMA node first
 // when there is more than one node, then ring order) and takes tasks
 // from the back of their ranges. Tasks are never added to a running
 // batch, so one sweep that finds every cursor empty means the slot is
-// done; a batch completes when the executed count reaches n, and that
-// completion is the barrier before the next pass.
+// done; the job completes when the executed count reaches n.
 //
 // Dispatch is a 32-bit epoch word: publishing a batch resets the
 // cursors and bumps the epoch. Idle workers spin on the epoch for
@@ -105,29 +104,27 @@ class TaskPool {
   /// trip), short enough that idle pools stop burning CPU quickly.
   static constexpr double kSpinSeconds = 0.5e-3;
 
-  /// Busy seconds (first claim to last task end, summed over passes) and
-  /// executed weight of one slot over one job.
+  /// Busy seconds (first claim to last task end) and executed weight of
+  /// one slot over one job.
   struct WorkerLoad {
     double seconds = 0.0;
     std::uint64_t items = 0;
   };
 
-  /// A unit of pool work: passes() consecutive batches. The job must
-  /// outlive its run (blocking) or its finish() call (async).
+  /// A unit of pool work: one batch of tasks. The job must outlive its
+  /// run (blocking) or its finish() call (async).
   class Job {
    public:
     virtual ~Job() = default;
-    virtual int passes() const = 0;
     /// workers()+1 non-decreasing task bounds: slot w's home range is
-    /// [home[w], home[w+1]), and home.back() is the pass's task count.
-    virtual std::span<const std::uint32_t> home(int pass) const = 0;
+    /// [home[w], home[w+1]), and home.back() is the job's task count.
+    virtual std::span<const std::uint32_t> home() const = 0;
     virtual bool steal() const = 0;
     /// Run one task on slot `worker`; returns the weight it processed.
-    virtual std::size_t run_task(int pass, std::uint32_t task,
-                                 int worker) = 0;
-    /// Called once, after the last pass or the first pass with a task
-    /// error, on the thread that completed it, while the job still holds
-    /// the pool. load has one entry per slot.
+    virtual std::size_t run_task(std::uint32_t task, int worker) = 0;
+    /// Called once, after the last task, on the thread that completed
+    /// it, while the job still holds the pool. load has one entry per
+    /// slot; err is the first task exception or nullptr.
     virtual void finish(std::span<const WorkerLoad> load,
                         std::exception_ptr err) = 0;
 
@@ -155,9 +152,9 @@ class TaskPool {
   /// finishes inline. Requires job.steal(): no thread owns slot 0.
   void run_async(Job& job);
 
-  /// Every pass in order, every task in order, on the calling thread as
-  /// slot 0, then finish() (with one load entry). Needs no pool. Returns
-  /// the first task exception, stopping after the pass that threw.
+  /// Every task in order on the calling thread as slot 0, then finish()
+  /// (with one load entry). Needs no pool. Returns the first task
+  /// exception; the tasks after it still run.
   static std::exception_ptr run_inline(Job& job);
 
   TaskPoolStats stats() const;
@@ -186,8 +183,8 @@ class TaskPool {
 
   void validate(const Job& job) const;
   void reset_job_state(bool async);
-  bool publish(Job& job, int pass);
-  void participate(int w, std::uint32_t gen, Job* job, int pass, bool steal,
+  bool publish(Job& job);
+  void participate(int w, std::uint32_t gen, Job* job, bool steal,
                    bool async);
   void finish_job(Job& job);
   Job* release_and_next();
@@ -208,7 +205,6 @@ class TaskPool {
   // generation, where every claim fails.
   std::atomic<std::uint32_t> epoch_{0};
   std::atomic<Job*> job_{nullptr};
-  std::atomic<int> pass_{0};
   std::atomic<bool> steal_{false};
   std::atomic<bool> async_{false};
   alignas(64) std::atomic<std::int64_t> remaining_{0};

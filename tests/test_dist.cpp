@@ -1,5 +1,5 @@
 // Distributed SpMV: shard-plan invariants, the HaloDec column split
-// against the generic drivers, multi-process parity (bitwise vs the
+// under the rank's executors, multi-process parity (bitwise vs the
 // same decomposition in-process, tolerance vs serial CSR), the overlap
 // and naive exchange modes, wire-decoder fuzzing, rank-kill fault
 // injection and the communication model/benchmark.
@@ -8,9 +8,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/models.hpp"
@@ -130,7 +132,35 @@ TEST(ShardPlan, RankCountIsValidated) {
 }
 
 // ---------------------------------------------------------------------
-// HaloDec through the generic drivers.
+// HaloDec through the rank's executors.
+
+/// The shard view of x for `h`: [owned slice | halo values in halo_cols
+/// order], the buffer the halo exchange fills.
+aligned_vector<double> shard_x(const HaloDec<double>& h,
+                               const aligned_vector<double>& x,
+                               index_t x_begin) {
+  aligned_vector<double> xs;
+  for (index_t c = 0; c < h.local_cols(); ++c)
+    xs.push_back(x[static_cast<std::size_t>(x_begin + c)]);
+  for (index_t c : h.halo_cols()) xs.push_back(x[static_cast<std::size_t>(c)]);
+  return xs;
+}
+
+/// y = shard · x as src/dist/rank.cpp computes it: the local columns
+/// through a ThreadedSpmv (threads == 0: zero-fill and a serial
+/// spmv_add), then the halo columns through a serial spmv_add.
+void run_as_rank(const HaloDec<double>& h, const aligned_vector<double>& xs,
+                 double* y, int threads, ExecBackend schedule, Impl impl) {
+  if (threads >= 1) {
+    ThreadedSpmv<Csr<double>>(h.local(), threads, schedule)
+        .run(xs.data(), y, impl);
+  } else {
+    std::fill(y, y + h.rows(), 0.0);
+    FormatOps<Csr<double>>::spmv_add(h.local(), xs.data(), y, impl);
+  }
+  FormatOps<Csr<double>>::spmv_add(h.halo(), xs.data() + h.local_cols(), y,
+                                   impl);
+}
 
 TEST(HaloDecFormat, SplitMatchesSerialCsr) {
   const Csr<double> a = test_matrix(40, 40, 0.12, 7);
@@ -138,47 +168,83 @@ TEST(HaloDecFormat, SplitMatchesSerialCsr) {
   aligned_vector<double> yref(static_cast<std::size_t>(a.rows()), 0.0);
   spmv(a, x.data(), yref.data());
 
-  // Split at an interior owned range; the shard view of x is
-  // [owned slice | halo values in halo_cols order].
+  // Split at an interior owned range: every entry lands in exactly one
+  // part, and the halo columns are the sorted columns outside it.
   const index_t xb = 10, xe = 25;
   const HaloDec<double> h = HaloDec<double>::split(a, 0, a.rows(), xb, xe);
-  aligned_vector<double> xs;
-  for (index_t c = xb; c < xe; ++c) xs.push_back(x[c]);
-  for (index_t c : h.halo_cols()) xs.push_back(x[c]);
-  ASSERT_EQ(static_cast<index_t>(xs.size()), h.cols());
+  ASSERT_EQ(h.rows(), a.rows());
+  ASSERT_EQ(h.local_cols(), xe - xb);
+  EXPECT_EQ(h.local().nnz() + h.halo().nnz(), a.nnz());
+  ASSERT_EQ(static_cast<std::size_t>(h.halo_count()), h.halo_cols().size());
+  for (std::size_t k = 0; k < h.halo_cols().size(); ++k) {
+    const index_t c = h.halo_cols()[k];
+    EXPECT_TRUE(c < xb || c >= xe) << c;
+    if (k) {
+      EXPECT_LT(h.halo_cols()[k - 1], c);
+    }
+  }
 
-  aligned_vector<double> y(static_cast<std::size_t>(a.rows()), 0.0);
-  spmv(h, xs.data(), y.data());
-  expect_vectors_near(y.data(), yref.data(), a.rows(), "halo_dec split");
+  const auto xs = shard_x(h, x, xb);
+  for (Impl impl : {Impl::kScalar, Impl::kSimd}) {
+    aligned_vector<double> y(static_cast<std::size_t>(a.rows()), -1.0);
+    run_as_rank(h, xs, y.data(), 4, ExecBackend::kTasks, impl);
+    expect_vectors_near(y.data(), yref.data(), a.rows(), "halo_dec split");
+  }
 }
 
-TEST(HaloDecFormat, GenericThreadedAndTaskGraphDriversAgree) {
-  const Csr<double> a = test_matrix(64, 64, 0.1, 3);
-  const auto x = random_x<double>(a.cols(), 5);
-  aligned_vector<double> yref(static_cast<std::size_t>(a.rows()), 0.0);
-  spmv(a, x.data(), yref.data());
-
-  const Candidate c{FormatKind::kCsr, BlockShape{1, 1}, 0, Impl::kScalar};
-  const HaloDec<double> h = FormatOps<HaloDec<double>>::convert(a, c);
-  EXPECT_EQ(h.halo_count(), 0);  // whole-local single-process view
-
-  aligned_vector<double> ys(static_cast<std::size_t>(a.rows()), 0.0);
-  spmv(h, x.data(), ys.data());
-  for (index_t i = 0; i < a.rows(); ++i)
-    EXPECT_EQ(ys[static_cast<std::size_t>(i)],
-              yref[static_cast<std::size_t>(i)]);  // bitwise: same kernel
-
-  for (int threads : {2, 4}) {
-    aligned_vector<double> yp(static_cast<std::size_t>(a.rows()), 1.0);
-    ThreadedSpmv<HaloDec<double>>(h, threads, ExecBackend::kBulk)
-        .run(x.data(), yp.data());
-    expect_vectors_near(yp.data(), yref.data(), a.rows(), "threaded halo_dec");
-
-    aligned_vector<double> yg(static_cast<std::size_t>(a.rows()), 1.0);
-    ThreadedSpmv<HaloDec<double>>(h, threads, ExecBackend::kTasks)
-        .run(x.data(), yg.data());
-    expect_vectors_near(yg.data(), yref.data(), a.rows(),
-                        "stealing halo_dec");
+TEST(HaloDecFormat, RankExecutorsMatchSerialOnEdgeSplits) {
+  // Small-integer values and x make every summation order exact, so the
+  // split's local-then-halo order must reproduce serial CSR of the same
+  // rows bit for bit: a lost, doubled or misrouted entry, or a row the
+  // local executor did not zero-fill, changes the result.
+  const auto int_matrix = [](index_t n, index_t m, bool empty_rows,
+                             std::uint64_t seed) {
+    Coo<double> coo(n, m);
+    Xoshiro256 rng(seed);
+    for (index_t i = 0; i < n; ++i) {
+      if (empty_rows && (i % 3 == 0 || i == n - 1)) continue;
+      for (index_t j = 0; j < m; ++j)
+        if (rng.uniform() < 0.2)
+          coo.add(i, j, static_cast<double>(rng() % 9) - 4.0);
+    }
+    return Csr<double>::from_coo(std::move(coo));
+  };
+  const Csr<double> matrices[] = {int_matrix(37, 37, false, 61),
+                                  int_matrix(29, 41, true, 62)};
+  for (const Csr<double>& a : matrices) {
+    const index_t n = a.rows(), m = a.cols();
+    aligned_vector<double> x(static_cast<std::size_t>(m));
+    Xoshiro256 rng(63);
+    for (double& v : x) v = static_cast<double>(rng() % 7) - 3.0;
+    const std::pair<index_t, index_t> owned[] = {
+        {0, 0}, {0, m}, {m, m}, {m / 3, 2 * m / 3}};
+    const std::pair<index_t, index_t> row_ranges[] = {
+        {n / 2, n / 2}, {n / 2, n / 2 + 1}, {n - 7, n}, {0, n}};
+    for (Impl impl : {Impl::kScalar, Impl::kSimd}) {
+      aligned_vector<double> yfull(static_cast<std::size_t>(n), 0.0);
+      FormatOps<Csr<double>>::spmv_add(a, x.data(), yfull.data(), impl);
+      for (const auto& [xb, xe] : owned) {
+        for (const auto& [r0, r1] : row_ranges) {
+          const HaloDec<double> h = HaloDec<double>::split(a, r0, r1, xb, xe);
+          ASSERT_EQ(h.rows(), r1 - r0);
+          const auto xs = shard_x(h, x, xb);
+          for (int threads : {1, 2, 4}) {
+            for (ExecBackend schedule :
+                 {ExecBackend::kBulk, ExecBackend::kTasks}) {
+              aligned_vector<double> y(static_cast<std::size_t>(r1 - r0),
+                                       99.0);
+              run_as_rank(h, xs, y.data(), threads, schedule, impl);
+              for (index_t i = 0; i < r1 - r0; ++i)
+                ASSERT_EQ(y[static_cast<std::size_t>(i)],
+                          yfull[static_cast<std::size_t>(r0 + i)])
+                    << "owned [" << xb << "," << xe << ") rows [" << r0
+                    << "," << r1 << ") row " << i << " threads " << threads
+                    << " " << backend_name(schedule);
+            }
+          }
+        }
+      }
+    }
   }
 }
 
@@ -196,20 +262,9 @@ aligned_vector<double> rank_reference(const Csr<double>& a,
   const HaloDec<double> h = HaloDec<double>::split(a, sh.row_begin,
                                                    sh.row_end, sh.x_begin,
                                                    sh.x_end);
-  aligned_vector<double> xs;
-  for (index_t c = sh.x_begin; c < sh.x_end; ++c)
-    xs.push_back(x[static_cast<std::size_t>(c)]);
-  for (index_t c : h.halo_cols()) xs.push_back(x[static_cast<std::size_t>(c)]);
-
-  aligned_vector<double> y(static_cast<std::size_t>(h.rows()), 0.0);
-  if (threads >= 1) {
-    ThreadedSpmv<Csr<double>>(h.local(), threads, ExecBackend::kTasks)
-        .run(xs.data(), y.data(), impl);
-  } else {
-    FormatOps<Csr<double>>::spmv_add(h.local(), xs.data(), y.data(), impl);
-  }
-  FormatOps<Csr<double>>::spmv_add(h.halo(), xs.data() + h.local_cols(),
-                                   y.data(), impl);
+  aligned_vector<double> y(static_cast<std::size_t>(h.rows()));
+  run_as_rank(h, shard_x(h, x, sh.x_begin), y.data(), threads,
+              ExecBackend::kTasks, impl);
   return y;
 }
 

@@ -341,15 +341,14 @@ struct FormatOps<StallCsr<V>> {
   static constexpr FormatKind kKind = FormatKind::kCsr;  // never registered
   static constexpr const char* kName = "stall_csr";
   static constexpr bool kParallel = true;
-  static constexpr int kPasses = 1;
 
-  static std::vector<std::size_t> pass_weights(const StallCsr<V>& a, int) {
+  static std::vector<std::size_t> pass_weights(const StallCsr<V>& a) {
     return std::vector<std::size_t>(static_cast<std::size_t>(a.rows()), 1);
   }
-  static index_t pass_first_row(const StallCsr<V>&, int, index_t g) {
+  static index_t pass_first_row(const StallCsr<V>&, index_t g) {
     return g;
   }
-  static void pass_run(const StallCsr<V>& a, int, index_t g0, index_t g1,
+  static void pass_run(const StallCsr<V>& a, index_t g0, index_t g1,
                        const V* x, V* y, Impl) {
     if (g0 == 0) {
       // The injected stall: wedge until the run is aborted. Polling the

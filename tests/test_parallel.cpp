@@ -76,7 +76,7 @@ TEST(Partition, PaddingAwareWeights) {
   coo.add(3, 1, 1.0);
   const Bcsr<double> m =
       Bcsr<double>::from_csr(Csr<double>::from_coo(coo), BlockShape{2, 2});
-  const auto w = block_row_weights(m);
+  const auto w = FormatOps<Bcsr<double>>::pass_weights(m);
   ASSERT_EQ(w.size(), 2u);
   EXPECT_EQ(w[0], 4u);   // one block
   EXPECT_EQ(w[1], 8u);   // two blocks

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/core/engine.hpp"
-#include "src/dist/halo_format.hpp"
 #include "src/formats/registry.hpp"
 #include "src/kernels/spmv.hpp"
 #include "src/parallel/backend.hpp"
@@ -35,7 +34,7 @@ namespace {
 using bspmv::testing::random_blocky_coo;
 using bspmv::testing::random_x;
 
-/// A one-pass pool job over a plain function: task t runs fn(t, worker).
+/// A pool job over a plain function: task t runs fn(t, worker).
 class FnJob final : public TaskPool::Job {
  public:
   FnJob(std::vector<std::uint32_t> home,
@@ -43,10 +42,9 @@ class FnJob final : public TaskPool::Job {
         std::function<void(std::exception_ptr)> done = nullptr)
       : home_(std::move(home)), fn_(std::move(fn)), steal_(steal),
         done_(std::move(done)) {}
-  int passes() const override { return 1; }
-  std::span<const std::uint32_t> home(int) const override { return home_; }
+  std::span<const std::uint32_t> home() const override { return home_; }
   bool steal() const override { return steal_; }
-  std::size_t run_task(int, std::uint32_t task, int worker) override {
+  std::size_t run_task(std::uint32_t task, int worker) override {
     fn_(task, worker);
     return 1;
   }
@@ -511,18 +509,17 @@ struct FormatOps<SlowHeadCsr<V>> {
   static constexpr FormatKind kKind = FormatKind::kCsr;  // never registered
   static constexpr const char* kName = "slow_head_csr";
   static constexpr bool kParallel = true;
-  static constexpr int kPasses = 1;
-  static std::vector<std::size_t> pass_weights(const SlowHeadCsr<V>& m, int) {
-    return FormatOps<Csr<V>>::pass_weights(m.a, 0);
+  static std::vector<std::size_t> pass_weights(const SlowHeadCsr<V>& m) {
+    return FormatOps<Csr<V>>::pass_weights(m.a);
   }
-  static index_t pass_first_row(const SlowHeadCsr<V>&, int, index_t g) {
+  static index_t pass_first_row(const SlowHeadCsr<V>&, index_t g) {
     return g;
   }
-  static void pass_run(const SlowHeadCsr<V>& m, int, index_t g0, index_t g1,
+  static void pass_run(const SlowHeadCsr<V>& m, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
     if (g0 < m.slow_rows)
       std::this_thread::sleep_for(std::chrono::microseconds(500));
-    FormatOps<Csr<V>>::pass_run(m.a, 0, g0, g1, x, y, impl);
+    FormatOps<Csr<V>>::pass_run(m.a, g0, g1, x, y, impl);
   }
 };
 
@@ -591,10 +588,10 @@ TEST(TaskGraph, OverDecomposesAndSkipsEmptySlices) {
   const ThreadedSpmv<Csr<double>> d(a, 4, ExecBackend::kTasks);
   // Up to kTasksPerThread tasks per home range, never more than one per
   // granule; the static schedule keeps one task per home range.
-  EXPECT_GT(d.task_count(0), 4u);
-  EXPECT_LE(d.task_count(0), 4u * kTasksPerThread);
+  EXPECT_GT(d.task_count(), 4u);
+  EXPECT_LE(d.task_count(), 4u * kTasksPerThread);
   const ThreadedSpmv<Csr<double>> b(a, 4, ExecBackend::kBulk);
-  EXPECT_LE(b.task_count(0), 4u);
+  EXPECT_LE(b.task_count(), 4u);
 }
 
 TEST(TaskGraph, AsyncRunMatchesSyncBitwise) {
@@ -616,28 +613,6 @@ TEST(TaskGraph, AsyncRunMatchesSyncBitwise) {
   EXPECT_EQ(got, nullptr);
   for (std::size_t i = 0; i < 150; ++i)
     ASSERT_EQ(yasync[i], ysync[i]) << "row " << i;
-}
-
-TEST(TaskGraph, MultiPassFormatAsyncChainsPasses) {
-  // HaloDec has two passes (local columns, then halo columns); the async
-  // path must chain them on the pool with a real barrier in between.
-  const Csr<double> a = Csr<double>::from_coo(
-      random_blocky_coo<double>(96, 90, 3, 0.4, 0.9, 51));
-  const auto h = dist::HaloDec<double>::split(a, 0, 96, 0, 45);
-  ASSERT_GT(h.halo_count(), 0);
-  const auto x = random_x<double>(h.cols(), 13);
-  aligned_vector<double> ys(96, 0.0), ya(96, -1.0);
-  spmv(h, x.data(), ys.data());
-
-  const ThreadedSpmv<dist::HaloDec<double>> d(h, 4, ExecBackend::kTasks);
-  Latch latch;
-  d.run_async(x.data(), ya.data(), Impl::kScalar, nullptr,
-              [&](std::exception_ptr err) {
-                EXPECT_EQ(err, nullptr);
-                latch.open();
-              });
-  latch.wait();
-  for (std::size_t i = 0; i < 96; ++i) ASSERT_EQ(ya[i], ys[i]) << i;
 }
 
 TEST(TaskGraph, RunMultiMatchesBulkBackendBitwise) {

@@ -70,7 +70,6 @@ struct FormatOps<ToyCoo<V>> {
   static constexpr FormatKind kKind = FormatKind::kCsr;
   static constexpr const char* kName = "toy_coo";
   static constexpr bool kParallel = true;
-  static constexpr int kPasses = 1;
 
   static ToyCoo<V> convert(const Csr<V>& a, const Candidate&) {
     return ToyCoo<V>::from_csr(a);
@@ -84,19 +83,19 @@ struct FormatOps<ToyCoo<V>> {
     return m.working_set_bytes();
   }
   static void spmv_add(const ToyCoo<V>& a, const V* x, V* y, Impl impl) {
-    pass_run(a, 0, 0, a.rows(), x, y, impl);
+    pass_run(a, 0, a.rows(), x, y, impl);
   }
 
-  static std::vector<std::size_t> pass_weights(const ToyCoo<V>& a, int) {
+  static std::vector<std::size_t> pass_weights(const ToyCoo<V>& a) {
     std::vector<std::size_t> w(static_cast<std::size_t>(a.rows()));
     for (std::size_t i = 0; i < w.size(); ++i)
       w[i] = static_cast<std::size_t>(a.row_ptr()[i + 1] - a.row_ptr()[i]);
     return w;
   }
-  static index_t pass_first_row(const ToyCoo<V>&, int, index_t g) {
+  static index_t pass_first_row(const ToyCoo<V>&, index_t g) {
     return g;
   }
-  static void pass_run(const ToyCoo<V>& a, int, index_t g0, index_t g1,
+  static void pass_run(const ToyCoo<V>& a, index_t g0, index_t g1,
                        const V* x, V* y, Impl) {
     for (index_t i = g0; i < g1; ++i)
       for (index_t k = a.row_ptr()[static_cast<std::size_t>(i)];

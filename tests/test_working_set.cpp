@@ -253,10 +253,9 @@ TEST(CandidateCost, ParallelScansRankIdenticallyInsidePoolTask) {
         : home_(static_cast<std::size_t>(workers) + 1, 1), a_(a), p_(p) {
       home_[0] = 0;
     }
-    int passes() const override { return 1; }
-    std::span<const std::uint32_t> home(int) const override { return home_; }
+    std::span<const std::uint32_t> home() const override { return home_; }
     bool steal() const override { return false; }
-    std::size_t run_task(int, std::uint32_t, int) override {
+    std::size_t run_task(std::uint32_t, int) override {
       ranked = rank_candidates(ModelKind::kOverlap, a_, p_);
       return 1;
     }
