@@ -11,6 +11,9 @@
 // partition loses). exec/band_balanced/bcsr_dec_3x1_simd runs the
 // decomposed format through the engine at 4 threads, the way the fem
 // workloads select it (blocks and CSR remainder in one pass per task).
+// pair_dec_remainder/ pairs padded and decomposed 3×1 on an audikw-like
+// band whose remainder rows hold 1–5 entries, at 1 and 4 threads: the
+// decomposed kernel's chunked remainder walk against the padded kernel.
 // exec/dispatch_tiny runs a 512-row diagonal, where the kernel is
 // nearly free: the steal-minus-static time over the extra tasks is the
 // per-task scheduling fee parallel_overhead charges (docs/models.md).
@@ -103,6 +106,15 @@ void run_backend(benchmark::State& state, const Csr<double>& a,
   state.counters["threads"] = static_cast<double>(threads);
 }
 
+// audikw_1's generator (fill 0.70) at a quarter of its size: the 3×1
+// DEC remainder holds 1–5 entries in most rows, the short rows the
+// chunked remainder walk is for.
+const Csr<double>& audikw_like_matrix() {
+  static const Csr<double> a = Csr<double>::from_coo(
+      gen_blocked_band<double>(8000, 3, 600, 8, 0.70, 0xa0d1));
+  return a;
+}
+
 // A 512-row diagonal: the kernel is nearly free, so the run time is the
 // driver's dispatch and per-task cost.
 const Csr<double>& tiny_matrix() {
@@ -185,6 +197,14 @@ void register_all() {
     register_exec("exec/band_balanced/" + dec.id() + "/" + schedule_label(b) +
                       "/4",
                   &shared_matrix, dec, b, 4);
+  // Padded against decomposed 3×1 on the audikw-like band at 1 and 4
+  // threads: the decomposed kernel should run at the padded one's speed.
+  const Candidate padded{FormatKind::kBcsr, BlockShape{3, 1}, 0, Impl::kSimd};
+  for (const Candidate& c : {padded, dec})
+    for (int threads : {1, 4})
+      register_exec("pair_dec_remainder/" + c.id() + "/" +
+                        std::to_string(threads),
+                    &audikw_like_matrix, c, ExecBackend::kTasks, threads);
   for (ExecBackend b : kSchedules)
     register_exec(std::string("exec/dispatch_tiny/") + schedule_label(b) +
                       "/4",

@@ -58,7 +58,8 @@ import json, math
 raw = json.load(open("/tmp/kernels_micro_raw.json"))
 rows = []
 for b in raw["benchmarks"]:
-    if b.get("run_type") == "aggregate":
+    # Aggregates, and the select/ rows (they time a ranking, not a kernel).
+    if b.get("run_type") == "aggregate" or "GFLOP/s" not in b:
         continue
     rows.append({"name": b["run_name"], "gflops": b["GFLOP/s"] / 1e9})
 geomean = math.exp(sum(math.log(r["gflops"]) for r in rows) / len(rows))

@@ -11,7 +11,9 @@
 #     threaded parity suites (every parallel format × schedule × thread
 #     count, run_multi layouts) and the engine's threaded plans;
 #   - test_decomposed, DecFused cases: the fused decomposed kernels
-#     through both schedules at 1/2/4/7 threads;
+#     through both schedules at 1/2/4/7 threads (1/2/3/4/7 where task
+#     ranges must cut the remainder chunks), and Threads/SpmmParity's
+#     decomposed row-major case over the same chunk edges;
 #   - test_dist, DistComm and HaloDecFormat cases: the halo exchange's
 #     per-peer send/recv threads over real socketpairs, in-process
 #     (docs/distribution.md), and HaloDecFormat's edge-split case: a

@@ -6,6 +6,7 @@
 #include <span>
 #include <thread>
 
+#include "src/formats/decomposed.hpp"
 #include "src/formats/ubcsr.hpp"
 #include "src/parallel/task_pool.hpp"
 #include "src/util/macros.hpp"
@@ -26,6 +27,13 @@ std::size_t vectors_bytes(const Csr<V>& a) {
 template <class V>
 std::size_t csr_arrays_bytes(std::size_t nnz, index_t rows) {
   return nnz * (sizeof(V) + kIdx) + (static_cast<std::size_t>(rows) + 1) * kIdx;
+}
+
+// The CSR remainder of a decomposed candidate plus its row tags.
+template <class V>
+std::size_t dec_remainder_bytes(const DecompStats& st, index_t rows) {
+  return csr_arrays_bytes<V>(st.remainder_nnz, rows) +
+         st.remainder_nnz * sizeof(rem_tag_t);
 }
 
 template <class V>
@@ -162,8 +170,7 @@ CandidateCost cost_with_cache(const Csr<V>& a, const Candidate& c,
           bcsr_arrays_bytes<V>(st.full, a.rows(), c.shape.r) + vecs,
           st.full.blocks});
       cost.parts.push_back(CostPart{
-          csr_kernel_id(c.impl),
-          csr_arrays_bytes<V>(st.remainder_nnz, a.rows()),
+          csr_kernel_id(c.impl), dec_remainder_bytes<V>(st, a.rows()),
           st.remainder_nnz});
       break;
     }
@@ -180,8 +187,7 @@ CandidateCost cost_with_cache(const Csr<V>& a, const Candidate& c,
           c.kernel_id(), bcsd_arrays_bytes<V>(st.full, a.rows(), c.b) + vecs,
           st.full.blocks});
       cost.parts.push_back(CostPart{
-          csr_kernel_id(c.impl),
-          csr_arrays_bytes<V>(st.remainder_nnz, a.rows()),
+          csr_kernel_id(c.impl), dec_remainder_bytes<V>(st, a.rows()),
           st.remainder_nnz});
       break;
     }

@@ -19,6 +19,7 @@
 #include "src/formats/block_shapes.hpp"
 #include "src/formats/conversion_guard.hpp"
 #include "src/formats/csr.hpp"
+#include "src/formats/decomposed.hpp"
 #include "src/util/macros.hpp"
 
 namespace bspmv::detail {
@@ -106,13 +107,14 @@ void scan_bands(const Csr<V>& a, const Blocking& blk,
 /// bcol_ind and bval, and return the number of distinct positions the
 /// blocks hold. Without `remainder` every key is a block (padded layout);
 /// with it only full blocks are stored and every other nonzero goes, in
-/// input order, to *remainder (-DEC, §II-B).
+/// input order, to *remainder and its row tag to *rem_tags (-DEC, §II-B).
 ///   1. Size pass: count the blocks (and remainder nonzeros) per band.
 ///   2. Guard: charge every allocation, the counter scratch included, to
 ///      ConversionGuard before making it.
 ///   3. Fill pass: per band, sort the block keys, let order(band_index,
 ///      keys, n) reorder them, write each key's slot into its counter and
-///      scatter the values (a repeated column is summed into one value).
+///      scatter the values (a repeated column is summed into one value)
+///      and the remainder entries with their tags.
 /// `extra_index_bytes` are index arrays the caller has already sized.
 template <class V, class Blocking, class OrderFn>
 std::size_t convert_bands(const Csr<V>& a, const Blocking& blk,
@@ -120,7 +122,8 @@ std::size_t convert_bands(const Csr<V>& a, const Blocking& blk,
                           aligned_vector<index_t>& brow_ptr,
                           aligned_vector<index_t>& bcol_ind,
                           aligned_vector<V>& bval, Csr<V>* remainder,
-                          OrderFn order) {
+                          aligned_vector<rem_tag_t>* rem_tags, OrderFn order) {
+  BSPMV_DBG_ASSERT((remainder == nullptr) == (rem_tags == nullptr));
   const auto n = static_cast<std::size_t>(a.rows());
   const auto band = static_cast<std::size_t>(blk.band);
   const std::size_t elems = blk.elems;
@@ -156,12 +159,13 @@ std::size_t convert_bands(const Csr<V>& a, const Blocking& blk,
   ConversionGuard::check(
       format, stored + rem_nnz, a.nnz(), sizeof(V),
       (brow_ptr.size() + nblocks + rem_index) * sizeof(index_t) +
-          extra_index_bytes + count_bytes);
+          rem_nnz * sizeof(rem_tag_t) + extra_index_bytes + count_bytes);
   bcol_ind.resize(nblocks);
   bval.assign(stored, V{0});
   aligned_vector<index_t> rem_ptr(remainder ? n + 1 : 0, 0);
   aligned_vector<index_t> rem_col(rem_nnz);
   aligned_vector<V> rem_val(rem_nnz);
+  aligned_vector<rem_tag_t> tag(rem_nnz);
 
   // A key's counter holds its block's slot in the band, or kRemainder.
   constexpr auto kRemainder = std::numeric_limits<std::uint32_t>::max();
@@ -186,6 +190,7 @@ std::size_t convert_bands(const Csr<V>& a, const Blocking& blk,
       bcol_ind[first + t] = blk.bcol(keys[t]);
       count[keys[t]] = static_cast<std::uint32_t>(t);
     }
+    const rem_tag_t tag0 = rem_tag(static_cast<index_t>(lo), blk.band);
     for (std::size_t i = lo; i < hi; ++i) {
       const auto di = static_cast<index_t>(i - lo);
       const auto k0 = static_cast<std::size_t>(row_ptr[i]);
@@ -200,6 +205,7 @@ std::size_t convert_bands(const Csr<V>& a, const Blocking& blk,
           bval[(first + slot) * elems + blk.offset(di, j, key)] += val[k];
         } else {
           rem_col[pos] = j;
+          tag[pos] = static_cast<rem_tag_t>(tag0 + di);
           rem_val[pos++] = val[k];
         }
       }
@@ -218,9 +224,11 @@ std::size_t convert_bands(const Csr<V>& a, const Blocking& blk,
   };
   scan_bands(a, blk, count, band_keys, fill_band);
 
-  if (remainder)
+  if (remainder) {
     *remainder = Csr<V>(a.rows(), a.cols(), std::move(rem_ptr),
                         std::move(rem_col), std::move(rem_val));
+    *rem_tags = std::move(tag);
+  }
   return a.nnz() - rem_nnz - repeats;
 }
 

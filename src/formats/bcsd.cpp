@@ -10,11 +10,12 @@ namespace bspmv {
 
 template <class V>
 Bcsd<V> Bcsd<V>::from_csr(const Csr<V>& a, int b) {
-  return build(a, b, nullptr);
+  return build(a, b, nullptr, nullptr);
 }
 
 template <class V>
-Bcsd<V> Bcsd<V>::build(const Csr<V>& a, int b, Csr<V>* remainder) {
+Bcsd<V> Bcsd<V>::build(const Csr<V>& a, int b, Csr<V>* remainder,
+                       aligned_vector<std::uint8_t>* rem_tags) {
   BSPMV_CHECK_MSG(b >= 1, "diagonal block length must be >= 1");
   Bcsd out;
   out.rows_ = a.rows();
@@ -39,7 +40,8 @@ Bcsd<V> Bcsd<V>::build(const Csr<V>& a, int b, Csr<V>* remainder) {
   out.nnz_ = detail::convert_bands(
       a, detail::BcsdBlocking(b), "bcsd",
       out.full_diags_.size() * sizeof(index_t),
-      out.brow_ptr_, out.bcol_ind_, out.bval_, remainder, full_first);
+      out.brow_ptr_, out.bcol_ind_, out.bval_, remainder, rem_tags,
+      full_first);
   return out;
 }
 

@@ -56,8 +56,10 @@ class Bcsd {
  private:
   friend class BcsdDec<V>;
   /// from_csr; with `remainder`, only completely full diagonals are stored
-  /// and the other nonzeros go to *remainder (BCSD-DEC).
-  static Bcsd build(const Csr<V>& a, int b, Csr<V>* remainder);
+  /// and the other nonzeros go to *remainder, their row tags to *rem_tags
+  /// (BCSD-DEC).
+  static Bcsd build(const Csr<V>& a, int b, Csr<V>* remainder,
+                    aligned_vector<std::uint8_t>* rem_tags);
 
   index_t rows_ = 0;
   index_t cols_ = 0;

@@ -9,11 +9,12 @@ namespace bspmv {
 
 template <class V>
 Bcsr<V> Bcsr<V>::from_csr(const Csr<V>& a, BlockShape shape) {
-  return build(a, shape, nullptr);
+  return build(a, shape, nullptr, nullptr);
 }
 
 template <class V>
-Bcsr<V> Bcsr<V>::build(const Csr<V>& a, BlockShape shape, Csr<V>* remainder) {
+Bcsr<V> Bcsr<V>::build(const Csr<V>& a, BlockShape shape, Csr<V>* remainder,
+                       aligned_vector<std::uint8_t>* rem_tags) {
   BSPMV_CHECK_MSG(shape.r >= 1 && shape.c >= 1, "block shape must be >= 1x1");
   Bcsr out;
   out.rows_ = a.rows();
@@ -22,7 +23,7 @@ Bcsr<V> Bcsr<V>::build(const Csr<V>& a, BlockShape shape, Csr<V>* remainder) {
   out.block_rows_ = (a.rows() + shape.r - 1) / shape.r;
   out.nnz_ = detail::convert_bands(
       a, detail::BcsrBlocking(shape), "bcsr", 0,
-      out.brow_ptr_, out.bcol_ind_, out.bval_, remainder,
+      out.brow_ptr_, out.bcol_ind_, out.bval_, remainder, rem_tags,
       [](std::size_t, std::uint32_t*, std::size_t) {});
   return out;
 }

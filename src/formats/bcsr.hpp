@@ -50,8 +50,10 @@ class Bcsr {
  private:
   friend class BcsrDec<V>;
   /// from_csr; with `remainder`, only completely full blocks are stored
-  /// and the other nonzeros go to *remainder (BCSR-DEC).
-  static Bcsr build(const Csr<V>& a, BlockShape shape, Csr<V>* remainder);
+  /// and the other nonzeros go to *remainder, their row tags to *rem_tags
+  /// (BCSR-DEC).
+  static Bcsr build(const Csr<V>& a, BlockShape shape, Csr<V>* remainder,
+                    aligned_vector<std::uint8_t>* rem_tags);
 
   index_t rows_ = 0;
   index_t cols_ = 0;

@@ -5,14 +5,15 @@ namespace bspmv {
 template <class V>
 BcsrDec<V> BcsrDec<V>::from_csr(const Csr<V>& a, BlockShape shape) {
   BcsrDec out;
-  out.blocked_ = Bcsr<V>::build(a, shape, &out.remainder_);
+  out.blocked_ = Bcsr<V>::build(a, shape, &out.remainder_, &out.rem_tag_);
   return out;
 }
 
 template <class V>
 std::size_t BcsrDec<V>::working_set_bytes() const {
   // x and y are shared by the two parts; subtract one copy of each.
-  return blocked_.working_set_bytes() + remainder_.working_set_bytes() -
+  return blocked_.working_set_bytes() + remainder_.working_set_bytes() +
+         rem_tag_.size() * sizeof(rem_tag_t) -
          static_cast<std::size_t>(cols()) * sizeof(V) -
          static_cast<std::size_t>(rows()) * sizeof(V);
 }
@@ -28,13 +29,14 @@ Coo<V> BcsrDec<V>::to_coo() const {
 template <class V>
 BcsdDec<V> BcsdDec<V>::from_csr(const Csr<V>& a, int b) {
   BcsdDec out;
-  out.blocked_ = Bcsd<V>::build(a, b, &out.remainder_);
+  out.blocked_ = Bcsd<V>::build(a, b, &out.remainder_, &out.rem_tag_);
   return out;
 }
 
 template <class V>
 std::size_t BcsdDec<V>::working_set_bytes() const {
-  return blocked_.working_set_bytes() + remainder_.working_set_bytes() -
+  return blocked_.working_set_bytes() + remainder_.working_set_bytes() +
+         rem_tag_.size() * sizeof(rem_tag_t) -
          static_cast<std::size_t>(cols()) * sizeof(V) -
          static_cast<std::size_t>(rows()) * sizeof(V);
 }

@@ -206,7 +206,8 @@ struct FormatOps<Bcsr<V>> {
   }
   static void pass_run(const Bcsr<V>& a, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
-    bcsr_kernel<V>(a.shape(), impl == Impl::kSimd)(a, nullptr, g0, g1, x, y);
+    bcsr_kernel<V>(a.shape(), impl == Impl::kSimd)(a, nullptr, nullptr, g0,
+                                                   g1, x, y);
   }
   static void pass_run_multi(const Bcsr<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
@@ -264,7 +265,8 @@ struct FormatOps<Bcsd<V>> {
   }
   static void pass_run(const Bcsd<V>& a, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
-    bcsd_kernel<V>(a.b(), impl == Impl::kSimd)(a, nullptr, g0, g1, x, y);
+    bcsd_kernel<V>(a.b(), impl == Impl::kSimd)(a, nullptr, nullptr, g0, g1,
+                                               x, y);
   }
   static void pass_run_multi(const Bcsd<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
@@ -343,8 +345,9 @@ std::vector<std::size_t> add_band_remainder(std::vector<std::size_t> w,
 }  // namespace detail
 
 /// One pass: each block row adds its blocks and then its rows of the CSR
-/// remainder into the same register sums and writes y once (the fused
-/// kernels in src/kernels/bcsr_kernels_impl.hpp and spmm_kernels.cpp).
+/// remainder into the same sums and writes y once, a chunk of block rows
+/// at a time (the fused kernels in src/kernels/bcsr_kernels_impl.hpp and
+/// spmm_kernels.cpp).
 template <class V>
 struct FormatOps<BcsrDec<V>> {
   using value_type = V;
@@ -369,7 +372,8 @@ struct FormatOps<BcsrDec<V>> {
   static void spmm_store(const BcsrDec<V>& a, const V* X, V* Y, int k,
                          Impl impl) {
     bcsr_spmm_rm(a.blocked(), 0, a.blocked().block_rows(), X, Y, k,
-                 impl == Impl::kSimd, false, &a.remainder());
+                 impl == Impl::kSimd, false, &a.remainder(),
+                 a.remainder_tag().data());
   }
 
   /// Per-block-row stored values plus the band's remainder nonzeros.
@@ -384,14 +388,14 @@ struct FormatOps<BcsrDec<V>> {
   static void pass_run(const BcsrDec<V>& a, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
     bcsr_kernel<V>(a.shape(), impl == Impl::kSimd, true)(
-        a.blocked(), &a.remainder(), g0, g1, x, y);
+        a.blocked(), &a.remainder(), a.remainder_tag().data(), g0, g1, x, y);
   }
   static void pass_run_multi(const BcsrDec<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
                              Layout layout, Impl impl) {
     if (layout == Layout::kRowMajor) {
       bcsr_spmm_rm(a.blocked(), g0, g1, X, Y, k, impl == Impl::kSimd, true,
-                   &a.remainder());
+                   &a.remainder(), a.remainder_tag().data());
     } else {
       for (int j = 0; j < k; ++j)
         pass_run(a, g0, g1,
@@ -430,7 +434,8 @@ struct FormatOps<BcsdDec<V>> {
   static void spmm_store(const BcsdDec<V>& a, const V* X, V* Y, int k,
                          Impl impl) {
     bcsd_spmm_rm(a.blocked(), 0, a.blocked().segments(), X, Y, k,
-                 impl == Impl::kSimd, false, &a.remainder());
+                 impl == Impl::kSimd, false, &a.remainder(),
+                 a.remainder_tag().data());
   }
 
   /// Per-segment stored values plus the segment's remainder nonzeros.
@@ -445,14 +450,14 @@ struct FormatOps<BcsdDec<V>> {
   static void pass_run(const BcsdDec<V>& a, index_t g0, index_t g1,
                        const V* x, V* y, Impl impl) {
     bcsd_kernel<V>(a.b(), impl == Impl::kSimd, true)(
-        a.blocked(), &a.remainder(), g0, g1, x, y);
+        a.blocked(), &a.remainder(), a.remainder_tag().data(), g0, g1, x, y);
   }
   static void pass_run_multi(const BcsdDec<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
                              Layout layout, Impl impl) {
     if (layout == Layout::kRowMajor) {
       bcsd_spmm_rm(a.blocked(), g0, g1, X, Y, k, impl == Impl::kSimd, true,
-                   &a.remainder());
+                   &a.remainder(), a.remainder_tag().data());
     } else {
       for (int j = 0; j < k; ++j)
         pass_run(a, g0, g1,

@@ -40,6 +40,30 @@ void check_ptr(const char* format, const char* name,
                      std::to_string(total));
 }
 
+// A decomposed remainder's row tags: one per entry, each its row's offset
+// in its chunk of bands (the fused kernels index a stack buffer with it).
+template <class V>
+void check_rem_tags(const char* format, const Csr<V>& rem,
+                    const aligned_vector<rem_tag_t>& tag, int band) {
+  if (tag.size() != rem.nnz())
+    fail(format, "remainder has " + std::to_string(tag.size()) +
+                     " row tags, expected one per entry (" +
+                     std::to_string(rem.nnz()) + ")");
+  for (index_t i = 0; i < rem.rows(); ++i) {
+    const rem_tag_t want = rem_tag(i, band);
+    const auto k1 =
+        static_cast<std::size_t>(rem.row_ptr()[static_cast<std::size_t>(i) + 1]);
+    for (auto k = static_cast<std::size_t>(
+             rem.row_ptr()[static_cast<std::size_t>(i)]);
+         k < k1; ++k)
+      if (tag[k] != want)
+        fail(format, "remainder entry " + std::to_string(k) + " has row tag " +
+                         std::to_string(tag[k]) + ", expected " +
+                         std::to_string(want) + " for row " +
+                         std::to_string(i));
+  }
+}
+
 }  // namespace
 
 template <class V>
@@ -205,6 +229,7 @@ void validate(const BcsrDec<V>& a) {
   if (a.blocked().rows() != a.remainder().rows() ||
       a.blocked().cols() != a.remainder().cols())
     fail("bcsr_dec", "blocked and remainder dimensions differ");
+  check_rem_tags("bcsr_dec", a.remainder(), a.remainder_tag(), a.shape().r);
 }
 
 template <class V>
@@ -214,6 +239,7 @@ void validate(const BcsdDec<V>& a) {
   if (a.blocked().rows() != a.remainder().rows() ||
       a.blocked().cols() != a.remainder().cols())
     fail("bcsd_dec", "blocked and remainder dimensions differ");
+  check_rem_tags("bcsd_dec", a.remainder(), a.remainder_tag(), a.b());
 }
 
 #define BSPMV_INST(V)                        \

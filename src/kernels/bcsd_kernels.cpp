@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <type_traits>
 
 #include "src/formats/block_shapes.hpp"
 #include "src/kernels/block_madd.hpp"
@@ -12,39 +11,31 @@ namespace bspmv {
 namespace detail {
 
 /// One body per diagonal length for BCSD and BCSD-DEC; with Dec the
-/// segment's CSR remainder rows join the diagonal sums before y is
-/// written (a padded BCSD compiles that step out and ignores rem).
+/// segments go through dec_bands (src/kernels/block_madd.hpp), which adds
+/// the CSR remainder rows into the diagonal sums before y is written (a
+/// padded BCSD compiles that step out and ignores rem and rem_tag).
 template <class V, int B, bool Simd, bool Dec>
-void bcsd_spmv_range(const Bcsd<V>& a, const Csr<V>* rem, index_t seg0,
-                     index_t seg1, const V* BSPMV_RESTRICT x,
-                     V* BSPMV_RESTRICT y) {
+void bcsd_spmv_range(const Bcsd<V>& a, const Csr<V>* rem,
+                     const rem_tag_t* rem_tag, index_t seg0, index_t seg1,
+                     const V* BSPMV_RESTRICT x, V* BSPMV_RESTRICT y) {
   BSPMV_DBG_ASSERT(a.b() == B);
   BSPMV_DBG_ASSERT(seg0 >= 0 && seg1 <= a.segments() && seg0 <= seg1);
-  BSPMV_DBG_ASSERT(!Dec || (rem != nullptr && rem->rows() == a.rows()));
+  BSPMV_DBG_ASSERT(!Dec || (rem != nullptr && rem->rows() == a.rows() &&
+                            (rem_tag != nullptr || rem->nnz() == 0)));
   const index_t* BSPMV_RESTRICT brow_ptr = a.brow_ptr().data();
   const index_t* BSPMV_RESTRICT bcol_ind = a.bcol_ind().data();
   const index_t* BSPMV_RESTRICT nfull = a.full_diags().data();
   const V* BSPMV_RESTRICT bval = a.bval().data();
-  const index_t* BSPMV_RESTRICT rrow_ptr =
-      Dec ? rem->row_ptr().data() : nullptr;
-  const index_t* BSPMV_RESTRICT rcol_ind =
-      Dec ? rem->col_ind().data() : nullptr;
-  const V* BSPMV_RESTRICT rval = Dec ? rem->val().data() : nullptr;
   const index_t n = a.rows();
   const index_t m = a.cols();
   constexpr int w = simd_width<V>;
 
-  // `full` is true for segments wholly inside the matrix; only the last
-  // segment can be a partial tail (it holds no fully in-range diagonal).
-  auto segment = [&](index_t s, auto full) {
-    const index_t base = s * B;
+  // sum[0..B) += segment s's fully in-range diagonals, which span rows
+  // [base, base+B) and columns [j0, j0+B) entirely inside the matrix
+  // (only the last segment can be a partial tail; it holds none).
+  auto diag_sums = [&](index_t s, V* BSPMV_RESTRICT sum) {
     const index_t d0 = brow_ptr[s];
-    const index_t d1 = brow_ptr[s + 1];
     const index_t dfull = d0 + nfull[s];
-
-    // Fast path: every diagonal here spans rows [base, base+B) and
-    // columns [j0, j0+B) entirely inside the matrix.
-    V sum[B] = {};
     for (index_t d = d0; d < dfull; ++d) {
       const V* bv = bval + static_cast<std::size_t>(d) * B;
       const V* xp = x + bcol_ind[d];
@@ -58,20 +49,13 @@ void bcsd_spmv_range(const Bcsd<V>& a, const Csr<V>* rem, index_t seg0,
         for (int k = 0; k < B; ++k) sum[k] += bv[k] * xp[k];
       }
     }
-    if constexpr (!Dec) {
-      if (dfull > d0)
-        for (int k = 0; k < B; ++k) y[base + k] += sum[k];
-    } else if constexpr (decltype(full)::value) {
-      band_remainder_madd<V, B, Simd>(rrow_ptr + base, rcol_ind, rval, x, sum);
-      for (int k = 0; k < B; ++k) y[base + k] += sum[k];
-    } else {
-      const int rows = static_cast<int>(n - base);
-      tail_remainder_madd(rrow_ptr + base, rows, rcol_ind, rval, x, sum);
-      for (int k = 0; k < rows; ++k) y[base + k] += sum[k];
-    }
-
-    // Boundary diagonals: clamp the element range to the matrix.
-    for (index_t d = dfull; d < d1; ++d) {
+  };
+  // Segment s's boundary diagonals, clamped to the matrix, added to y
+  // after the segment's sums.
+  auto boundary = [&](index_t s) {
+    const index_t base = s * B;
+    const index_t d1 = brow_ptr[s + 1];
+    for (index_t d = brow_ptr[s] + nfull[s]; d < d1; ++d) {
       const V* bv = bval + static_cast<std::size_t>(d) * B;
       const long long j0 = bcol_ind[d];
       const int kmin = static_cast<int>(std::max<long long>(0, -j0));
@@ -82,10 +66,20 @@ void bcsd_spmv_range(const Bcsd<V>& a, const Csr<V>* rem, index_t seg0,
         y[base + k] += bv[k] * x[j0 + k];
     }
   };
-  const index_t full_end = std::min(seg1, n / B);
-  index_t s = seg0;
-  for (; s < full_end; ++s) segment(s, std::true_type{});
-  for (; s < seg1; ++s) segment(s, std::false_type{});
+  if constexpr (Dec) {
+    dec_bands<V, B, Simd>(seg0, seg1, n, rem->row_ptr().data(),
+                          rem->col_ind().data(), rem->val().data(), rem_tag,
+                          x, y, diag_sums, boundary);
+  } else {
+    for (index_t s = seg0; s < seg1; ++s) {
+      BlockSums<V, B> sums;
+      V* sum = sums.data();
+      diag_sums(s, sum);
+      if (nfull[s] > 0)
+        for (int k = 0; k < B; ++k) y[s * B + k] += sum[k];
+      boundary(s);
+    }
+  }
 }
 
 template <class V, bool Simd, bool Dec>

@@ -9,6 +9,7 @@
 
 #include "src/formats/bcsr.hpp"
 #include "src/formats/csr.hpp"
+#include "src/formats/decomposed.hpp"
 #include "src/util/macros.hpp"
 
 namespace bspmv {
@@ -16,11 +17,13 @@ namespace bspmv {
 /// A BCSR kernel accumulates y[rows of br0..br1) += A·x over a block-row
 /// range (partial tail block rows are handled internally). The
 /// decomposed flavour also adds the CSR remainder `rem` (same rows as the
-/// blocked part) band by band into the same sums, so BCSR-DEC runs in one
-/// pass; the padded flavour ignores `rem`.
+/// blocked part; `rem_tag` its entries' row tags, see decomposed.hpp)
+/// into the same sums a chunk of bands at a time, so BCSR-DEC runs in
+/// one pass; the padded flavour ignores `rem` and `rem_tag`.
 template <class V>
 using BcsrKernelFn = void (*)(const Bcsr<V>&, const Csr<V>* rem,
-                              index_t br0, index_t br1, const V* x, V* y);
+                              const rem_tag_t* rem_tag, index_t br0,
+                              index_t br1, const V* x, V* y);
 
 /// Look up the specialised kernel for a shape (r·c <= 8).
 /// Throws invalid_argument_error for unsupported shapes.

@@ -1,11 +1,12 @@
 // Template bodies for the BCSR block kernels; included by the per-type
 // instantiation units (bcsr_kernels_double.cpp / bcsr_kernels_float.cpp)
-// so each value type compiles in its own translation unit.
+// so each value type compiles in its own translation unit. The BCSR-DEC
+// flavour runs the same block body inside dec_bands' chunked remainder
+// walk (src/kernels/block_madd.hpp).
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <type_traits>
 
 #include "src/formats/block_shapes.hpp"
 #include "src/kernels/bcsr_kernels.hpp"
@@ -14,32 +15,26 @@
 namespace bspmv {
 namespace detail {
 
-/// One body per shape for BCSR and BCSR-DEC: with Dec the band's CSR
-/// remainder rows join the block sums before the single write of y
-/// (a padded BCSR compiles that step out and ignores rem).
+/// One body per shape for BCSR and BCSR-DEC: with Dec the bands go
+/// through dec_bands, which adds the CSR remainder rows into the block
+/// sums before the single write of y (a padded BCSR compiles that step
+/// out and ignores rem and rem_tag).
 template <class V, int R, int C, bool Simd, bool Dec>
-void bcsr_spmv_range(const Bcsr<V>& a, const Csr<V>* rem, index_t br0,
-                     index_t br1, const V* BSPMV_RESTRICT x,
-                     V* BSPMV_RESTRICT y) {
+void bcsr_spmv_range(const Bcsr<V>& a, const Csr<V>* rem,
+                     const rem_tag_t* rem_tag, index_t br0, index_t br1,
+                     const V* BSPMV_RESTRICT x, V* BSPMV_RESTRICT y) {
   BSPMV_DBG_ASSERT(a.shape().r == R && a.shape().c == C);
   BSPMV_DBG_ASSERT(br0 >= 0 && br1 <= a.block_rows() && br0 <= br1);
-  BSPMV_DBG_ASSERT(!Dec || (rem != nullptr && rem->rows() == a.rows()));
+  BSPMV_DBG_ASSERT(!Dec || (rem != nullptr && rem->rows() == a.rows() &&
+                            (rem_tag != nullptr || rem->nnz() == 0)));
   const index_t* BSPMV_RESTRICT brow_ptr = a.brow_ptr().data();
   const index_t* BSPMV_RESTRICT bcol_ind = a.bcol_ind().data();
   const V* BSPMV_RESTRICT bval = a.bval().data();
-  const index_t* BSPMV_RESTRICT rrow_ptr =
-      Dec ? rem->row_ptr().data() : nullptr;
-  const index_t* BSPMV_RESTRICT rcol_ind =
-      Dec ? rem->col_ind().data() : nullptr;
-  const V* BSPMV_RESTRICT rval = Dec ? rem->val().data() : nullptr;
   const index_t n = a.rows();
   const index_t m = a.cols();
 
-  // `full` is true for block rows wholly inside the matrix; only the last
-  // block row can be a partial tail, and its own instance keeps the
-  // full-band path free of runtime row counts.
-  auto block_row = [&](index_t br, auto full) {
-    V sum[R] = {};
+  // sum[0..R) += block row br's blocks.
+  auto block_sums = [&](index_t br, V* BSPMV_RESTRICT sum) {
     const index_t b0 = brow_ptr[br];
     const index_t b1 = brow_ptr[br + 1];
     for (index_t blk = b0; blk < b1; ++blk) {
@@ -59,24 +54,32 @@ void bcsr_spmv_range(const Bcsr<V>& a, const Csr<V>* rem, index_t br0,
             sum[r] += bv[r * C + cc] * x[j0 + cc];
       }
     }
-    const index_t row0 = br * R;
-    if constexpr (decltype(full)::value) {
-      if constexpr (Dec)
-        band_remainder_madd<V, R, Simd>(rrow_ptr + row0, rcol_ind, rval, x,
-                                        sum);
-      for (int r = 0; r < R; ++r) y[row0 + r] += sum[r];
-    } else {
-      // Partial tail block row: padded rows beyond n carry only zeros.
-      const int rows = static_cast<int>(n - row0);
-      if constexpr (Dec)
-        tail_remainder_madd(rrow_ptr + row0, rows, rcol_ind, rval, x, sum);
-      for (int r = 0; r < rows; ++r) y[row0 + r] += sum[r];
-    }
   };
-  const index_t full_end = std::min(br1, n / R);
-  index_t br = br0;
-  for (; br < full_end; ++br) block_row(br, std::true_type{});
-  for (; br < br1; ++br) block_row(br, std::false_type{});
+  if constexpr (Dec) {
+    dec_bands<V, R, Simd>(br0, br1, n, rem->row_ptr().data(),
+                          rem->col_ind().data(), rem->val().data(), rem_tag,
+                          x, y, block_sums, [](index_t) {});
+  } else {
+    // Only the last block row can be a partial tail (never at R = 1); its
+    // own loop keeps the full-band path free of runtime row counts.
+    const index_t full_end = std::min(br1, n / R);
+    index_t br = br0;
+    for (; br < full_end; ++br) {
+      BlockSums<V, R> sums;
+      V* sum = sums.data();
+      block_sums(br, sum);
+      for (int r = 0; r < R; ++r) y[br * R + r] += sum[r];
+    }
+    if constexpr (R > 1) {
+      for (; br < br1; ++br) {
+        // Padded rows beyond n carry only zeros.
+        BlockSums<V, R> sums;
+        V* sum = sums.data();
+        block_sums(br, sum);
+        for (index_t i = br * R; i < n; ++i) y[i] += sum[i - br * R];
+      }
+    }
+  }
 }
 
 /// Compile-time 8×8 dispatch table; entries with r·c > 8 stay null.

@@ -1,14 +1,17 @@
 // Shared inner bodies of the SpMV kernels: the fixed-size block
 // multiply-accumulate used by the BCSR and UBCSR kernels (the two formats
 // run the identical inner block routine; only the addressing of the
-// block's columns differs), the CSR row dot, and the band remainder walk
-// the decomposed BCSR/BCSD kernels fold into their block sums.
+// block's columns differs), the CSR row dot, and the chunked remainder
+// walk that fuses the decomposed BCSR/BCSD kernels' blocks and CSR
+// remainder into one pass (dec_bands).
 #pragma once
 
+#include <algorithm>
 #include <type_traits>
 #include <utility>
 
 #include "src/formats/common.hpp"
+#include "src/formats/decomposed.hpp"
 #include "src/kernels/simd.hpp"
 #include "src/util/macros.hpp"
 
@@ -57,7 +60,7 @@ BSPMV_ALWAYS_INLINE void block_madd_simd(const V* BSPMV_RESTRICT bv,
 
 /// sum + Σ val[k]·x[col_ind[k]] over k in [lo, hi): the CSR row dot,
 /// shared by the CSR kernels (sum = 0) and the decomposed kernels' per-row
-/// remainder walk (sum = the row's block accumulator). Scalar adds each
+/// remainder walk (sum = the row's block sum). Scalar adds each
 /// product to sum in order; SIMD accumulates w-lane groups in a vector,
 /// adds its horizontal sum, then the scalar tail. The x gather stays
 /// scalar (SSE2 has no gather).
@@ -82,64 +85,124 @@ BSPMV_ALWAYS_INLINE V csr_row_dot(const V* BSPMV_RESTRICT val,
   return sum;
 }
 
-/// Remainder walk thresholds, in entries per row averaged over the band.
-inline constexpr int kFlatWalkMaxPerRow = 3;
+/// R zeroed block sums. When R fills whole vectors the block madds may
+/// load and store the sums as vectors; a plain `V sum[R] = {}` is then
+/// zeroed by one scalar store per lane, and the first vector load waits
+/// for both stores to retire (a failed store forward, once per band:
+/// 1.7× on 2×3 blocks). So those sums are stored as may_alias
+/// vectors, zeroed by vector stores, and used through data(). Other R
+/// keep the plain array, which the compiler can hold in registers.
+template <class V, int R, bool Vec = R % simd_width<V> == 0>
+struct BlockSums {
+  simd_alias_t<V> v[R / simd_width<V>] = {};
+  V* data() { return reinterpret_cast<V*>(v); }
+};
+template <class V, int R>
+struct BlockSums<V, R, false> {
+  V v[R] = {};
+  V* data() { return v; }
+};
+
+/// Walk thresholds of dec_bands, per chunk. The flat walk wins where the
+/// per-row walk's loop exits mispredict, that is where row lengths
+/// change from row to row, and loses where rows run long: it is taken
+/// while the chunk holds fewer than kFlatMaxPerLengthChange remainder
+/// entries per change of row length. The per-row walk uses the vector
+/// row dot in SIMD kernels from kSimdDotMinPerRow entries per row.
+inline constexpr int kFlatMaxPerLengthChange = 8;
 inline constexpr int kSimdDotMinPerRow = 8;
 
-/// sum[0..R) += the CSR remainder rows of one full R-row band; rp points
-/// at the band's first row_ptr entry. The walk is picked per band from
-/// its remainder length (the branch is predictable: a matrix's remainder
-/// rows are mostly alike):
-///  - flat (R = 2 or 3, short rows): one loop over the band's entries;
-///    entry k's row is the number of row boundaries at or below k, so the
-///    1–5 entry rows typical of a FEM remainder cost no per-row loop exit.
-///    It accumulates through memory, so it loses once rows get longer
-///    (and at R = 1, where it saves no loop).
-///  - per row: a scalar csr_row_dot per row, rows unrolled at compile time.
-///  - per row, SIMD (Simd kernels, long rows): the vector csr_row_dot,
-///    whose two-lane chains win once rows reach about 8 entries.
-/// The first two add each product to sum[r] in stored order, the order of
-/// the scalar kernel that the row-major SpMM kernels reproduce per vector.
-template <class V, int R, bool Simd>
-BSPMV_ALWAYS_INLINE void band_remainder_madd(
-    const index_t* BSPMV_RESTRICT rp, const index_t* BSPMV_RESTRICT col_ind,
-    const V* BSPMV_RESTRICT val, const V* BSPMV_RESTRICT x,
-    V* BSPMV_RESTRICT sum) {
-  if constexpr (R == 2 || R == 3) {
-    if (rp[R] - rp[0] <= kFlatWalkMaxPerRow * R) {
-      index_t bound[R];
-      for (int r = 1; r < R; ++r) bound[r - 1] = rp[r];
-      for (index_t k = rp[0]; k < rp[R]; ++k) {
-        int r = 0;
-        for (int b = 0; b + 1 < R; ++b) r += k >= bound[b];
-        sum[r] += val[k] * x[col_ind[k]];
-      }
-      return;
-    }
-  }
-  auto per_row = [&]<bool VecDot, int... r>(std::bool_constant<VecDot>,
-                                            std::integer_sequence<int, r...>) {
-    ((sum[r] = csr_row_dot<V, VecDot>(val, col_ind, rp[r], rp[r + 1], x,
-                                      sum[r])),
+/// The fused decomposed SpMV over bands [g0, g1) of R rows (n rows in
+/// all): y += each band's block sums plus its rows of the CSR remainder
+/// (rp, col_ind, val, tag). sums(g, sum) adds band g's blocks into
+/// sum[0..R) (zeroed); after(g) runs once band g's rows of y are written
+/// (BCSD adds its boundary diagonals there).
+///
+/// The bands go in chunks of kRemChunkBands, aligned to absolute band
+/// indices. Each chunk picks one walk from its whole remainder, counted
+/// branch-free from its row pointers, so a chunk cut by a task's range
+/// walks its rows as the whole chunk does:
+///  - flat: the band sums go into a chunk-local accumulator, one loop
+///    over all of the chunk's entries adds each to its row's slot (the
+///    entry's tag), and y is written once per row. No loop or branch runs
+///    per row or per band, but a row's entries form one chain of loads
+///    and stores through the accumulator.
+///  - per row: per band, a row dot per row on the band's sums (the vector
+///    dot in SIMD kernels), keeping that chain in a register, but paying
+///    a loop exit per row.
+/// Every row adds its block sums, then its remainder entries in stored
+/// order (the SIMD row dot excepted), the order the row-major SpMM
+/// kernels reproduce per vector.
+template <class V, int R, bool Simd, class SumsFn, class AfterFn>
+BSPMV_ALWAYS_INLINE void dec_bands(index_t g0, index_t g1, index_t n,
+                                   const index_t* BSPMV_RESTRICT rp,
+                                   const index_t* BSPMV_RESTRICT col_ind,
+                                   const V* BSPMV_RESTRICT val,
+                                   const rem_tag_t* BSPMV_RESTRICT tag,
+                                   const V* BSPMV_RESTRICT x,
+                                   V* BSPMV_RESTRICT y, SumsFn sums,
+                                   AfterFn after) {
+  constexpr index_t kChunkRows = index_t{R} * kRemChunkBands;
+  // sum[r] += row r of the band at row0, rows unrolled at compile time.
+  auto row_dots = [&]<bool VecDot, int... r>(std::bool_constant<VecDot>,
+                                             std::integer_sequence<int, r...>,
+                                             index_t row0, V* sum) {
+    ((sum[r] = csr_row_dot<V, VecDot>(val, col_ind, rp[row0 + r],
+                                      rp[row0 + r + 1], x, sum[r])),
      ...);
   };
-  constexpr auto rows = std::make_integer_sequence<int, R>{};
-  if (Simd && rp[R] - rp[0] >= kSimdDotMinPerRow * R)
-    per_row(std::bool_constant<Simd>{}, rows);
-  else
-    per_row(std::false_type{}, rows);
-}
-
-/// The partial tail band's remainder rows (rows < R): the scalar per-row
-/// walk.
-template <class V>
-inline void tail_remainder_madd(const index_t* BSPMV_RESTRICT rp, int rows,
-                                const index_t* BSPMV_RESTRICT col_ind,
-                                const V* BSPMV_RESTRICT val,
-                                const V* BSPMV_RESTRICT x,
-                                V* BSPMV_RESTRICT sum) {
-  for (int r = 0; r < rows; ++r)
-    sum[r] = csr_row_dot<V, false>(val, col_ind, rp[r], rp[r + 1], x, sum[r]);
+  for (index_t c0 = g0; c0 < g1;) {
+    const index_t first = c0 - c0 % kRemChunkBands;  // absolute chunk start
+    const index_t c1 = std::min<index_t>(g1, first + kRemChunkBands);
+    const index_t base = first * R;
+    const index_t base_end = std::min<index_t>(n, base + kChunkRows);
+    const index_t lo = c0 * R;
+    const index_t hi = std::min<index_t>(n, c1 * R);
+    // Over the whole chunk, its entries and its changes of row length.
+    const index_t entries = rp[base_end] - rp[base];
+    index_t changes = 0;
+    for (index_t i = base + 1; i < base_end; ++i)
+      changes += rp[i + 1] - rp[i] != rp[i] - rp[i - 1];
+    if (entries < kFlatMaxPerLengthChange * changes || entries == 0) {
+      V acc[kChunkRows];
+      for (index_t g = c0; g < c1; ++g) {
+        BlockSums<V, R> sums_g;
+        V* sum = sums_g.data();
+        sums(g, sum);
+        V* slot = acc + (g - first) * R;
+        for (int r = 0; r < R; ++r) slot[r] = sum[r];
+      }
+      for (index_t k = rp[lo]; k < rp[hi]; ++k) {
+        BSPMV_DBG_ASSERT(tag[k] >= lo - base && tag[k] < hi - base);
+        acc[tag[k]] += val[k] * x[col_ind[k]];
+      }
+      for (index_t i = lo; i < hi; ++i) y[i] += acc[i - base];
+      for (index_t g = c0; g < c1; ++g) after(g);
+    } else {
+      const bool vec_dot =
+          Simd && entries >= kSimdDotMinPerRow * (base_end - base);
+      for (index_t g = c0; g < c1; ++g) {
+        BlockSums<V, R> sums_g;
+        V* sum = sums_g.data();
+        sums(g, sum);
+        const index_t row0 = g * R;
+        if (row0 + R <= n) {
+          constexpr auto rows = std::make_integer_sequence<int, R>{};
+          if (vec_dot)
+            row_dots(std::bool_constant<Simd>{}, rows, row0, sum);
+          else
+            row_dots(std::false_type{}, rows, row0, sum);
+          for (int r = 0; r < R; ++r) y[row0 + r] += sum[r];
+        } else {
+          for (index_t i = row0; i < n; ++i)
+            y[i] += csr_row_dot<V, false>(val, col_ind, rp[i], rp[i + 1], x,
+                                          sum[i - row0]);
+        }
+        after(g);
+      }
+    }
+    c0 = c1;
+  }
 }
 
 }  // namespace bspmv::detail

@@ -18,17 +18,23 @@ struct SimdVec;
 template <>
 struct SimdVec<double> {
   using type = double __attribute__((vector_size(16)));
+  using alias_type = double __attribute__((vector_size(16), may_alias));
   static constexpr int width = 2;
 };
 
 template <>
 struct SimdVec<float> {
   using type = float __attribute__((vector_size(16)));
+  using alias_type = float __attribute__((vector_size(16), may_alias));
   static constexpr int width = 4;
 };
 
 template <class V>
 using simd_t = typename SimdVec<V>::type;
+
+/// simd_t that may alias its lanes' type (storage read through V*).
+template <class V>
+using simd_alias_t = typename SimdVec<V>::alias_type;
 
 template <class V>
 inline constexpr int simd_width = SimdVec<V>::width;

@@ -81,20 +81,27 @@ BSPMV_ALWAYS_INLINE void axpy_rhs(V v, const V* BSPMV_RESTRICT xp,
   }
 }
 
-/// sum[r·JN ..) += row r of the CSR remainder band starting at rp (rows
-/// <= the band height), each entry joining its row's accumulators in
-/// stored order: per vector the order of the scalar decomposed kernel
-/// (band_remainder_madd in src/kernels/block_madd.hpp).
+/// sum[r·JN ..) += row r of the band of `band` rows starting at row0, of
+/// the CSR remainder (rp, col_ind, val, tag). One loop over the band's
+/// entries; an entry's row in the band is its tag less row0's (the tags
+/// count rows from a chunk start, and bands tile chunks), so no loop runs
+/// per row. Each entry joins its row's accumulators in stored order: per
+/// vector the order of the scalar decomposed kernel (dec_bands in
+/// src/kernels/block_madd.hpp).
 template <class V, bool Simd, int JN>
 BSPMV_ALWAYS_INLINE void band_remainder_rhs(
-    const index_t* BSPMV_RESTRICT rp, int rows,
-    const index_t* BSPMV_RESTRICT col_ind, const V* BSPMV_RESTRICT val,
-    const V* BSPMV_RESTRICT X, int k, int j0, V* BSPMV_RESTRICT sum) {
-  for (int r = 0; r < rows; ++r)
-    for (index_t t = rp[r]; t < rp[r + 1]; ++t)
-      axpy_rhs<V, Simd, JN>(
-          val[t], X + static_cast<std::size_t>(col_ind[t]) * k + j0,
-          sum + r * JN);
+    const index_t* BSPMV_RESTRICT rp, const index_t* BSPMV_RESTRICT col_ind,
+    const V* BSPMV_RESTRICT val, const rem_tag_t* BSPMV_RESTRICT tag,
+    index_t row0, int band, index_t n, const V* BSPMV_RESTRICT X, int k,
+    int j0, V* BSPMV_RESTRICT sum) {
+  const int off = rem_tag(row0, band);
+  const index_t hi = std::min<index_t>(n, row0 + band);
+  for (index_t t = rp[row0]; t < rp[hi]; ++t) {
+    BSPMV_DBG_ASSERT(tag[t] >= off && tag[t] < off + band);
+    axpy_rhs<V, Simd, JN>(
+        val[t], X + static_cast<std::size_t>(col_ind[t]) * k + j0,
+        sum + (tag[t] - off) * JN);
+  }
 }
 
 template <class V, bool Simd, bool Acc, int JN>
@@ -116,9 +123,10 @@ void csr_spmm_rm_chunk(const Csr<V>& a, index_t row0, index_t row1,
 }
 
 template <class V, int R, int C, bool Simd, bool Acc, int JN>
-void bcsr_spmm_rm_range(const Bcsr<V>& a, const Csr<V>* rem, index_t br0,
-                        index_t br1, const V* BSPMV_RESTRICT X,
-                        V* BSPMV_RESTRICT Y, int k, int j0) {
+void bcsr_spmm_rm_range(const Bcsr<V>& a, const Csr<V>* rem,
+                        const rem_tag_t* rem_tag, index_t br0, index_t br1,
+                        const V* BSPMV_RESTRICT X, V* BSPMV_RESTRICT Y,
+                        int k, int j0) {
   BSPMV_DBG_ASSERT(a.shape().r == R && a.shape().c == C);
   const index_t* BSPMV_RESTRICT brow_ptr = a.brow_ptr().data();
   const index_t* BSPMV_RESTRICT bcol_ind = a.bcol_ind().data();
@@ -159,9 +167,10 @@ void bcsr_spmm_rm_range(const Bcsr<V>& a, const Csr<V>* rem, index_t br0,
     const int rmax = static_cast<int>(
         std::min<index_t>(static_cast<index_t>(R), n - row0));
     if (rem != nullptr)
-      band_remainder_rhs<V, Simd, JN>(rem->row_ptr().data() + row0, rmax,
+      band_remainder_rhs<V, Simd, JN>(rem->row_ptr().data(),
                                       rem->col_ind().data(),
-                                      rem->val().data(), X, k, j0, sum);
+                                      rem->val().data(), rem_tag, row0, R, n,
+                                      X, k, j0, sum);
     for (int rr = 0; rr < rmax; ++rr)
       flush_row<V, Acc, JN>(Y + static_cast<std::size_t>(row0 + rr) * k + j0,
                             sum + rr * JN);
@@ -171,8 +180,8 @@ void bcsr_spmm_rm_range(const Bcsr<V>& a, const Csr<V>* rem, index_t br0,
 /// Compile-time shape dispatch table per (Simd, JN), mirroring
 /// bcsr_kernels_impl.hpp's BcsrTable; entries with r·c > 8 stay null.
 template <class V>
-using BcsrSpmmFn = void (*)(const Bcsr<V>&, const Csr<V>*, index_t, index_t,
-                            const V*, V*, int, int);
+using BcsrSpmmFn = void (*)(const Bcsr<V>&, const Csr<V>*, const rem_tag_t*,
+                            index_t, index_t, const V*, V*, int, int);
 
 template <class V, bool Simd, bool Acc, int JN>
 struct BcsrSpmmTable {
@@ -195,8 +204,9 @@ struct BcsrSpmmTable {
 };
 
 template <class V, bool Simd, bool Acc, int JN>
-void bcsr_spmm_rm_chunk(const Bcsr<V>& a, const Csr<V>* rem, index_t br0,
-                        index_t br1, const V* X, V* Y, int k, int j0) {
+void bcsr_spmm_rm_chunk(const Bcsr<V>& a, const Csr<V>* rem,
+                        const rem_tag_t* rem_tag, index_t br0, index_t br1,
+                        const V* X, V* Y, int k, int j0) {
   static constexpr BcsrSpmmTable<V, Simd, Acc, JN> kTable{};
   const BlockShape shape = a.shape();
   BSPMV_CHECK_MSG(shape.r >= 1 && shape.r <= kMaxBlockElems &&
@@ -207,13 +217,14 @@ void bcsr_spmm_rm_chunk(const Bcsr<V>& a, const Csr<V>* rem, index_t br0,
       kTable.fn[static_cast<std::size_t>(shape.r - 1)]
                [static_cast<std::size_t>(shape.c - 1)];
   BSPMV_DBG_ASSERT(fn != nullptr);
-  fn(a, rem, br0, br1, X, Y, k, j0);
+  fn(a, rem, rem_tag, br0, br1, X, Y, k, j0);
 }
 
 template <class V, bool Simd, bool Acc, int JN>
-void bcsd_spmm_rm_chunk(const Bcsd<V>& a, const Csr<V>* rem, index_t seg0,
-                        index_t seg1, const V* BSPMV_RESTRICT X,
-                        V* BSPMV_RESTRICT Y, int k, int j0) {
+void bcsd_spmm_rm_chunk(const Bcsd<V>& a, const Csr<V>* rem,
+                        const rem_tag_t* rem_tag, index_t seg0, index_t seg1,
+                        const V* BSPMV_RESTRICT X, V* BSPMV_RESTRICT Y,
+                        int k, int j0) {
   const index_t* BSPMV_RESTRICT brow_ptr = a.brow_ptr().data();
   const index_t* BSPMV_RESTRICT bcol_ind = a.bcol_ind().data();
   const index_t* BSPMV_RESTRICT nfull = a.full_diags().data();
@@ -246,9 +257,10 @@ void bcsd_spmm_rm_chunk(const Bcsd<V>& a, const Csr<V>* rem, index_t seg0,
       // every row the boundary loop below may touch.
       const int rows = static_cast<int>(std::min<index_t>(b, n - base));
       if (rem != nullptr)
-        band_remainder_rhs<V, Simd, JN>(rem->row_ptr().data() + base, rows,
+        band_remainder_rhs<V, Simd, JN>(rem->row_ptr().data(),
                                         rem->col_ind().data(),
-                                        rem->val().data(), X, k, j0, sum);
+                                        rem->val().data(), rem_tag, base, b,
+                                        n, X, k, j0, sum);
       for (int e = 0; e < rows; ++e)
         flush_row<V, Acc, JN>(Y + static_cast<std::size_t>(base + e) * k + j0,
                               sum + e * JN);
@@ -341,20 +353,20 @@ void csr_spmm_rm(const Csr<V>& a, index_t row0, index_t row1, const V* X,
 template <class V>
 void bcsr_spmm_rm(const Bcsr<V>& a, index_t br0, index_t br1, const V* X,
                   V* Y, int k, bool simd, bool accumulate,
-                  const Csr<V>* rem) {
+                  const Csr<V>* rem, const rem_tag_t* rem_tag) {
   BSPMV_DBG_ASSERT(br0 >= 0 && br1 <= a.block_rows() && br0 <= br1 && k >= 1);
   BSPMV_DBG_ASSERT(rem == nullptr || rem->rows() == a.rows());
-  BSPMV_SPMM_DISPATCH(bcsr_spmm_rm_chunk, a, rem, br0, br1, X, Y);
+  BSPMV_SPMM_DISPATCH(bcsr_spmm_rm_chunk, a, rem, rem_tag, br0, br1, X, Y);
 }
 
 template <class V>
 void bcsd_spmm_rm(const Bcsd<V>& a, index_t seg0, index_t seg1, const V* X,
                   V* Y, int k, bool simd, bool accumulate,
-                  const Csr<V>* rem) {
+                  const Csr<V>* rem, const rem_tag_t* rem_tag) {
   BSPMV_DBG_ASSERT(seg0 >= 0 && seg1 <= a.segments() && seg0 <= seg1 &&
                    k >= 1);
   BSPMV_DBG_ASSERT(rem == nullptr || rem->rows() == a.rows());
-  BSPMV_SPMM_DISPATCH(bcsd_spmm_rm_chunk, a, rem, seg0, seg1, X, Y);
+  BSPMV_SPMM_DISPATCH(bcsd_spmm_rm_chunk, a, rem, rem_tag, seg0, seg1, X, Y);
 }
 
 template <class V>
@@ -370,9 +382,11 @@ void vbl_spmm_rm(const Vbl<V>& a, const V* X, V* Y, int k, bool simd,
   template void csr_spmm_rm(const Csr<V>&, index_t, index_t, const V*, V*,  \
                             int, bool, bool);                               \
   template void bcsr_spmm_rm(const Bcsr<V>&, index_t, index_t, const V*,    \
-                             V*, int, bool, bool, const Csr<V>*);           \
+                             V*, int, bool, bool, const Csr<V>*,            \
+                             const rem_tag_t*);                             \
   template void bcsd_spmm_rm(const Bcsd<V>&, index_t, index_t, const V*,    \
-                             V*, int, bool, bool, const Csr<V>*);           \
+                             V*, int, bool, bool, const Csr<V>*,            \
+                             const rem_tag_t*);                             \
   template void vbl_spmm_rm(const Vbl<V>&, const V*, V*, int, bool, bool);
 BSPMV_INST(float)
 BSPMV_INST(double)

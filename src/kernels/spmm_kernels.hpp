@@ -33,6 +33,7 @@
 #include "src/formats/bcsd.hpp"
 #include "src/formats/bcsr.hpp"
 #include "src/formats/csr.hpp"
+#include "src/formats/decomposed.hpp"
 #include "src/formats/vbl.hpp"
 
 namespace bspmv {
@@ -44,13 +45,15 @@ void csr_spmm_rm(const Csr<V>& a, index_t row0, index_t row1, const V* X,
                  V* Y, int k, bool simd, bool accumulate = true);
 
 /// Block-row range variant for BCSR (any supported shape, runtime r×c).
-/// A non-null `rem` is BCSR-DEC's CSR remainder: each band's remainder
-/// rows join that band's accumulators before the single flush, so the
-/// decomposed format streams once, in the scalar kernel's per-vector order.
+/// A non-null `rem` is BCSR-DEC's CSR remainder and `rem_tag` its
+/// entries' row tags (decomposed.hpp): each band's remainder entries join
+/// that band's accumulators before the single flush, so the decomposed
+/// format streams once, in the scalar kernel's per-vector order.
 template <class V>
 void bcsr_spmm_rm(const Bcsr<V>& a, index_t br0, index_t br1, const V* X,
                   V* Y, int k, bool simd, bool accumulate = true,
-                  const Csr<V>* rem = nullptr);
+                  const Csr<V>* rem = nullptr,
+                  const rem_tag_t* rem_tag = nullptr);
 
 /// Segment range variant for BCSD (any diagonal length b), with the same
 /// optional BCSD-DEC remainder. In overwrite mode, segments with no
@@ -59,7 +62,8 @@ void bcsr_spmm_rm(const Bcsr<V>& a, index_t br0, index_t br1, const V* X,
 template <class V>
 void bcsd_spmm_rm(const Bcsd<V>& a, index_t seg0, index_t seg1, const V* X,
                   V* Y, int k, bool simd, bool accumulate = true,
-                  const Csr<V>* rem = nullptr);
+                  const Csr<V>* rem = nullptr,
+                  const rem_tag_t* rem_tag = nullptr);
 
 /// Whole-matrix 1D-VBL (the format has no parallel protocol).
 template <class V>
@@ -71,10 +75,10 @@ void vbl_spmm_rm(const Vbl<V>& a, const V* X, V* Y, int k, bool simd,
                                    const V*, V*, int, bool, bool);          \
   extern template void bcsr_spmm_rm(const Bcsr<V>&, index_t, index_t,       \
                                     const V*, V*, int, bool, bool,          \
-                                    const Csr<V>*);                         \
+                                    const Csr<V>*, const rem_tag_t*);       \
   extern template void bcsd_spmm_rm(const Bcsd<V>&, index_t, index_t,       \
                                     const V*, V*, int, bool, bool,          \
-                                    const Csr<V>*);                         \
+                                    const Csr<V>*, const rem_tag_t*);       \
   extern template void vbl_spmm_rm(const Vbl<V>&, const V*, V*, int, bool,  \
                                    bool);
 BSPMV_DECL(float)

@@ -173,8 +173,8 @@ TEST(BcsrKernels, RangeRespectsBlockRowBounds) {
   const auto x = bspmv::testing::random_x<double>(40, 2);
   aligned_vector<double> full(40, 0.0), part(40, 0.0);
   const auto fn = bcsr_kernel<double>(BlockShape{4, 2}, false);
-  fn(m, nullptr, 0, m.block_rows(), x.data(), full.data());
-  fn(m, nullptr, 2, 5, x.data(), part.data());
+  fn(m, nullptr, nullptr, 0, m.block_rows(), x.data(), full.data());
+  fn(m, nullptr, nullptr, 2, 5, x.data(), part.data());
   for (index_t i = 0; i < 40; ++i) {
     if (i >= 8 && i < 20)
       EXPECT_DOUBLE_EQ(part[static_cast<std::size_t>(i)],
@@ -195,7 +195,7 @@ TEST(BcsrKernels, TailBlockRowDoesNotWritePastEnd) {
   const aligned_vector<double> x(8, 1.0);
   std::fill(buf.begin(), buf.begin() + 5, 0.0);
   const auto fn = bcsr_kernel<double>(BlockShape{4, 2}, false);
-  fn(m, nullptr, 0, m.block_rows(), x.data(), buf.data());
+  fn(m, nullptr, nullptr, 0, m.block_rows(), x.data(), buf.data());
   EXPECT_DOUBLE_EQ(buf[4], 8.0);
   EXPECT_DOUBLE_EQ(buf[5], -123.0);
   EXPECT_DOUBLE_EQ(buf[6], -123.0);

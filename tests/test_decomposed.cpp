@@ -4,9 +4,11 @@
 // reference on adversarial shapes, through every execution path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/formats/decomposed.hpp"
+#include "src/formats/validate.hpp"
 #include "src/kernels/spmv.hpp"
 #include "src/parallel/parallel_spmv.hpp"
 #include "tests/test_helpers.hpp"
@@ -15,6 +17,7 @@ namespace bspmv {
 namespace {
 
 using bspmv::testing::check_against_reference;
+using bspmv::testing::chunk_edge_rows;
 using bspmv::testing::expect_vectors_near;
 using bspmv::testing::random_blocky_coo;
 using bspmv::testing::random_coo;
@@ -142,9 +145,49 @@ TEST(Dec, WorkingSetCountsVectorsOnce) {
   const Csr<double> a = Csr<double>::from_coo(
       random_blocky_coo<double>(40, 40, 2, 0.3, 0.9, 17));
   const BcsrDec<double> m = BcsrDec<double>::from_csr(a, BlockShape{2, 2});
-  const std::size_t sum_parts =
-      m.blocked().working_set_bytes() + m.remainder().working_set_bytes();
+  ASSERT_GT(m.remainder().nnz(), 0u);
+  // Both parts, one byte of row tag per remainder entry, x and y once.
+  const std::size_t sum_parts = m.blocked().working_set_bytes() +
+                                m.remainder().working_set_bytes() +
+                                m.remainder().nnz();
   EXPECT_EQ(m.working_set_bytes(), sum_parts - (40 + 40) * 8);
+}
+
+// A remainder row tag indexes the kernels' chunk accumulator, so
+// validate() must reject a wrong one and a tag array of the wrong length.
+template <class F>
+void expect_bad_tags_rejected(const F& good, const std::string& what) {
+  ASSERT_GT(good.remainder().nnz(), 10u) << what;
+  EXPECT_NO_THROW(validate(good)) << what;
+  F wrong = good;
+  wrong.mutable_remainder_tag()[7] ^= 1;
+  EXPECT_THROW(validate(wrong), validation_error) << what;
+  F high = good;
+  high.mutable_remainder_tag()[7] = 255;
+  EXPECT_THROW(validate(high), validation_error) << what;
+  F shorter = good;
+  shorter.mutable_remainder_tag().pop_back();
+  EXPECT_THROW(validate(shorter), validation_error) << what;
+  F longer = good;
+  longer.mutable_remainder_tag().push_back(0);
+  EXPECT_THROW(validate(longer), validation_error) << what;
+}
+
+TEST(Dec, ValidateRejectsCorruptRowTag) {
+  const Csr<double> a = raw_csr(1553, 1600, chunk_edge_rows());
+  expect_bad_tags_rejected(BcsrDec<double>::from_csr(a, BlockShape{3, 1}),
+                           "bcsr_dec 3x1");
+  expect_bad_tags_rejected(BcsdDec<double>::from_csr(a, 8), "bcsd_dec b=8");
+}
+
+TEST(Dec, ValidateRejectsTruncatedRowTags) {
+  const Csr<float> a = raw_csr<float>(1553, 1600, chunk_edge_rows());
+  BcsrDec<float> r = BcsrDec<float>::from_csr(a, BlockShape{8, 1});
+  BcsdDec<float> d = BcsdDec<float>::from_csr(a, 2);
+  r.mutable_remainder_tag().resize(r.remainder().nnz() / 2);
+  d.mutable_remainder_tag().clear();
+  EXPECT_THROW(validate(r), validation_error);
+  EXPECT_THROW(validate(d), validation_error);
 }
 
 // ------------------------------------------------ fused-kernel edge cases
@@ -162,13 +205,15 @@ void expect_same_bits(const aligned_vector<V>& got,
 
 // For one decomposed matrix, both impls: (a) serial spmv within
 // expect_vectors_near of the COO reference, (b) ThreadedSpmv under the
-// static and the stealing schedule at 1/2/4/7 threads bitwise equal to
-// serial, (c) spmv_add
-// onto a non-zero y equal to y + spmv within the same bound.
+// static and the stealing schedule at each of `threads` bitwise equal to
+// serial, (c) spmv_add onto a non-zero y equal to y + spmv within the
+// same bound, (d) the kernel run over ranges cut inside and across
+// remainder chunks (kRemChunkBands) bitwise equal to one whole run.
 template <class F, class V>
 void expect_fused_contract(const F& m, const aligned_vector<V>& x,
                            const aligned_vector<V>& ref,
-                           const std::string& what) {
+                           const std::string& what,
+                           const std::vector<int>& threads_list) {
   const index_t n = m.rows();
   const auto rows = static_cast<std::size_t>(n);
   const aligned_vector<V> y0 = random_x<V>(n, 31);
@@ -183,8 +228,20 @@ void expect_fused_contract(const F& m, const aligned_vector<V>& x,
     spmv_add(m, x.data(), y.data(), kImpls[t]);
     for (std::size_t i = 0; i < rows; ++i) want[i] = y0[i] + serial[t][i];
     expect_vectors_near(y.data(), want.data(), n, ctx + " spmv_add");
+
+    const auto g = static_cast<index_t>(FormatOps<F>::pass_weights(m).size());
+    std::vector<index_t> cuts = {0, 1, 31, 33, 64, 95, g / 2, g - 1, g};
+    std::erase_if(cuts, [&](index_t c) { return c < 0 || c > g; });
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    aligned_vector<V> whole(rows, V(0)), pieces(rows, V(0));
+    FormatOps<F>::pass_run(m, 0, g, x.data(), whole.data(), kImpls[t]);
+    for (std::size_t c = 0; c + 1 < cuts.size(); ++c)
+      FormatOps<F>::pass_run(m, cuts[c], cuts[c + 1], x.data(), pieces.data(),
+                             kImpls[t]);
+    expect_same_bits(pieces, whole, ctx + " cut ranges");
   }
-  for (const int threads : {1, 2, 4, 7}) {
+  for (const int threads : threads_list) {
     const ThreadedSpmv<F> bulk(m, threads, ExecBackend::kBulk);
     const ThreadedSpmv<F> tasks(m, threads, ExecBackend::kTasks);
     for (int t = 0; t < 2; ++t) {
@@ -200,26 +257,28 @@ void expect_fused_contract(const F& m, const aligned_vector<V>& x,
 }
 
 template <class V>
-void expect_fused_all_shapes(const Csr<V>& a, const std::string& name) {
+void expect_fused_all_shapes(const Csr<V>& a, const std::string& name,
+                             const std::vector<int>& threads) {
   const auto x = random_x<V>(a.cols(), 7);
   aligned_vector<V> ref(static_cast<std::size_t>(a.rows()), V{0});
   a.to_coo().spmv_reference(x.data(), ref.data());
   for (const BlockShape s : bcsr_shapes())
     expect_fused_contract(BcsrDec<V>::from_csr(a, s), x, ref,
-                          name + " bcsr_dec " + s.to_string());
+                          name + " bcsr_dec " + s.to_string(), threads);
   for (const int b : bcsd_sizes())
     expect_fused_contract(BcsdDec<V>::from_csr(a, b), x, ref,
-                          name + " bcsd_dec b=" + std::to_string(b));
+                          name + " bcsd_dec b=" + std::to_string(b), threads);
 }
 
 // Every BCSR shape and BCSD size, float and double.
 void expect_fused(index_t rows, index_t cols,
                   const std::vector<std::vector<index_t>>& row_cols,
-                  const std::string& name) {
+                  const std::string& name,
+                  const std::vector<int>& threads = {1, 2, 4, 7}) {
   expect_fused_all_shapes(raw_csr<double>(rows, cols, row_cols),
-                          name + " double");
+                          name + " double", threads);
   expect_fused_all_shapes(raw_csr<float>(rows, cols, row_cols),
-                          name + " float");
+                          name + " float", threads);
 }
 
 TEST(DecFused, PartialTailBandWithRemainder) {
@@ -278,6 +337,53 @@ TEST(DecFused, LongRemainderRows) {
     for (index_t j = 0; j < 12; ++j)
       rc[static_cast<std::size_t>(i)].push_back((5 * j + 3 * i) % 64);
   expect_fused(17, 64, rc, "long rows");
+}
+
+TEST(DecFused, TaskRangesCutRemainderChunks) {
+  // Short, long and no remainder rows in runs of whole chunks and across
+  // chunk edges; a tail band inside the last chunk for every r, b > 1.
+  // Task ranges at 3 and 7 threads start and end inside chunks.
+  const auto rc = chunk_edge_rows();
+  const Csr<double> a = raw_csr(1553, 1600, rc);
+  for (const int band : {2, 3, 4, 5, 6, 7, 8}) ASSERT_NE(1553 % band, 0);
+  // 3×1: rows 300-799 take the per-row walk, rows 800-1329 hold none.
+  const BcsrDec<double> m = BcsrDec<double>::from_csr(a, BlockShape{3, 1});
+  const auto& rp = m.remainder().row_ptr();
+  EXPECT_GE(rp[768] - rp[384], 8 * 384);
+  EXPECT_EQ(rp[1330], rp[800]);
+  EXPECT_GT(rp[300], 0);
+  expect_fused(1553, 1600, rc, "chunk edges", {1, 2, 3, 4, 7});
+}
+
+TEST(DecFused, FullChunkReachesTagMax) {
+  // 300 rows of one scattered entry each: no full 8×1 block or length-8
+  // diagonal, so row 255 (tag 255, the last slot of a 256-row chunk)
+  // holds a remainder entry at r = 8 and b = 8.
+  std::vector<std::vector<index_t>> rc(300);
+  for (index_t i = 0; i < 300; ++i)
+    rc[static_cast<std::size_t>(i)] = {(37 * i) % 300};
+  const Csr<double> a = raw_csr(300, 300, rc);
+  const BcsrDec<double> r8 = BcsrDec<double>::from_csr(a, BlockShape{8, 1});
+  const BcsdDec<double> d8 = BcsdDec<double>::from_csr(a, 8);
+  for (const auto* tags : {&r8.remainder_tag(), &d8.remainder_tag()}) {
+    ASSERT_EQ(tags->size(), 300u);
+    EXPECT_EQ((*tags)[255], 255);
+    EXPECT_EQ((*tags)[256], 0);
+  }
+  expect_fused(300, 300, rc, "tag 255");
+}
+
+TEST(DecFused, RemainderOnlyAcrossChunks) {
+  // 1-3 scattered entries per row and no full block, over several chunks.
+  std::vector<std::vector<index_t>> rc(1031);
+  for (index_t i = 0; i < 1031; ++i)
+    for (index_t t = 0; t <= i % 3; ++t)
+      rc[static_cast<std::size_t>(i)].push_back((101 * i + 457 * t) % 1031);
+  const Csr<double> a = raw_csr(1031, 1031, rc);
+  EXPECT_EQ(BcsrDec<double>::from_csr(a, BlockShape{3, 1}).blocked().blocks(),
+            0u);
+  EXPECT_EQ(BcsdDec<double>::from_csr(a, 2).blocked().blocks(), 0u);
+  expect_fused(1031, 1031, rc, "remainder only", {1, 2, 3, 4, 7});
 }
 
 TEST(DecFused, EmptyMatrices) {

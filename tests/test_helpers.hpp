@@ -68,6 +68,35 @@ Csr<V> raw_csr(index_t rows, index_t cols,
                 std::move(val));
 }
 
+/// Column lists (for raw_csr) that put the decomposed kernels' remainder
+/// chunks (32 bands; at most 256 rows) to the test. 1553 rows, a prime,
+/// so every band height above 1 leaves a tail band, and 1600 columns:
+///  - rows [0, 300): columns 0-7 dense (full blocks for most shapes)
+///    plus 1-4 scattered entries, a FEM-like short remainder;
+///  - rows [300, 800): 12 scattered entries, long remainder rows;
+///  - rows [800, 1330): empty, whole chunks with no remainder;
+///  - rows [1330, 1553): the diagonal (full BCSD blocks) plus 1-3
+///    scattered entries.
+inline std::vector<std::vector<index_t>> chunk_edge_rows() {
+  std::vector<std::vector<index_t>> rc(1553);
+  Xoshiro256 rng(20);
+  auto scatter = [&](index_t i, std::uint64_t count) {
+    for (std::uint64_t t = 0; t < count; ++t)
+      rc[static_cast<std::size_t>(i)].push_back(
+          8 + static_cast<index_t>(rng.below(1592)));
+  };
+  for (index_t i = 0; i < 300; ++i) {
+    for (index_t j = 0; j < 8; ++j) rc[static_cast<std::size_t>(i)].push_back(j);
+    scatter(i, 1 + rng.below(4));
+  }
+  for (index_t i = 300; i < 800; ++i) scatter(i, 12);
+  for (index_t i = 1330; i < 1553; ++i) {
+    rc[static_cast<std::size_t>(i)].push_back(i);
+    scatter(i, 1 + rng.below(3));
+  }
+  return rc;
+}
+
 template <class V>
 aligned_vector<V> random_x(index_t m, std::uint64_t seed) {
   aligned_vector<V> x(static_cast<std::size_t>(m));

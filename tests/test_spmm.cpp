@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/engine.hpp"
@@ -144,6 +145,44 @@ TEST_P(SpmmParity, RunMultiMatchesIndependentSpmvBitwise) {
     }
   });
   EXPECT_EQ(parallel_formats, 5);
+}
+
+// The decomposed formats on long, short and absent remainder rows over
+// many remainder chunks (tests/test_helpers.hpp chunk_edge_rows), so task
+// ranges cut chunks: row-major k ∈ {1, 2, 4} bitwise-equals k spmv runs.
+TEST_P(SpmmParity, DecRemainderChunksRowMajorBitwise) {
+  const int threads = GetParam();
+  const Csr<double> a =
+      bspmv::testing::raw_csr(1553, 1600, bspmv::testing::chunk_edge_rows());
+  const std::size_t rows = 1553;
+  auto check = [&](const auto& m, const std::string& what) {
+    using F = std::decay_t<decltype(m)>;
+    const ThreadedSpmv<F> driver(m, threads);
+    for (int k : {1, 2, 4}) {
+      const auto xs = make_rhs<double>(1600, k, 11);
+      const auto X = pack(xs, Layout::kRowMajor);
+      for (Impl impl : {Impl::kScalar, Impl::kSimd}) {
+        const Impl ref_impl = k > 1 ? Impl::kScalar : impl;
+        aligned_vector<double> Y(rows * static_cast<std::size_t>(k), -1.0);
+        driver.run_multi(X.data(), Y.data(), k, Layout::kRowMajor, impl);
+        for (std::size_t j = 0; j < static_cast<std::size_t>(k); ++j) {
+          aligned_vector<double> ref(rows, 0.0);
+          spmv(m, xs[j].data(), ref.data(), ref_impl);
+          for (std::size_t i = 0; i < rows; ++i)
+            ASSERT_EQ(at(Y, Layout::kRowMajor, rows,
+                         static_cast<std::size_t>(k), i, j),
+                      ref[i])
+                << what << " impl=" << impl_name(impl) << " k=" << k
+                << " threads=" << threads << " vec " << j << " row " << i;
+        }
+      }
+    }
+  };
+  for (BlockShape s : {BlockShape{3, 1}, BlockShape{8, 1}, BlockShape{2, 2},
+                       BlockShape{1, 8}})
+    check(BcsrDec<double>::from_csr(a, s), "bcsr_dec " + s.to_string());
+  for (int b : {2, 5, 8})
+    check(BcsdDec<double>::from_csr(a, b), "bcsd_dec b=" + std::to_string(b));
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SpmmParity, ::testing::Values(1, 2, 4, 7));
