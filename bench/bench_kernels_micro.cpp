@@ -14,6 +14,9 @@
 // pair_dec_remainder/ pairs padded and decomposed 3×1 on an audikw-like
 // band whose remainder rows hold 1–5 entries, at 1 and 4 threads: the
 // decomposed kernel's chunked remainder walk against the padded kernel.
+// pair_csr_walk/ runs scalar and SIMD CSR on the skewed R-MAT at 1 and 4
+// threads: short rows of uneven length, the chunks the CSR kernels walk
+// flat (docs/formats.md, "How CSR rows are walked").
 // exec/dispatch_tiny runs a 512-row diagonal, where the kernel is
 // nearly free: the steal-minus-static time over the extra tasks is the
 // per-task scheduling fee parallel_overhead charges (docs/models.md).
@@ -205,6 +208,12 @@ void register_all() {
       register_exec("pair_dec_remainder/" + c.id() + "/" +
                         std::to_string(threads),
                     &audikw_like_matrix, c, ExecBackend::kTasks, threads);
+  for (const Impl impl : {Impl::kScalar, Impl::kSimd}) {
+    const Candidate c{FormatKind::kCsr, BlockShape{1, 1}, 0, impl};
+    for (int threads : {1, 4})
+      register_exec("pair_csr_walk/" + c.id() + "/" + std::to_string(threads),
+                    &skewed_matrix, c, ExecBackend::kTasks, threads);
+  }
   for (ExecBackend b : kSchedules)
     register_exec(std::string("exec/dispatch_tiny/") + schedule_label(b) +
                       "/4",

@@ -10,6 +10,9 @@
 #   - test_parallel, test_engine, test_partition_edges, test_spmm: the
 #     threaded parity suites (every parallel format × schedule × thread
 #     count, run_multi layouts) and the engine's threaded plans;
+#   - test_coo_csr, CsrWalk cases: the CSR kernels' chunked walk through
+#     both schedules at 1/2/3/4/7 threads, with task ranges that cut
+#     chunks whose walk is flat, per row, or flat only in part;
 #   - test_decomposed, DecFused cases: the fused decomposed kernels
 #     through both schedules at 1/2/4/7 threads (1/2/3/4/7 where task
 #     ranges must cut the remainder chunks), and Threads/SpmmParity's
@@ -48,12 +51,12 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DBSPMV_BUILD_EXAMPLES=OFF
 cmake --build "$build_dir" -j "$(nproc)" \
   --target test_run_control test_schedule test_parallel test_engine \
-           test_partition_edges test_spmm test_decomposed test_dist \
-           test_dist_recovery test_working_set test_stats
+           test_partition_edges test_spmm test_coo_csr test_decomposed \
+           test_dist test_dist_recovery test_working_set test_stats
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
 ctest --test-dir "$build_dir" --output-on-failure --timeout 600 \
   -j "$(nproc)" \
-  -R '^(RunControl|Watchdog|AtomicFile|RobustSamples|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskSchedule|TaskGraph|Threads/TaskGraphParity|Partition|PartitionEdges|Threads/ThreadedParity|ThreadedSpmvEdge|SpmvEngine|Threads/SpmmParity|SpmmAllFormats|SpmmEngine|SpmmSmoke|DecFused|HaloDecFormat|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel|CandidateCost|StatsScratch)\.' \
+  -R '^(RunControl|Watchdog|AtomicFile|RobustSamples|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskSchedule|TaskGraph|Threads/TaskGraphParity|Partition|PartitionEdges|Threads/ThreadedParity|ThreadedSpmvEdge|SpmvEngine|Threads/SpmmParity|SpmmAllFormats|SpmmEngine|SpmmSmoke|CsrWalk|DecFused|HaloDecFormat|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel|CandidateCost|StatsScratch)\.' \
   "$@"

@@ -1,9 +1,10 @@
 // Shared inner bodies of the SpMV kernels: the fixed-size block
 // multiply-accumulate used by the BCSR and UBCSR kernels (the two formats
 // run the identical inner block routine; only the addressing of the
-// block's columns differs), the CSR row dot, and the chunked remainder
-// walk that fuses the decomposed BCSR/BCSD kernels' blocks and CSR
-// remainder into one pass (dec_bands).
+// block's columns differs), the CSR row dot, the rule that picks a
+// chunk's walk (chunk_walk, shared with the CSR kernels), and the chunked
+// remainder walk that fuses the decomposed BCSR/BCSD kernels' blocks and
+// CSR remainder into one pass (dec_bands).
 #pragma once
 
 #include <algorithm>
@@ -103,14 +104,41 @@ struct BlockSums<V, R, false> {
   V* data() { return v; }
 };
 
-/// Walk thresholds of dec_bands, per chunk. The flat walk wins where the
-/// per-row walk's loop exits mispredict, that is where row lengths
-/// change from row to row, and loses where rows run long: it is taken
-/// while the chunk holds fewer than kFlatMaxPerLengthChange remainder
-/// entries per change of row length. The per-row walk uses the vector
-/// row dot in SIMD kernels from kSimdDotMinPerRow entries per row.
+/// Walk thresholds, per chunk of rows, of the CSR kernels
+/// (csr_spmv_range) and the fused decomposed kernels' remainder
+/// (dec_bands). The flat walk wins where the per-row walk's loop exits
+/// mispredict, that is where row lengths change from row to row, and
+/// loses where rows run long: it is taken while the chunk holds fewer
+/// than kFlatMaxPerLengthChange entries per change of row length. The
+/// per-row walk of the decomposed SIMD kernels uses the vector row dot
+/// from kSimdDotMinPerRow entries per row.
 inline constexpr int kFlatMaxPerLengthChange = 8;
 inline constexpr int kSimdDotMinPerRow = 8;
+
+/// The walk of one chunk of rows, chosen from the whole chunk. Only the
+/// decomposed kernels read vec_dot: the CSR SIMD kernel's per-row walk
+/// keeps the vector dot on every row, so its per-row chunks keep their
+/// summation order (docs/formats.md, "How CSR rows are walked").
+struct ChunkWalk {
+  bool flat;     ///< one loop over the chunk's entries
+  bool vec_dot;  ///< per-row walk: the vector row dot pays
+};
+
+/// The walk of the chunk of rows [base, base_end) of row pointers rp,
+/// counted branch-free. Callers pass the whole chunk, aligned to
+/// absolute rows, never a task's part of it, so every split of the rows
+/// walks each chunk the same way. A flat chunk holds at most
+/// kFlatMaxPerLengthChange · (base_end - base - 1) entries.
+template <bool Simd>
+BSPMV_ALWAYS_INLINE ChunkWalk chunk_walk(const index_t* BSPMV_RESTRICT rp,
+                                         index_t base, index_t base_end) {
+  const index_t entries = rp[base_end] - rp[base];
+  index_t changes = 0;
+  for (index_t i = base + 1; i < base_end; ++i)
+    changes += rp[i + 1] - rp[i] != rp[i] - rp[i - 1];
+  return {entries < kFlatMaxPerLengthChange * changes || entries == 0,
+          Simd && entries >= kSimdDotMinPerRow * (base_end - base)};
+}
 
 /// The fused decomposed SpMV over bands [g0, g1) of R rows (n rows in
 /// all): y += each band's block sums plus its rows of the CSR remainder
@@ -119,9 +147,9 @@ inline constexpr int kSimdDotMinPerRow = 8;
 /// (BCSD adds its boundary diagonals there).
 ///
 /// The bands go in chunks of kRemChunkBands, aligned to absolute band
-/// indices. Each chunk picks one walk from its whole remainder, counted
-/// branch-free from its row pointers, so a chunk cut by a task's range
-/// walks its rows as the whole chunk does:
+/// indices. Each chunk picks one walk from its whole remainder
+/// (chunk_walk), so a chunk cut by a task's range walks its rows as the
+/// whole chunk does:
 ///  - flat: the band sums go into a chunk-local accumulator, one loop
 ///    over all of the chunk's entries adds each to its row's slot (the
 ///    entry's tag), and y is written once per row. No loop or branch runs
@@ -158,12 +186,8 @@ BSPMV_ALWAYS_INLINE void dec_bands(index_t g0, index_t g1, index_t n,
     const index_t base_end = std::min<index_t>(n, base + kChunkRows);
     const index_t lo = c0 * R;
     const index_t hi = std::min<index_t>(n, c1 * R);
-    // Over the whole chunk, its entries and its changes of row length.
-    const index_t entries = rp[base_end] - rp[base];
-    index_t changes = 0;
-    for (index_t i = base + 1; i < base_end; ++i)
-      changes += rp[i + 1] - rp[i] != rp[i] - rp[i - 1];
-    if (entries < kFlatMaxPerLengthChange * changes || entries == 0) {
+    const ChunkWalk walk = chunk_walk<Simd>(rp, base, base_end);
+    if (walk.flat) {
       V acc[kChunkRows];
       for (index_t g = c0; g < c1; ++g) {
         BlockSums<V, R> sums_g;
@@ -179,8 +203,6 @@ BSPMV_ALWAYS_INLINE void dec_bands(index_t g0, index_t g1, index_t n,
       for (index_t i = lo; i < hi; ++i) y[i] += acc[i - base];
       for (index_t g = c0; g < c1; ++g) after(g);
     } else {
-      const bool vec_dot =
-          Simd && entries >= kSimdDotMinPerRow * (base_end - base);
       for (index_t g = c0; g < c1; ++g) {
         BlockSums<V, R> sums_g;
         V* sum = sums_g.data();
@@ -188,7 +210,7 @@ BSPMV_ALWAYS_INLINE void dec_bands(index_t g0, index_t g1, index_t n,
         const index_t row0 = g * R;
         if (row0 + R <= n) {
           constexpr auto rows = std::make_integer_sequence<int, R>{};
-          if (vec_dot)
+          if (walk.vec_dot)
             row_dots(std::bool_constant<Simd>{}, rows, row0, sum);
           else
             row_dots(std::false_type{}, rows, row0, sum);

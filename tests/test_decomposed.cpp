@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/formats/decomposed.hpp"
 #include "src/formats/validate.hpp"
@@ -18,6 +17,7 @@ namespace {
 
 using bspmv::testing::check_against_reference;
 using bspmv::testing::chunk_edge_rows;
+using bspmv::testing::expect_same_bits;
 using bspmv::testing::expect_vectors_near;
 using bspmv::testing::random_blocky_coo;
 using bspmv::testing::random_coo;
@@ -191,17 +191,6 @@ TEST(Dec, ValidateRejectsTruncatedRowTags) {
 }
 
 // ------------------------------------------------ fused-kernel edge cases
-
-template <class V>
-void expect_same_bits(const aligned_vector<V>& got,
-                      const aligned_vector<V>& want, const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  if (got.empty() ||
-      std::memcmp(got.data(), want.data(), got.size() * sizeof(V)) == 0)
-    return;
-  for (std::size_t i = 0; i < got.size(); ++i)
-    ASSERT_EQ(got[i], want[i]) << what << " row " << i;
-}
 
 // For one decomposed matrix, both impls: (a) serial spmv within
 // expect_vectors_near of the COO reference, (b) ThreadedSpmv under the

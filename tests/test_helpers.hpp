@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,19 @@ void expect_vectors_near(const V* y, const V* ref, index_t n,
     ASSERT_NEAR(a, b, tol * scale)
         << context << " mismatch at row " << i;
   }
+}
+
+/// ASSERT got equals want element for element (one memcmp when they
+/// hold the same bits).
+template <class V>
+void expect_same_bits(const aligned_vector<V>& got,
+                      const aligned_vector<V>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  if (got.empty() ||
+      std::memcmp(got.data(), want.data(), got.size() * sizeof(V)) == 0)
+    return;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << what << " row " << i;
 }
 
 /// Check an arbitrary spmv result against the COO reference.
