@@ -2,8 +2,7 @@
 // model-selected blocked format against CSR at k ∈ {1,2,4,8} right-hand
 // sides and compare the measured blocked-vs-CSR crossover k (the
 // smallest batch at which the blocked format is faster) against the
-// k-aware model's prediction (docs/spmm.md). Also records the row- vs
-// col-major layout tradeoff for the blocked format and the GFLOP/s
+// k-aware model's prediction (docs/spmm.md). Also records the GFLOP/s
 // amortisation from streaming the matrix once across the batch.
 //
 // Results go to BENCH_spmm.json (--out) and the BENCH_report.json
@@ -35,6 +34,20 @@ int measured_crossover(const std::vector<double>& blocked,
   constexpr double kNoiseMargin = 0.97;
   for (std::size_t i = 0; i < kRhsCounts.size(); ++i)
     if (blocked[i] < kNoiseMargin * csr[i]) return kRhsCounts[i];
+  return 0;
+}
+
+/// Smallest k in `ks` (scanned in order) where `blocked` is predicted
+/// strictly faster than `csr` at that k; 0 when the prediction never
+/// crosses within `ks`.
+int spmm_crossover_k(ModelKind model, const CandidateCost& blocked,
+                     const CandidateCost& csr, const MachineProfile& profile,
+                     Precision prec, const std::vector<int>& ks) {
+  for (int k : ks) {
+    const double tb = predict_spmm(model, blocked, profile, prec, k);
+    const double tc = predict_spmm(model, csr, profile, prec, k);
+    if (tb < tc) return k;
+  }
   return 0;
 }
 
@@ -125,18 +138,14 @@ int main(int argc, char** argv) {
     const auto blocked_engine = SpmvEngine<double>::prepare(a, blocked);
     const auto csr_engine = SpmvEngine<double>::prepare(a, csr);
 
-    std::vector<double> mb, mc, mb_col, pb, pc;
+    std::vector<double> mb, mc, pb, pc;
     for (int k : kRhsCounts) {
-      mb.push_back(
-          blocked_engine.measure_multi(k, Layout::kRowMajor, cfg.measure));
-      mc.push_back(
-          csr_engine.measure_multi(k, Layout::kRowMajor, cfg.measure));
-      mb_col.push_back(
-          blocked_engine.measure_multi(k, Layout::kColMajor, cfg.measure));
+      mb.push_back(blocked_engine.measure_multi(k, cfg.measure));
+      mc.push_back(csr_engine.measure_multi(k, cfg.measure));
       pb.push_back(predict_spmm(ModelKind::kOverlap, blocked_cost, profile,
-                                Precision::kDouble, k, Layout::kRowMajor));
+                                Precision::kDouble, k));
       pc.push_back(predict_spmm(ModelKind::kOverlap, csr_cost, profile,
-                                Precision::kDouble, k, Layout::kRowMajor));
+                                Precision::kDouble, k));
     }
 
     // 1D-VBL alongside the 2D pick: the paper's variable-block format
@@ -149,14 +158,12 @@ int main(int argc, char** argv) {
     const auto vbl_engine = SpmvEngine<double>::prepare(a, vbl);
     std::vector<double> mv;
     for (int k : kRhsCounts)
-      mv.push_back(
-          vbl_engine.measure_multi(k, Layout::kRowMajor, cfg.measure));
+      mv.push_back(vbl_engine.measure_multi(k, cfg.measure));
 
     const int meas_k = measured_crossover(mb, mc);
     const int pred_k =
         spmm_crossover_k(ModelKind::kOverlap, blocked_cost, csr_cost,
-                         profile, Precision::kDouble, Layout::kRowMajor,
-                         kRhsCounts);
+                         profile, Precision::kDouble, kRhsCounts);
     const bool within_1 = std::abs(pred_k - meas_k) <= 1;
     all_within_1 = all_within_1 && within_1;
     const double k8_speedup =
@@ -171,13 +178,9 @@ int main(int argc, char** argv) {
                 id, name.c_str(), blocked.id().c_str(), mb[0] * 1e3,
                 mb[1] * 1e3, mb[2] * 1e3, mb[3] * 1e3, mc[0] * 1e3,
                 mc[1] * 1e3, mc[2] * 1e3, mc[3] * 1e3, meas_k, pred_k);
-    std::printf("   GFLOP/s blocked: k=1 %.2f -> k=8 %.2f (%.2fx); "
-                "col-major k=8 %.2f ms/mult; layout x-over pred k=%d\n",
+    std::printf("   GFLOP/s blocked: k=1 %.2f -> k=8 %.2f (%.2fx)\n",
                 gflops(a.nnz(), 1, mb[0]), gflops(a.nnz(), 8, mb[3]),
-                k8_speedup, mb_col[3] * 1e3,
-                spmm_layout_crossover_k(ModelKind::kOverlap, blocked_cost,
-                                        profile, Precision::kDouble,
-                                        kRhsCounts));
+                k8_speedup);
     std::printf("   GFLOP/s vbl_simd: k=1 %.2f -> k=8 %.2f (%.2fx)\n",
                 gflops(a.nnz(), 1, mv[0]), gflops(a.nnz(), 8, mv[3]),
                 vbl_k8_speedup);
@@ -193,7 +196,6 @@ int main(int argc, char** argv) {
       e["k"] = kRhsCounts[i];
       e["measured_blocked_s"] = mb[i];
       e["measured_csr_s"] = mc[i];
-      e["measured_blocked_colmajor_s"] = mb_col[i];
       e["predicted_blocked_s"] = pb[i];
       e["predicted_csr_s"] = pc[i];
       e["gflops_blocked"] = gflops(a.nnz(), kRhsCounts[i], mb[i]);

@@ -356,9 +356,6 @@ int run(int argc, char** argv) {
   cli.add_option("rhs", "1",
                  "right-hand sides per multiply; k > 1 measures SpMM "
                  "through run_multi (docs/spmm.md)");
-  cli.add_option("layout", "row",
-                 "multi-vector layout with --rhs: row (interleaved) or "
-                 "col (vector-contiguous)");
   cli.add_option("executor", "bulk",
                  "threaded schedule: bulk (static §V-A partition, default) "
                  "or tasks (home ranges plus work stealing)");
@@ -434,21 +431,17 @@ int run(int argc, char** argv) {
                   static_cast<double>(vbl_block_count(a)));
 
   const int rhs = static_cast<int>(cli.get_int("rhs"));
-  const std::string layout_str = cli.get("layout");
-  if (rhs < 1 || (layout_str != "row" && layout_str != "col")) {
-    std::fprintf(stderr,
-                 "error: --rhs needs k >= 1 and --layout must be row|col\n");
+  if (rhs < 1) {
+    std::fprintf(stderr, "error: --rhs needs k >= 1\n");
     return 1;
   }
-  const Layout layout =
-      layout_str == "col" ? Layout::kColMajor : Layout::kRowMajor;
   // Validate eagerly even where only `report` consumes it, so a typo
   // fails fast with exit code 1 instead of silently running bulk.
   (void)parse_backend(cli.get("executor"));
   (void)parse_dist_mode(cli.get("dist-mode"));
   // k-aware selection: with --rhs k > 1 every ranking below optimises
   // one k-wide SpMM multiply instead of a single SpMV (docs/spmm.md).
-  const Workload workload{rhs, layout};
+  const Workload workload{rhs};
 
   std::optional<RunControl> control_storage;
   RunControl* control = setup_control(cli, control_storage);
@@ -462,8 +455,7 @@ int run(int argc, char** argv) {
     return run_dist(cli, a, profile, ranks, control);
 
   if (rhs > 1)
-    std::printf("\nmodel selections (k-aware, %d rhs, %s):\n", rhs,
-                layout_name(layout));
+    std::printf("\nmodel selections (k-aware, %d rhs):\n", rhs);
   else
     std::printf("\nmodel selections:\n");
   // One set of structural scans serves every model's ranking below.
@@ -504,7 +496,7 @@ int run(int argc, char** argv) {
       // Workload-aware ranking already predicted the whole k-wide
       // multiply (matrix traffic amortised across the batch); show the
       // effective per-vector time next to it.
-      std::printf(" (k=%d %s, %.3f ms/vec)", rhs, layout_name(layout),
+      std::printf(" (k=%d, %.3f ms/vec)", rhs,
                   ranked[i].predicted_seconds * 1e3 / rhs);
     }
     if (cli.get_flag("measure")) {
@@ -512,7 +504,7 @@ int run(int argc, char** argv) {
       if (rhs > 1) {
         // One multi-vector multiply per iteration through run_multi;
         // the k=1 path below is byte-for-byte the single-vector tool.
-        const double t = engine.measure_multi(rhs, layout, mopt);
+        const double t = engine.measure_multi(rhs, mopt);
         std::printf("  measured %.3f ms (%.3f ms/vec)", t * 1e3,
                     t * 1e3 / rhs);
       } else {

@@ -9,7 +9,8 @@
 #
 # --bench additionally regenerates the checked-in performance baselines:
 #   BENCH_spmm.json          bench_spmm at small scale (the per-k
-#                            blocked-vs-CSR crossover table, docs/spmm.md)
+#                            blocked-vs-CSR crossover table on row-major
+#                            X/Y, docs/spmm.md)
 #   BENCH_kernels_micro.json bench_kernels_micro GFLOP/s per kernel plus
 #                            the geomean headline
 #   BENCH_dist.json          bench_dist at small scale (4-rank overlap vs

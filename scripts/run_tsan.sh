@@ -9,7 +9,7 @@
 #     parity/stress cases (docs/tasking.md);
 #   - test_parallel, test_engine, test_partition_edges, test_spmm: the
 #     threaded parity suites (every parallel format × schedule × thread
-#     count, run_multi layouts) and the engine's threaded plans;
+#     count, run_multi at k = 1..16) and the engine's threaded plans;
 #   - test_coo_csr, CsrWalk cases: the CSR kernels' chunked walk through
 #     both schedules at 1/2/3/4/7 threads, with task ranges that cut
 #     chunks whose walk is flat, per row, or flat only in part;
@@ -33,7 +33,7 @@
 #   - test_dist_recovery, fork-free supervisor paths only: the
 #     epoch-consistency rejection across two in-process exchange
 #     endpoints (DistCommEpoch — a real two-thread wire race), plus the
-#     single-threaded checkpoint codec/file cases and the recovery cost
+#     single-threaded checkpoint codec/file cases and the checkpoint cost
 #     models. The respawn/reshard/single-node ladder itself forks and is
 #     covered by the functional suite and the ASan dist chaos soak
 #     (scripts/run_dist_soak.sh) instead.

@@ -14,9 +14,9 @@ struct SpmvEngine<V>::TypedPlan final : SpmvEngine<V>::Plan {
            RunControl* control) const override {
     driver.run(x, y, impl, control);
   }
-  void run_multi(const V* X, V* Y, int k, Layout layout, Impl impl,
+  void run_multi(const V* X, V* Y, int k, Impl impl,
                  RunControl* control) const override {
-    driver.run_multi(X, Y, k, layout, impl, control);
+    driver.run_multi(X, Y, k, impl, control);
   }
   void run_async(const V* x, V* y, Impl impl, RunControl* control,
                  std::function<void(std::exception_ptr)> done) const override {
@@ -147,16 +147,15 @@ void SpmvEngine<V>::run(const V* x, V* y, RunControl* control,
 }
 
 template <class V>
-void SpmvEngine<V>::run_multi(const V* X, V* Y, int k, Layout layout) const {
+void SpmvEngine<V>::run_multi(const V* X, V* Y, int k) const {
   if (plan_)
-    plan_->run_multi(X, Y, k, layout, fmt_->candidate().impl, nullptr);
+    plan_->run_multi(X, Y, k, fmt_->candidate().impl, nullptr);
   else
-    fmt_->run_multi(X, Y, k, layout);
+    fmt_->run_multi(X, Y, k);
 }
 
 template <class V>
-void SpmvEngine<V>::run_multi(const V* X, V* Y, int k, Layout layout,
-                              RunControl* control,
+void SpmvEngine<V>::run_multi(const V* X, V* Y, int k, RunControl* control,
                               bool check_numerics) const {
   if (check_numerics)
     check_finite("run_multi: input block X", X,
@@ -164,9 +163,9 @@ void SpmvEngine<V>::run_multi(const V* X, V* Y, int k, Layout layout,
                      static_cast<std::size_t>(k));
   if (control) control->check();
   if (plan_)
-    plan_->run_multi(X, Y, k, layout, fmt_->candidate().impl, control);
+    plan_->run_multi(X, Y, k, fmt_->candidate().impl, control);
   else
-    fmt_->run_multi(X, Y, k, layout);
+    fmt_->run_multi(X, Y, k);
   if (control) control->throw_if_aborted();
   if (check_numerics)
     check_finite("run_multi: output block Y", Y,
@@ -242,22 +241,20 @@ double SpmvEngine<V>::measure(const MeasureOptions& opt) const {
 }
 
 template <class V>
-double SpmvEngine<V>::measure_multi(int k, Layout layout,
-                                    const MeasureOptions& opt) const {
+double SpmvEngine<V>::measure_multi(int k, const MeasureOptions& opt) const {
   BSPMV_CHECK_MSG(k >= 1, "rhs count must be >= 1");
   BSPMV_OBS_SPAN("measure");
   BSPMV_OBS_SPAN(plan_ ? "threaded_multi" : "spmm");
-  // The X/Y blocks are rows·k and cols·k flat arrays regardless of
-  // layout, so the guarded loop's random input and finite/fingerprint
-  // scans carry over unchanged.
+  // The X/Y blocks are rows·k and cols·k flat arrays, so the guarded
+  // loop's random input and finite/fingerprint scans carry over
+  // unchanged.
   return detail::measure_guarded<V>(
       fmt_->rows() * static_cast<index_t>(k),
       fmt_->cols() * static_cast<index_t>(k), opt, [&](const V* x, V* y) {
         if (plan_)
-          plan_->run_multi(x, y, k, layout, fmt_->candidate().impl,
-                           opt.control);
+          plan_->run_multi(x, y, k, fmt_->candidate().impl, opt.control);
         else
-          fmt_->run_multi(x, y, k, layout);
+          fmt_->run_multi(x, y, k);
       });
 }
 

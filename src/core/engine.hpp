@@ -184,15 +184,15 @@ class SpmvEngine {
            bool check_numerics = false) const;
 
   /// Y = A·X for k right-hand sides through the current plan (X cols×k,
-  /// Y rows×k, laid out per `layout` — src/kernels/layout.hpp). The
-  /// matrix is streamed once across all k vectors in row-major layout;
-  /// k == 1 is exactly run(). See docs/spmm.md.
-  void run_multi(const V* X, V* Y, int k, Layout layout) const;
+  /// Y rows×k, row-major: element (i, j) at [i·k + j]). The matrix is
+  /// streamed once across all k vectors; k == 1 is exactly run(). See
+  /// docs/spmm.md.
+  void run_multi(const V* X, V* Y, int k) const;
 
   /// Guarded run_multi with the same RunControl / NaN-Inf rails as the
   /// guarded run() overload.
-  void run_multi(const V* X, V* Y, int k, Layout layout,
-                 RunControl* control, bool check_numerics = false) const;
+  void run_multi(const V* X, V* Y, int k, RunControl* control,
+                 bool check_numerics = false) const;
 
   /// Asynchronous y = A·x. On a stealing plan with two or more threads
   /// this returns immediately and `done` fires on a pool worker when the
@@ -221,8 +221,7 @@ class SpmvEngine {
   /// Seconds per SpMM (one multiply of all k vectors), same methodology
   /// as measure(). Divide by k for the effective per-vector time the
   /// crossover analysis compares against measure().
-  double measure_multi(int k, Layout layout,
-                       const MeasureOptions& opt = {}) const;
+  double measure_multi(int k, const MeasureOptions& opt = {}) const;
 
  private:
   SpmvEngine() = default;
@@ -234,8 +233,8 @@ class SpmvEngine {
     virtual ~Plan() = default;
     virtual void run(const V* x, V* y, Impl impl,
                      RunControl* control) const = 0;
-    virtual void run_multi(const V* X, V* Y, int k, Layout layout,
-                           Impl impl, RunControl* control) const = 0;
+    virtual void run_multi(const V* X, V* Y, int k, Impl impl,
+                           RunControl* control) const = 0;
     virtual void run_async(
         const V* x, V* y, Impl impl, RunControl* control,
         std::function<void(std::exception_ptr)> done) const = 0;

@@ -66,9 +66,9 @@ void AnyFormat<V>::run(const V* x, V* y) const {
 }
 
 template <class V>
-void AnyFormat<V>::run_multi(const V* X, V* Y, int k, Layout layout) const {
+void AnyFormat<V>::run_multi(const V* X, V* Y, int k) const {
   const Impl impl = c_.impl;
-  visit([&](const auto& m) { spmm(m, X, Y, k, layout, impl); });
+  visit([&](const auto& m) { spmm(m, X, Y, k, impl); });
 }
 
 template <class V>

@@ -45,10 +45,10 @@ class AnyFormat {
   /// y = A·x with the candidate's kernel implementation.
   void run(const V* x, V* y) const;
 
-  /// Y = A·X for k right-hand sides (X cols×k, Y rows×k, laid out per
-  /// `layout` — src/kernels/layout.hpp) with the candidate's kernel
-  /// implementation. k == 1 is the single-vector path.
-  void run_multi(const V* X, V* Y, int k, Layout layout) const;
+  /// Y = A·X for k row-major right-hand sides (X cols×k, Y rows×k) with
+  /// the candidate's kernel implementation. k == 1 is the single-vector
+  /// path.
+  void run_multi(const V* X, V* Y, int k) const;
 
   /// Visit the materialised format: fn is invoked with the concrete
   /// format object (never monostate — an empty AnyFormat throws

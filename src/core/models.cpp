@@ -70,8 +70,7 @@ double predict(ModelKind model, const CandidateCost& cost,
 }
 
 double predict_spmm(ModelKind model, const CandidateCost& cost,
-                    const MachineProfile& profile, Precision prec, int k,
-                    Layout layout) {
+                    const MachineProfile& profile, Precision prec, int k) {
   BSPMV_CHECK(k >= 1);
   BSPMV_CHECK_MSG(profile.bandwidth_bps > 0,
                   "machine profile has no measured bandwidth");
@@ -79,15 +78,8 @@ double predict_spmm(ModelKind model, const CandidateCost& cost,
   const double xy = static_cast<double>(cost.xy_bytes);
   const double matrix = static_cast<double>(cost.matrix_ws());
 
-  // Matrix traffic: row-major streams the arrays once for all k vectors;
-  // col-major re-streams them per vector unless they are predicted to
-  // stay LLC-resident after the first pass.
-  double matrix_streams = 1.0;
-  if (layout == Layout::kColMajor && k > 1 &&
-      matrix > profile.effective_llc_bytes)
-    matrix_streams = kd;
-  const double t_mem =
-      (matrix * matrix_streams + kd * xy) / profile.bandwidth_bps;
+  // The matrix arrays stream once for all k vectors; x and y k times.
+  const double t_mem = (matrix + kd * xy) / profile.bandwidth_bps;
 
   // Every block is multiplied against k right-hand sides.
   double t_comp = 0.0;
@@ -104,30 +96,7 @@ double predict_spmm(ModelKind model, const CandidateCost& cost,
   return t_mem + t_comp;
 }
 
-int spmm_crossover_k(ModelKind model, const CandidateCost& blocked,
-                     const CandidateCost& csr,
-                     const MachineProfile& profile, Precision prec,
-                     Layout layout, const std::vector<int>& ks) {
-  for (int k : ks) {
-    const double tb = predict_spmm(model, blocked, profile, prec, k, layout);
-    const double tc = predict_spmm(model, csr, profile, prec, k, layout);
-    if (tb < tc) return k;
-  }
-  return 0;
-}
-
-int spmm_layout_crossover_k(ModelKind model, const CandidateCost& cost,
-                            const MachineProfile& profile, Precision prec,
-                            const std::vector<int>& ks) {
-  for (int k : ks) {
-    const double tr =
-        predict_spmm(model, cost, profile, prec, k, Layout::kRowMajor);
-    const double tc =
-        predict_spmm(model, cost, profile, prec, k, Layout::kColMajor);
-    if (tr < tc) return k;
-  }
-  return 0;
-}
+namespace {
 
 double predict_multicore(ModelKind model, const CandidateCost& cost,
                          const MachineProfile& profile, Precision prec,
@@ -146,6 +115,8 @@ double predict_multicore(ModelKind model, const CandidateCost& cost,
   BSPMV_CHECK_MSG(false, "unknown model");
   return 0.0;
 }
+
+}  // namespace
 
 ParallelOverhead parallel_overhead(std::span<const std::size_t> weights,
                                    int threads, int tasks_per_thread,
@@ -249,7 +220,7 @@ double predict_distributed(const MachineProfile& profile,
                            std::span<const DistRankCost> ranks,
                            DistMode mode, int cores) {
   // The ranks' memory streams share the node's bandwidth, like the
-  // threads of predict_multicore: each active rank sees BW / active.
+  // threads of predict_parallel: each active rank sees BW / active.
   int active = 0;
   for (const auto& r : ranks)
     if (r.local_ws_bytes + r.halo_ws_bytes > 0) ++active;
@@ -308,11 +279,10 @@ DistMode choose_dist_mode(const MachineProfile& profile,
 }
 
 namespace {
-/// Fixed latencies of the recovery machinery, measured once on the dev
-/// box and deliberately coarse: they only matter relative to MTBF and
-/// t_iter, which differ from them by orders of magnitude.
-constexpr double kFsyncSeconds = 2e-3;   ///< atomic_write_file fsync+rename
-constexpr double kSpawnSeconds = 5e-3;   ///< fork + shard decode + split
+/// Fixed latency of a checkpoint write, measured once and deliberately
+/// coarse: it only matters relative to MTBF and t_iter, which differ
+/// from it by orders of magnitude.
+constexpr double kFsyncSeconds = 2e-3;  ///< atomic_write_file fsync+rename
 }  // namespace
 
 double dist_checkpoint_seconds(const MachineProfile& profile,
@@ -325,13 +295,6 @@ double dist_checkpoint_seconds(const MachineProfile& profile,
          3.0 * static_cast<double>(x_bytes) / profile.bandwidth_bps;
 }
 
-double dist_restart_seconds(const MachineProfile& profile,
-                            std::size_t shard_bytes, int peers) {
-  if (peers < 0) peers = 0;
-  return kSpawnSeconds + t_comm(profile, shard_bytes, 1) +
-         t_comm(profile, 0, 2 * peers);
-}
-
 int dist_checkpoint_interval(double t_iter_seconds, double ckpt_seconds,
                              double mtbf_seconds) {
   if (t_iter_seconds <= 0.0 || ckpt_seconds <= 0.0 || mtbf_seconds <= 0.0)
@@ -340,36 +303,6 @@ int dist_checkpoint_interval(double t_iter_seconds, double ckpt_seconds,
   const double t_opt = std::sqrt(2.0 * ckpt_seconds * mtbf_seconds);
   const int iters = static_cast<int>(std::lround(t_opt / t_iter_seconds));
   return std::max(1, iters);
-}
-
-double dist_recovery_overhead(double t_iter_seconds, double ckpt_seconds,
-                              double restart_seconds, double mtbf_seconds,
-                              int interval) {
-  if (t_iter_seconds <= 0.0 || interval < 1) return 0.0;
-  // Checkpoint tax, amortised over the round.
-  double overhead = ckpt_seconds / (interval * t_iter_seconds);
-  if (mtbf_seconds > 0.0) {
-    // Failures arrive at rate 1/MTBF; each costs the restart plus, on
-    // average, half a round of redone iterations.
-    const double failure_rate = t_iter_seconds / mtbf_seconds;
-    overhead += failure_rate *
-                (interval * t_iter_seconds / 2.0 + restart_seconds) /
-                t_iter_seconds;
-  }
-  return overhead;
-}
-
-bool dist_degradation_beats_retry(double t_dist_iter_seconds,
-                                  double t_single_iter_seconds,
-                                  double restart_seconds,
-                                  double mtbf_seconds, int remaining) {
-  if (remaining <= 0) return false;
-  if (mtbf_seconds <= 0.0) return true;  // failures never stop coming
-  const double t_single = remaining * t_single_iter_seconds;
-  const double compute = remaining * t_dist_iter_seconds;
-  const double expected_failures = compute / mtbf_seconds;
-  const double t_dist = compute + expected_failures * restart_seconds;
-  return t_single < t_dist;
 }
 
 }  // namespace bspmv

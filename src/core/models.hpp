@@ -5,16 +5,15 @@
 //   OVERLAP  (eq. 3): t = Σ_i ( ws_i/BW + nof_i·nb_i·t_b_i )
 //
 // Extension (§VI future work, built here):
-//   predict_multicore: shared-bandwidth multicore adaptation.
+//   predict_parallel: shared-bandwidth multicore adaptation plus the
+//   threaded schedule's imbalance and scheduling costs.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "src/core/working_set.hpp"
-#include "src/kernels/layout.hpp"
 #include "src/parallel/backend.hpp"
 #include "src/profile/machine_profile.hpp"
 
@@ -34,12 +33,6 @@ double predict_memcomp(const CandidateCost& cost,
                        const MachineProfile& profile, Precision prec);
 double predict_overlap(const CandidateCost& cost,
                        const MachineProfile& profile, Precision prec);
-
-/// Multicore extension: computations parallelise across `threads` while
-/// the memory streams share the machine's bandwidth.
-double predict_multicore(ModelKind model, const CandidateCost& cost,
-                         const MachineProfile& profile, Precision prec,
-                         int threads);
 
 /// Scheduling-overhead inputs of predict_parallel, derived purely from
 /// the §V-A partition weights of one pass (stored values incl. padding
@@ -73,39 +66,25 @@ ParallelOverhead parallel_overhead(std::span<const std::size_t> weights,
                                    double seconds_per_task = 1.6e-8);
 
 /// Multicore prediction including the execution backend's scheduling
-/// costs: predict_multicore plus the backend's imbalance share of the
-/// per-thread work and, for the task backend, the steal overhead. With a
-/// zero ParallelOverhead this equals predict_multicore.
+/// costs. The base is the shared-bandwidth multicore model: memory
+/// streams share the machine's bandwidth (the memory term of the
+/// single-core model, unchanged) while the computational term divides
+/// by `threads`. On top come the backend's imbalance share of the
+/// per-thread work and, for the task backend, the steal overhead; with a
+/// zero ParallelOverhead the prediction is that base alone.
 double predict_parallel(ModelKind model, const CandidateCost& cost,
                         const MachineProfile& profile, Precision prec,
                         int threads, const ParallelOverhead& overhead,
                         ExecBackend backend);
 
 /// Multi-vector (SpMM) extension of eq. (1)–(3): predicted seconds for
-/// ONE multiply of all k right-hand sides (divide by k for the effective
-/// per-vector time). The memory term splits cost into matrix traffic
-/// (streamed once for row-major; once per vector for col-major unless the
-/// matrix fits in the effective LLC) and x/y traffic (always ×k), while
-/// every compute term scales ×k. k == 1 equals predict() for either
-/// layout. Full derivation in docs/spmm.md.
+/// ONE multiply of all k row-major right-hand sides (divide by k for the
+/// effective per-vector time). The memory term splits cost into matrix
+/// traffic (streamed once for all k vectors) and x/y traffic (×k), while
+/// every compute term scales ×k. k == 1 equals predict(). Full
+/// derivation in docs/spmm.md.
 double predict_spmm(ModelKind model, const CandidateCost& cost,
-                    const MachineProfile& profile, Precision prec, int k,
-                    Layout layout);
-
-/// Smallest k in `ks` (scanned in order) where `blocked` is predicted
-/// strictly faster than `csr` at that k for the given layout; 0 when the
-/// prediction never crosses within `ks`.
-int spmm_crossover_k(ModelKind model, const CandidateCost& blocked,
-                     const CandidateCost& csr,
-                     const MachineProfile& profile, Precision prec,
-                     Layout layout, const std::vector<int>& ks);
-
-/// Smallest k in `ks` where row-major is predicted strictly faster than
-/// col-major for `cost`; 0 when it never crosses within `ks` (i.e. the
-/// matrix is predicted cache-resident throughout).
-int spmm_layout_crossover_k(ModelKind model, const CandidateCost& cost,
-                            const MachineProfile& profile, Precision prec,
-                            const std::vector<int>& ks);
+                    const MachineProfile& profile, Precision prec, int k);
 
 // ----------------------------------------------------------------------
 // Distributed extension: t_comm = α·msgs + bytes/β
@@ -144,7 +123,7 @@ double t_comm(const MachineProfile& profile, std::size_t bytes, int msgs);
 
 /// Predicted seconds per distributed SpMV iteration under `mode`: every
 /// rank streams its shard at the shared-bandwidth rate (BW divided over
-/// the ranks with work, as in predict_multicore), pays its halo traffic,
+/// the ranks with work, as in predict_parallel), pays its halo traffic,
 /// then runs the halo-columns pass; the iteration ends when the slowest
 /// rank does.
 ///
@@ -180,10 +159,8 @@ DistMode choose_dist_mode(const MachineProfile& profile,
 // The supervised distributed driver (docs/distribution.md "Failure modes
 // and recovery") checkpoints the x-vector every `interval` iterations
 // and, on a rank failure, respawns the rank, re-ships its shard and
-// retries from the last round boundary. These models price that
-// machinery so the checkpoint cadence is a Young/Daly choice rather
-// than a guess, and so "keep retrying" vs "degrade to single-node" is a
-// decidable comparison instead of a hard-coded K.
+// retries from the last round boundary. These models price the
+// checkpoint so its cadence is a Young/Daly choice rather than a guess.
 
 /// Seconds to write one checkpoint: an fsync'd atomic-rename file of
 /// `x_bytes` (the x snapshot plus its CRC trailer), costed as a fixed
@@ -193,13 +170,6 @@ DistMode choose_dist_mode(const MachineProfile& profile,
 double dist_checkpoint_seconds(const MachineProfile& profile,
                                std::size_t x_bytes);
 
-/// Seconds to bring a dead rank back: fork/exec-free respawn (a fixed
-/// spawn latency), the shard re-ship (one t_comm transfer of
-/// `shard_bytes`), and the survivor rewiring handshake (two zero-byte
-/// control round-trips per surviving peer).
-double dist_restart_seconds(const MachineProfile& profile,
-                            std::size_t shard_bytes, int peers);
-
 /// Young's optimal checkpoint interval, in iterations: round(
 /// sqrt(2 · C · MTBF) / t_iter ), clamped to >= 1. `t_iter` is the
 /// predicted per-iteration time (predict_distributed), `ckpt_seconds`
@@ -208,25 +178,5 @@ double dist_restart_seconds(const MachineProfile& profile,
 /// "no model choice"; the caller keeps its default cadence.
 int dist_checkpoint_interval(double t_iter_seconds, double ckpt_seconds,
                              double mtbf_seconds);
-
-/// Expected fractional overhead (>= 0) the recovery machinery adds to a
-/// run at the given cadence: checkpoint cost amortised per iteration
-/// plus the failure-rate-weighted cost of the rework (half a round on
-/// average) and the restart itself, normalised by t_iter. Lets callers
-/// compare cadences or report the modelled recovery tax.
-double dist_recovery_overhead(double t_iter_seconds, double ckpt_seconds,
-                              double restart_seconds, double mtbf_seconds,
-                              int interval);
-
-/// The degradation decision: true when finishing the remaining
-/// iterations on a single node is expected to beat continuing the
-/// failure-prone distributed run. The distributed side pays an expected
-/// (remaining·t_dist/MTBF) restarts of `restart_seconds` each on top of
-/// the compute; mtbf <= 0 means "failures keep happening" and always
-/// degrades.
-bool dist_degradation_beats_retry(double t_dist_iter_seconds,
-                                  double t_single_iter_seconds,
-                                  double restart_seconds,
-                                  double mtbf_seconds, int remaining);
 
 }  // namespace bspmv

@@ -20,8 +20,7 @@ std::vector<RankedCandidate> rank_costs(ModelKind model,
       continue;
     const double seconds =
         workload.k > 1
-            ? predict_spmm(model, cost, profile, prec, workload.k,
-                           workload.layout)
+            ? predict_spmm(model, cost, profile, prec, workload.k)
             : predict(model, cost, profile, prec);
     out.push_back(RankedCandidate{cost.candidate, seconds});
   }

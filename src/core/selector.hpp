@@ -22,12 +22,11 @@ struct RankedCandidate {
 
 /// The runtime workload a selection should optimise for. The default is
 /// the classic single-vector SpMV; declaring k > 1 makes every entry
-/// point below rank by predict_spmm for that batch width and layout
-/// instead of predict — the best single-vector candidate is often not
-/// the best k-vector one (docs/spmm.md crossover analysis).
+/// point below rank by predict_spmm for that batch width instead of
+/// predict — the best single-vector candidate is often not the best
+/// k-vector one (docs/spmm.md crossover analysis).
 struct Workload {
   int k = 1;
-  Layout layout = Layout::kRowMajor;
 };
 
 /// Rank every model candidate for matrix `a` under `model`, fastest

@@ -28,21 +28,20 @@
 //   static void pass_run(const F&, index_t g0, index_t g1,
 //                        const V* x, V* y, Impl);             // accumulates
 //
-// Optional multi-vector (SpMM) members — every builtin format provides
-// them; out-of-tree formats that omit them still get the full
-// spmm/run_multi API through a single-vector fallback (the generic
-// front-ends detect the members with `requires`):
-//   static void spmm_add(const F&, const V* X, V* Y, int k, Layout, Impl);
+// Optional multi-vector (SpMM) members, X/Y row-major (element (i, j)
+// at X[i·k + j]) — every builtin format provides them; out-of-tree
+// formats that omit them still get the full spmm/run_multi API through
+// k single-vector runs (the generic front-ends detect the members with
+// `requires`):
+//   static void spmm_add(const F&, const V* X, V* Y, int k, Impl);
 //   static void pass_run_multi(const F&, index_t g0, index_t g1,
-//                              const V* X, V* Y, int k, Layout, Impl);
+//                              const V* X, V* Y, int k, Impl);
 //   static void spmm_store(const F&, const V* X, V* Y, int k, Impl);
-// Row-major X/Y stream the matrix once across all k vectors (the native
-// kernels in src/kernels/spmm_kernels.hpp); column-major runs k
-// single-vector passes. Per vector the accumulation order equals the
-// scalar single-vector kernel (row-major) or the requested impl's kernel
-// (column-major) — see docs/spmm.md.
+// They stream the matrix once across all k vectors (the native kernels
+// in src/kernels/spmm_kernels.hpp). Per vector the accumulation order
+// equals the scalar single-vector kernel — see docs/spmm.md.
 //
-// spmm_store is the row-major full-multiply fast path: Y = A·X with
+// spmm_store is the full-multiply fast path: Y = A·X with
 // every Y element written exactly once, skipping the zero-fill pass and
 // the read half of the accumulate — spmm() uses it when present.
 // Identical values to zero-fill + spmm_add (up to the sign of an exact
@@ -64,7 +63,6 @@
 #include "src/kernels/bcsd_kernels.hpp"
 #include "src/kernels/bcsr_kernels.hpp"
 #include "src/kernels/csr_kernels.hpp"
-#include "src/kernels/layout.hpp"
 #include "src/kernels/spmm_kernels.hpp"
 #include "src/kernels/ubcsr_kernels.hpp"
 #include "src/kernels/vbl_kernels.hpp"
@@ -81,19 +79,12 @@ namespace detail {
 
 /// SpMM through k single-vector kernel runs — the fallback for formats
 /// without a native multi-vector kernel (UBCSR and any out-of-tree
-/// format). Row-major pays a deinterleave/reinterleave copy per vector;
-/// the formats with native kernels never take that path.
+/// format). Each vector pays a deinterleave/reinterleave copy; the
+/// formats with native kernels never take that path.
 template <class F, class V = typename FormatOps<F>::value_type>
-void spmm_add_via_spmv(const F& a, const V* X, V* Y, int k, Layout layout,
-                       Impl impl) {
+void spmm_add_via_spmv(const F& a, const V* X, V* Y, int k, Impl impl) {
   const std::size_t rows = static_cast<std::size_t>(a.rows());
   const std::size_t cols = static_cast<std::size_t>(a.cols());
-  if (layout == Layout::kColMajor) {
-    for (int j = 0; j < k; ++j)
-      FormatOps<F>::spmv_add(a, X + static_cast<std::size_t>(j) * cols,
-                             Y + static_cast<std::size_t>(j) * rows, impl);
-    return;
-  }
   aligned_vector<V> x(cols), y(rows);
   for (int j = 0; j < k; ++j) {
     for (std::size_t i = 0; i < cols; ++i)
@@ -126,8 +117,8 @@ struct FormatOps<Csr<V>> {
     pass_run(a, 0, a.rows(), x, y, impl);
   }
   static void spmm_add(const Csr<V>& a, const V* X, V* Y, int k,
-                       Layout layout, Impl impl) {
-    pass_run_multi(a, 0, a.rows(), X, Y, k, layout, impl);
+                       Impl impl) {
+    pass_run_multi(a, 0, a.rows(), X, Y, k, impl);
   }
   static void spmm_store(const Csr<V>& a, const V* X, V* Y, int k,
                          Impl impl) {
@@ -150,15 +141,8 @@ struct FormatOps<Csr<V>> {
   }
   static void pass_run_multi(const Csr<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
-                             Layout layout, Impl impl) {
-    if (layout == Layout::kRowMajor) {
-      csr_spmm_rm(a, g0, g1, X, Y, k, impl == Impl::kSimd);
-    } else {
-      for (int j = 0; j < k; ++j)
-        pass_run(a, g0, g1,
-                 X + static_cast<std::size_t>(j) * a.cols(),
-                 Y + static_cast<std::size_t>(j) * a.rows(), impl);
-    }
+                             Impl impl) {
+    csr_spmm_rm(a, g0, g1, X, Y, k, impl == Impl::kSimd);
   }
 };
 
@@ -182,8 +166,8 @@ struct FormatOps<Bcsr<V>> {
     pass_run(a, 0, a.block_rows(), x, y, impl);
   }
   static void spmm_add(const Bcsr<V>& a, const V* X, V* Y, int k,
-                       Layout layout, Impl impl) {
-    pass_run_multi(a, 0, a.block_rows(), X, Y, k, layout, impl);
+                       Impl impl) {
+    pass_run_multi(a, 0, a.block_rows(), X, Y, k, impl);
   }
   /// Empty block rows still flush their (zero) accumulators, so every
   /// row of Y is written even where the matrix stores nothing.
@@ -211,15 +195,8 @@ struct FormatOps<Bcsr<V>> {
   }
   static void pass_run_multi(const Bcsr<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
-                             Layout layout, Impl impl) {
-    if (layout == Layout::kRowMajor) {
-      bcsr_spmm_rm(a, g0, g1, X, Y, k, impl == Impl::kSimd);
-    } else {
-      for (int j = 0; j < k; ++j)
-        pass_run(a, g0, g1,
-                 X + static_cast<std::size_t>(j) * a.cols(),
-                 Y + static_cast<std::size_t>(j) * a.rows(), impl);
-    }
+                             Impl impl) {
+    bcsr_spmm_rm(a, g0, g1, X, Y, k, impl == Impl::kSimd);
   }
 };
 
@@ -243,8 +220,8 @@ struct FormatOps<Bcsd<V>> {
     pass_run(a, 0, a.segments(), x, y, impl);
   }
   static void spmm_add(const Bcsd<V>& a, const V* X, V* Y, int k,
-                       Layout layout, Impl impl) {
-    pass_run_multi(a, 0, a.segments(), X, Y, k, layout, impl);
+                       Impl impl) {
+    pass_run_multi(a, 0, a.segments(), X, Y, k, impl);
   }
   static void spmm_store(const Bcsd<V>& a, const V* X, V* Y, int k,
                          Impl impl) {
@@ -270,15 +247,8 @@ struct FormatOps<Bcsd<V>> {
   }
   static void pass_run_multi(const Bcsd<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
-                             Layout layout, Impl impl) {
-    if (layout == Layout::kRowMajor) {
-      bcsd_spmm_rm(a, g0, g1, X, Y, k, impl == Impl::kSimd);
-    } else {
-      for (int j = 0; j < k; ++j)
-        pass_run(a, g0, g1,
-                 X + static_cast<std::size_t>(j) * a.cols(),
-                 Y + static_cast<std::size_t>(j) * a.rows(), impl);
-    }
+                             Impl impl) {
+    bcsd_spmm_rm(a, g0, g1, X, Y, k, impl == Impl::kSimd);
   }
 };
 
@@ -306,14 +276,8 @@ struct FormatOps<Vbl<V>> {
       vbl_spmv_scalar(a, x, y);
   }
   static void spmm_add(const Vbl<V>& a, const V* X, V* Y, int k,
-                       Layout layout, Impl impl) {
-    if (layout == Layout::kRowMajor) {
-      vbl_spmm_rm(a, X, Y, k, impl == Impl::kSimd);
-    } else {
-      for (int j = 0; j < k; ++j)
-        spmv_add(a, X + static_cast<std::size_t>(j) * a.cols(),
-                 Y + static_cast<std::size_t>(j) * a.rows(), impl);
-    }
+                       Impl impl) {
+    vbl_spmm_rm(a, X, Y, k, impl == Impl::kSimd);
   }
   static void spmm_store(const Vbl<V>& a, const V* X, V* Y, int k,
                          Impl impl) {
@@ -366,8 +330,8 @@ struct FormatOps<BcsrDec<V>> {
     pass_run(a, 0, a.blocked().block_rows(), x, y, impl);
   }
   static void spmm_add(const BcsrDec<V>& a, const V* X, V* Y, int k,
-                       Layout layout, Impl impl) {
-    pass_run_multi(a, 0, a.blocked().block_rows(), X, Y, k, layout, impl);
+                       Impl impl) {
+    pass_run_multi(a, 0, a.blocked().block_rows(), X, Y, k, impl);
   }
   static void spmm_store(const BcsrDec<V>& a, const V* X, V* Y, int k,
                          Impl impl) {
@@ -392,16 +356,9 @@ struct FormatOps<BcsrDec<V>> {
   }
   static void pass_run_multi(const BcsrDec<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
-                             Layout layout, Impl impl) {
-    if (layout == Layout::kRowMajor) {
-      bcsr_spmm_rm(a.blocked(), g0, g1, X, Y, k, impl == Impl::kSimd, true,
-                   &a.remainder(), a.remainder_tag().data());
-    } else {
-      for (int j = 0; j < k; ++j)
-        pass_run(a, g0, g1,
-                 X + static_cast<std::size_t>(j) * a.cols(),
-                 Y + static_cast<std::size_t>(j) * a.rows(), impl);
-    }
+                             Impl impl) {
+    bcsr_spmm_rm(a.blocked(), g0, g1, X, Y, k, impl == Impl::kSimd, true,
+                 &a.remainder(), a.remainder_tag().data());
   }
 };
 
@@ -428,8 +385,8 @@ struct FormatOps<BcsdDec<V>> {
     pass_run(a, 0, a.blocked().segments(), x, y, impl);
   }
   static void spmm_add(const BcsdDec<V>& a, const V* X, V* Y, int k,
-                       Layout layout, Impl impl) {
-    pass_run_multi(a, 0, a.blocked().segments(), X, Y, k, layout, impl);
+                       Impl impl) {
+    pass_run_multi(a, 0, a.blocked().segments(), X, Y, k, impl);
   }
   static void spmm_store(const BcsdDec<V>& a, const V* X, V* Y, int k,
                          Impl impl) {
@@ -454,16 +411,9 @@ struct FormatOps<BcsdDec<V>> {
   }
   static void pass_run_multi(const BcsdDec<V>& a, index_t g0,
                              index_t g1, const V* X, V* Y, int k,
-                             Layout layout, Impl impl) {
-    if (layout == Layout::kRowMajor) {
-      bcsd_spmm_rm(a.blocked(), g0, g1, X, Y, k, impl == Impl::kSimd, true,
-                   &a.remainder(), a.remainder_tag().data());
-    } else {
-      for (int j = 0; j < k; ++j)
-        pass_run(a, g0, g1,
-                 X + static_cast<std::size_t>(j) * a.cols(),
-                 Y + static_cast<std::size_t>(j) * a.rows(), impl);
-    }
+                             Impl impl) {
+    bcsd_spmm_rm(a.blocked(), g0, g1, X, Y, k, impl == Impl::kSimd, true,
+                 &a.remainder(), a.remainder_tag().data());
   }
 };
 
@@ -488,8 +438,8 @@ struct FormatOps<Ubcsr<V>> {
                                                     y);
   }
   static void spmm_add(const Ubcsr<V>& a, const V* X, V* Y, int k,
-                       Layout layout, Impl impl) {
-    detail::spmm_add_via_spmv(a, X, Y, k, layout, impl);
+                       Impl impl) {
+    detail::spmm_add_via_spmv(a, X, Y, k, impl);
   }
 };
 

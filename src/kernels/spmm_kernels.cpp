@@ -20,14 +20,27 @@ namespace {
 /// still k/kRhsChunk× better than single-vector.
 constexpr int kRhsChunk = 16;
 
-/// Split [0, k) into power-of-two chunks and call
+/// Most sums (rows × vectors) one pass of a scalar kernel keeps live: a
+/// scalar kernel whose granule spans R rows takes chunks of at most
+/// kAccumBudget / R vectors. Past that its R·JN sums spill, and scalar
+/// 5×1–8×1 BCSR at k = 8 ran 2.2–2.5× slower than in chunks of 4 on
+/// TSOPF_RS. The SIMD kernels are not capped: the same cap made them up
+/// to 2.2× slower. docs/spmm.md has the sweep.
+constexpr int kAccumBudget = 32;
+
+/// Widest chunk a kernel flavour takes for granules of `rows` rows.
+constexpr int rhs_chunk_cap(bool simd, int rows) {
+  return simd ? kRhsChunk : std::max(1, kAccumBudget / rows);
+}
+
+/// Split [0, k) into power-of-two chunks no wider than `max_jn` and call
 /// `fn(integral_constant<int, JN>, j0)` for each: one matrix pass per
 /// chunk, widest chunks first (k = 7 → 4, 2, 1).
 template <class Fn>
-void for_each_rhs_chunk(int k, Fn&& fn) {
+void for_each_rhs_chunk(int k, int max_jn, Fn&& fn) {
   int j0 = 0;
   while (j0 < k) {
-    const int rem = k - j0;
+    const int rem = std::min(k - j0, max_jn);
     if (rem >= 16) {
       fn(std::integral_constant<int, 16>{}, j0);
       j0 += 16;
@@ -323,9 +336,10 @@ void vbl_spmm_rm_chunk(const Vbl<V>& a, const V* BSPMV_RESTRICT X,
 static_assert(kRhsChunk == 16, "dispatcher chunks assume kRhsChunk == 16");
 
 /// Expand the runtime (simd, accumulate) pair into the four
-/// compile-time kernel flavours inside a chunk-dispatch lambda.
-#define BSPMV_SPMM_DISPATCH(chunk_fn, ...)                                  \
-  for_each_rhs_chunk(k, [&](auto jn, int j0) {                              \
+/// compile-time kernel flavours inside a chunk-dispatch lambda; `rows`
+/// is the granule height the accumulator budget divides.
+#define BSPMV_SPMM_DISPATCH(rows, chunk_fn, ...)                            \
+  for_each_rhs_chunk(k, rhs_chunk_cap(simd, rows), [&](auto jn, int j0) {   \
     if (simd) {                                                             \
       if (accumulate)                                                       \
         chunk_fn<V, true, true, jn()>(__VA_ARGS__, k, j0);                  \
@@ -347,7 +361,7 @@ void csr_spmm_rm(const Csr<V>& a, index_t row0, index_t row1, const V* X,
   BSPMV_DBG_ASSERT(row0 >= 0 && row1 <= a.rows() && row0 <= row1 && k >= 1);
   // Chunks cover disjoint j-columns, so the accumulate flag applies
   // uniformly: each Y element belongs to exactly one chunk.
-  BSPMV_SPMM_DISPATCH(csr_spmm_rm_chunk, a, row0, row1, X, Y);
+  BSPMV_SPMM_DISPATCH(1, csr_spmm_rm_chunk, a, row0, row1, X, Y);
 }
 
 template <class V>
@@ -356,7 +370,8 @@ void bcsr_spmm_rm(const Bcsr<V>& a, index_t br0, index_t br1, const V* X,
                   const Csr<V>* rem, const rem_tag_t* rem_tag) {
   BSPMV_DBG_ASSERT(br0 >= 0 && br1 <= a.block_rows() && br0 <= br1 && k >= 1);
   BSPMV_DBG_ASSERT(rem == nullptr || rem->rows() == a.rows());
-  BSPMV_SPMM_DISPATCH(bcsr_spmm_rm_chunk, a, rem, rem_tag, br0, br1, X, Y);
+  BSPMV_SPMM_DISPATCH(a.shape().r, bcsr_spmm_rm_chunk, a, rem, rem_tag, br0,
+                      br1, X, Y);
 }
 
 template <class V>
@@ -366,14 +381,15 @@ void bcsd_spmm_rm(const Bcsd<V>& a, index_t seg0, index_t seg1, const V* X,
   BSPMV_DBG_ASSERT(seg0 >= 0 && seg1 <= a.segments() && seg0 <= seg1 &&
                    k >= 1);
   BSPMV_DBG_ASSERT(rem == nullptr || rem->rows() == a.rows());
-  BSPMV_SPMM_DISPATCH(bcsd_spmm_rm_chunk, a, rem, rem_tag, seg0, seg1, X, Y);
+  BSPMV_SPMM_DISPATCH(a.b(), bcsd_spmm_rm_chunk, a, rem, rem_tag, seg0, seg1,
+                      X, Y);
 }
 
 template <class V>
 void vbl_spmm_rm(const Vbl<V>& a, const V* X, V* Y, int k, bool simd,
                  bool accumulate) {
   BSPMV_DBG_ASSERT(k >= 1);
-  BSPMV_SPMM_DISPATCH(vbl_spmm_rm_chunk, a, X, Y);
+  BSPMV_SPMM_DISPATCH(1, vbl_spmm_rm_chunk, a, X, Y);
 }
 
 #undef BSPMV_SPMM_DISPATCH

@@ -16,9 +16,6 @@
 // reduction. Hence, for any k and either flavour, output vector j is
 // bitwise identical to a scalar spmv_add on column j of X.
 //
-// Column-major X/Y never reach these kernels: that layout is executed as
-// k single-vector passes by the spmm_add front-end (src/kernels/spmv.hpp).
-//
 // By default all kernels ACCUMULATE into Y over a granule range,
 // mirroring the single-vector kernels, so the parallel driver hands out
 // disjoint ranges. With accumulate=false they OVERWRITE Y instead

@@ -18,8 +18,8 @@
 // range; a task zero-fills its rows before accumulating. Every task
 // runs exactly once and a row is written by exactly one task in the
 // serial per-row order, so the output is bitwise identical to the
-// serial kernels under either schedule, any thread count, run_multi
-// layout and k.
+// serial kernels under either schedule, any thread count and any
+// run_multi k.
 //
 // Execution: threads == 1 plans run inline on the caller and never touch
 // a pool. Wider plans run on a persistent TaskPool of that width (the
@@ -90,15 +90,14 @@ class ThreadedSpmv {
   void run(const V* x, V* y, Impl impl = Impl::kScalar,
            RunControl* control = nullptr) const;
 
-  /// Y = A·X for k right-hand sides in the given layout (X cols×k,
-  /// Y rows×k — see src/kernels/layout.hpp). Reuses the single-vector
-  /// tasks: a granule's multi-vector work scales uniformly by k, so the
+  /// Y = A·X for k row-major right-hand sides (X cols×k, Y rows×k,
+  /// element (i, j) at [i·k + j]). Reuses the single-vector tasks: a
+  /// granule's multi-vector work scales uniformly by k, so the
   /// nnz-balanced split stays balanced. k == 1 is the single-vector path
   /// (bitwise identical to run()); formats without the pass_run_multi
   /// protocol fall back to one threaded run() per vector. Cancellation
   /// behaves as in run(); Y is indeterminate after an aborted run.
-  void run_multi(const V* X, V* Y, int k, Layout layout,
-                 Impl impl = Impl::kScalar,
+  void run_multi(const V* X, V* Y, int k, Impl impl = Impl::kScalar,
                  RunControl* control = nullptr) const;
 
   /// Asynchronous y = A·x. On an async-capable plan this returns at once
@@ -344,62 +343,43 @@ void ThreadedSpmv<Format>::run_async(
 }
 
 template <class Format>
-void ThreadedSpmv<Format>::run_multi(const V* X, V* Y, int k, Layout layout,
-                                     Impl impl, RunControl* control) const {
+void ThreadedSpmv<Format>::run_multi(const V* X, V* Y, int k, Impl impl,
+                                     RunControl* control) const {
   BSPMV_CHECK_MSG(k >= 1, "rhs count must be >= 1");
   if (k == 1) {
-    // Both layouts coincide for a single vector; hit the existing path.
     run(X, Y, impl, control);
     return;
   }
-  const std::size_t rows = static_cast<std::size_t>(a_->rows());
-  const std::size_t cols = static_cast<std::size_t>(a_->cols());
   const std::size_t kk = static_cast<std::size_t>(k);
   if constexpr (!requires(const Format& f, const V* x, V* y) {
                   Ops::pass_run_multi(f, index_t{0}, index_t{0}, x, y, 1,
-                                      Layout::kRowMajor, Impl::kScalar);
+                                      Impl::kScalar);
                 }) {
     // Out-of-tree format without the multi-vector protocol: one threaded
-    // single-vector run() per right-hand side (row-major pays a
-    // deinterleave/reinterleave copy through scratch).
-    if (layout == Layout::kColMajor) {
-      for (int j = 0; j < k; ++j) {
-        if (control != nullptr && control->stop_requested()) return;
-        run(X + static_cast<std::size_t>(j) * cols,
-            Y + static_cast<std::size_t>(j) * rows, impl, control);
-      }
-    } else {
-      aligned_vector<V> x(cols), y(rows);
-      for (int j = 0; j < k; ++j) {
-        if (control != nullptr && control->stop_requested()) return;
-        for (std::size_t i = 0; i < cols; ++i)
-          x[i] = X[i * kk + static_cast<std::size_t>(j)];
-        run(x.data(), y.data(), impl, control);
-        for (std::size_t i = 0; i < rows; ++i)
-          Y[i * kk + static_cast<std::size_t>(j)] = y[i];
-      }
+    // single-vector run() per right-hand side, through a
+    // deinterleave/reinterleave copy.
+    const std::size_t rows = static_cast<std::size_t>(a_->rows());
+    const std::size_t cols = static_cast<std::size_t>(a_->cols());
+    aligned_vector<V> x(cols), y(rows);
+    for (int j = 0; j < k; ++j) {
+      if (control != nullptr && control->stop_requested()) return;
+      for (std::size_t i = 0; i < cols; ++i)
+        x[i] = X[i * kk + static_cast<std::size_t>(j)];
+      run(x.data(), y.data(), impl, control);
+      for (std::size_t i = 0; i < rows; ++i)
+        Y[i * kk + static_cast<std::size_t>(j)] = y[i];
     }
-    return;
   } else {
     execute(
         [&](const Task& tk, int worker) {
           run_sliced(tk, worker, control,
                      [&](index_t g0, index_t g1, bool zero) {
-                     if (zero) {
-                       // Zero-fill the task's rows of Y in either layout.
-                       if (layout == Layout::kRowMajor) {
+                       if (zero)
                          std::fill(Y + static_cast<std::size_t>(tk.row0) * kk,
                                    Y + static_cast<std::size_t>(tk.row1) * kk,
                                    V{0});
-                       } else {
-                         for (std::size_t j = 0; j < kk; ++j)
-                           std::fill(Y + j * rows + tk.row0,
-                                     Y + j * rows + tk.row1, V{0});
-                       }
-                     }
-                     Ops::pass_run_multi(*a_, g0, g1, X, Y, k, layout,
-                                         impl);
-                   });
+                       Ops::pass_run_multi(*a_, g0, g1, X, Y, k, impl);
+                     });
         },
         schedule_ == ExecBackend::kTasks, &multi_metric(), kk);
   }

@@ -188,7 +188,6 @@ MachineProfile profile_machine(const ProfileOptions& opt) {
   if (opt.verbose) std::fprintf(stderr, "profiling memory bandwidth...\n");
   profile.bandwidth_bps =
       opt.bandwidth_bps > 0 ? opt.bandwidth_bps : stream_triad_bandwidth(sopt);
-  profile.effective_llc_bytes = static_cast<double>(cache.llc_bytes);
   if (opt.verbose) std::fprintf(stderr, "profiling wire comm (alpha/beta)...\n");
   const CommProfile comm = profile_comm(opt.quick);
   profile.comm_alpha_seconds = comm.alpha_seconds;

@@ -54,7 +54,6 @@ Json MachineProfile::to_json() const {
   Json j;
   j["schema_version"] = kSchemaVersion;
   j["bandwidth_bps"] = bandwidth_bps;
-  j["effective_llc_bytes"] = effective_llc_bytes;
   j["comm_alpha_seconds"] = comm_alpha_seconds;
   j["comm_beta_bps"] = comm_beta_bps;
   j["description"] = description;
@@ -75,11 +74,9 @@ MachineProfile MachineProfile::from_json(const Json& j) {
         "; re-profiling required");
   MachineProfile p;
   // Keys written by older builds (read_bandwidth_bps, latency_seconds,
-  // private_cache_bytes) and kernels no candidate uses any more are
-  // ignored, not rejected.
+  // private_cache_bytes, effective_llc_bytes) and kernels no candidate
+  // uses any more are ignored, not rejected.
   p.bandwidth_bps = j.at("bandwidth_bps").as_number();
-  if (j.contains("effective_llc_bytes"))
-    p.effective_llc_bytes = j.at("effective_llc_bytes").as_number();
   if (j.contains("comm_alpha_seconds"))
     p.comm_alpha_seconds = j.at("comm_alpha_seconds").as_number();
   if (j.contains("comm_beta_bps"))

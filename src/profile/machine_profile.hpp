@@ -29,21 +29,18 @@ class MachineProfile {
   /// Serialisation schema version. Bump when the JSON layout or the
   /// meaning of any profiled quantity changes; try_load treats a version
   /// mismatch as "stale profile" and triggers re-profiling. Keys a
-  /// model no longer reads (read bandwidth, latency, private cache size)
-  /// are dropped without a bump: from_json ignores unknown keys, so
-  /// profiles written with them keep loading.
+  /// model no longer reads (read bandwidth, latency, private cache size,
+  /// effective LLC size) are dropped without a bump: from_json ignores
+  /// unknown keys, so profiles written with them keep loading.
   static constexpr int kSchemaVersion = 2;
 
   double bandwidth_bps = 0.0;  ///< STREAM triad bytes/second
-  /// Effective last-level cache used by the profiler when sizing the nof
-  /// matrix (clamped on huge shared caches; set by the profiler).
-  double effective_llc_bytes = 32.0 * 1024 * 1024;
   /// Inter-process wire parameters of t_comm = α·msgs + bytes/β, profiled
   /// over the same socketpair frame path the distributed runtime uses
   /// (profile_comm, src/profile/comm_bench.*). Zero β means "never
   /// profiled" — t_comm refuses to guess, and profiles saved before the
   /// distributed extension load fine with these defaults (the fields are
-  /// optional in the JSON, like effective_llc_bytes).
+  /// optional in the JSON).
   double comm_alpha_seconds = 0.0;  ///< per-frame latency α
   double comm_beta_bps = 0.0;       ///< streaming wire bandwidth β
   std::string description;          ///< free-form provenance note

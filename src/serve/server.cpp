@@ -800,8 +800,8 @@ void Server::spmv_batched(const std::shared_ptr<Connection>& conn,
           for (std::size_t i = 0; i < cols; ++i)
             X[i * take.size() + j] = x[i];
         }
-        entry->engine.run_multi(X.data(), Y.data(), m, Layout::kRowMajor,
-                                &control, check_numerics);
+        entry->engine.run_multi(X.data(), Y.data(), m, &control,
+                                check_numerics);
         for (std::size_t j = 0; j < take.size(); ++j) {
           reps[j].y.resize(rows);
           for (std::size_t i = 0; i < rows; ++i)

@@ -17,7 +17,7 @@ using bspmv::testing::random_blocky_coo;
 using bspmv::testing::random_coo;
 using bspmv::testing::raw_csr;
 
-TEST(Bcsr, HandExampleLayout) {
+TEST(Bcsr, HandExampleArrays) {
   // 4x4 matrix, 2x2 blocks:
   //  [1 2 . .]
   //  [. 3 . .]

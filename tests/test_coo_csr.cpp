@@ -1,4 +1,5 @@
 // Unit tests for the COO staging format and the CSR baseline.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -347,6 +348,24 @@ TEST(CsrWalk, TaskRangesCutChunks) {
   EXPECT_TRUE(flat_chunk(a, kWalkChunk, kWalkChunk + 128));
   expect_csr_walk(rows, cols, rc, "half-flat chunks");
   expect_csr_walk(1553, 1600, chunk_edge_rows(), "chunk edges");
+}
+
+// The bitwise parity checks above compare bit patterns: an output that
+// differs from its reference only in the sign of a zero fails them.
+template <class V>
+void check_same_bits_signed_zero() {
+  static const aligned_vector<V> pos{V{1}, V{0}, V{2}};
+  static const aligned_vector<V> neg{V{1}, -V{0}, V{2}};
+  ASSERT_EQ(pos[1], neg[1]);  // == cannot tell them apart
+  expect_same_bits(pos, pos, "same");
+  EXPECT_FATAL_FAILURE(expect_same_bits(neg, pos, "neg"),
+                       "row 1: got -0x0p+0");
+  EXPECT_FATAL_FAILURE(expect_same_bits(pos, neg, "pos"), "want -0x0p+0");
+}
+
+TEST(SameBits, RejectsNegativeZeroForPositiveZero) {
+  check_same_bits_signed_zero<double>();
+  check_same_bits_signed_zero<float>();
 }
 
 }  // namespace

@@ -460,8 +460,6 @@ TEST(DistCommEpoch, StaleEpochFrameIsTypedParseError) {
 MachineProfile recovery_profile() {
   MachineProfile p;
   p.bandwidth_bps = 2e10;
-  p.comm_alpha_seconds = 1e-5;
-  p.comm_beta_bps = 1e9;
   return p;
 }
 
@@ -480,20 +478,6 @@ TEST(RecoveryModel, CheckpointIntervalFollowsYoung) {
   EXPECT_EQ(dist_checkpoint_interval(t_iter, ckpt, 0.0), 0);
 }
 
-TEST(RecoveryModel, OverheadIsMinimisedNearTheYoungInterval) {
-  const double t_iter = 1e-3, ckpt = 5e-3, restart = 0.05, mtbf = 120.0;
-  const int opt_interval = dist_checkpoint_interval(t_iter, ckpt, mtbf);
-  ASSERT_GE(opt_interval, 1);
-  const double at_opt =
-      dist_recovery_overhead(t_iter, ckpt, restart, mtbf, opt_interval);
-  EXPECT_GT(at_opt, 0.0);
-  // Checkpointing every iteration and almost never must both cost more.
-  EXPECT_GT(dist_recovery_overhead(t_iter, ckpt, restart, mtbf, 1), at_opt);
-  EXPECT_GT(dist_recovery_overhead(t_iter, ckpt, restart, mtbf,
-                                   opt_interval * 100),
-            at_opt);
-}
-
 TEST(RecoveryModel, CheckpointAndRestartCostsAreGuardedAndMonotone) {
   const MachineProfile p = recovery_profile();
   const double small = dist_checkpoint_seconds(p, 1u << 20);
@@ -503,25 +487,6 @@ TEST(RecoveryModel, CheckpointAndRestartCostsAreGuardedAndMonotone) {
   MachineProfile unprofiled;
   EXPECT_THROW(dist_checkpoint_seconds(unprofiled, 1024),
                invalid_argument_error);
-
-  const double r1 = dist_restart_seconds(p, 1u << 20, 1);
-  const double r7 = dist_restart_seconds(p, 1u << 20, 7);
-  EXPECT_GT(r1, 0.0);
-  EXPECT_GT(r7, r1);  // more survivors to rewire
-  EXPECT_GT(dist_restart_seconds(p, 64u << 20, 1), r1);  // bigger shard
-}
-
-TEST(RecoveryModel, DegradationDecision) {
-  const double restart = 0.1;
-  // mtbf <= 0: failures keep happening — always degrade.
-  EXPECT_TRUE(dist_degradation_beats_retry(1e-3, 4e-3, restart, 0.0, 100));
-  // Reliable mesh, slow single node: keep the distributed run.
-  EXPECT_FALSE(
-      dist_degradation_beats_retry(1e-3, 4e-3, restart, 3600.0, 100));
-  // Failure-prone mesh whose single-node fallback is nearly as fast:
-  // the expected restart tax flips the decision.
-  EXPECT_TRUE(
-      dist_degradation_beats_retry(1e-3, 1.1e-3, restart, 0.05, 100));
 }
 
 TEST(RecoveryModel, OutcomeNamesAreStable) {

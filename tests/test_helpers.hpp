@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/util/macros.hpp"
@@ -125,17 +127,24 @@ void expect_vectors_near(const V* y, const V* ref, index_t n,
   }
 }
 
-/// ASSERT got equals want element for element (one memcmp when they
-/// hold the same bits).
+/// ASSERT got holds want's bit pattern element for element, so -0.0 and
+/// +0.0 differ. The first mismatch prints both values and their bits in
+/// hex.
 template <class V>
 void expect_same_bits(const aligned_vector<V>& got,
                       const aligned_vector<V>& want, const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
-  if (got.empty() ||
-      std::memcmp(got.data(), want.data(), got.size() * sizeof(V)) == 0)
-    return;
-  for (std::size_t i = 0; i < got.size(); ++i)
-    ASSERT_EQ(got[i], want[i]) << what << " row " << i;
+  using Bits =
+      std::conditional_t<sizeof(V) == 8, std::uint64_t, std::uint32_t>;
+  static_assert(sizeof(Bits) == sizeof(V));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Bits g = std::bit_cast<Bits>(got[i]);
+    const Bits w = std::bit_cast<Bits>(want[i]);
+    if (g != w)
+      FAIL() << what << " row " << i << ": got " << std::hexfloat << got[i]
+             << " (0x" << std::hex << g << ") want " << std::hexfloat
+             << want[i] << " (0x" << std::hex << w << ")";
+  }
 }
 
 /// Check an arbitrary spmv result against the COO reference.

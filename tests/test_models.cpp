@@ -87,18 +87,19 @@ TEST(Models, MissingBandwidthThrows) {
 TEST(Models, MulticoreShrinksComputeOnly) {
   const MachineProfile p = synthetic_profile(1e9, 5e-9, 0.5);
   const CandidateCost cost = hand_cost();
-  const double t1 =
-      predict_multicore(ModelKind::kOverlap, cost, p, Precision::kDouble, 1);
-  const double t4 =
-      predict_multicore(ModelKind::kOverlap, cost, p, Precision::kDouble, 4);
+  // A zero ParallelOverhead leaves the shared-bandwidth multicore base.
+  auto multicore = [&](ModelKind m, int threads) {
+    return predict_parallel(m, cost, p, Precision::kDouble, threads,
+                            ParallelOverhead{}, ExecBackend::kBulk);
+  };
+  const double t1 = multicore(ModelKind::kOverlap, 1);
+  const double t4 = multicore(ModelKind::kOverlap, 4);
   EXPECT_DOUBLE_EQ(t1, predict_overlap(cost, p, Precision::kDouble));
   EXPECT_LT(t4, t1);
   // The memory term is the floor:
   EXPECT_GE(t4, predict_mem(cost, p));
   // MEM is thread-count invariant.
-  EXPECT_DOUBLE_EQ(
-      predict_multicore(ModelKind::kMem, cost, p, Precision::kDouble, 4),
-      predict_mem(cost, p));
+  EXPECT_DOUBLE_EQ(multicore(ModelKind::kMem, 4), predict_mem(cost, p));
 }
 
 // ------------------------------------------------------- selection ----
@@ -190,7 +191,8 @@ TEST(Models, PredictParallelAddsBackendTerms) {
   o.task_imbalance = 0.1;
   o.steal_overhead_seconds = 3e-6;
   const double base =
-      predict_multicore(ModelKind::kOverlap, cost, p, Precision::kDouble, 4);
+      predict_parallel(ModelKind::kOverlap, cost, p, Precision::kDouble, 4,
+                       ParallelOverhead{}, ExecBackend::kTasks);
   const double share =
       predict(ModelKind::kOverlap, cost, p, Precision::kDouble) / 4;
   EXPECT_DOUBLE_EQ(predict_parallel(ModelKind::kOverlap, cost, p,
@@ -232,7 +234,7 @@ TEST(Selector, RankCostsMatchesRankCandidatesForEveryModel) {
   const auto costs = all_candidate_costs(a, model_candidates(true));
   for (ModelKind m :
        {ModelKind::kMem, ModelKind::kMemComp, ModelKind::kOverlap})
-    for (const Workload wl : {Workload{}, Workload{4, Layout::kColMajor}}) {
+    for (const Workload wl : {Workload{}, Workload{4}}) {
       const auto want = rank_candidates(m, a, p, wl);
       const auto got = rank_costs(m, costs, p, Precision::kSingle, wl);
       ASSERT_EQ(got.size(), want.size()) << model_name(m);
@@ -247,7 +249,7 @@ TEST(Selector, KAwareRankingUsesSpmmPredictions) {
   const MachineProfile p = synthetic_profile();
   const Csr<double> a = Csr<double>::from_coo(
       random_blocky_coo<double>(60, 60, 2, 0.4, 0.9, 7));
-  const Workload wl{8, Layout::kRowMajor};
+  const Workload wl{8};
   const auto ranked = rank_candidates(ModelKind::kOverlap, a, p, wl);
   ASSERT_FALSE(ranked.empty());
   // Every prediction must equal predict_spmm for that candidate — the
@@ -263,7 +265,7 @@ TEST(Selector, KAwareRankingUsesSpmmPredictions) {
     ASSERT_NE(it, costs.end());
     EXPECT_DOUBLE_EQ(r.predicted_seconds,
                      predict_spmm(ModelKind::kOverlap, *it, p,
-                                  Precision::kDouble, 8, Layout::kRowMajor));
+                                  Precision::kDouble, 8));
     EXPECT_LE(r.predicted_seconds / 8,
               predict(ModelKind::kOverlap, *it, p, Precision::kDouble) +
                   1e-15);
@@ -278,7 +280,7 @@ TEST(Selector, KAwareSelectionCanDisagreeWithSingleVector) {
   const MachineProfile p = synthetic_profile();
   const Csr<double> a = Csr<double>::from_coo(
       random_blocky_coo<double>(80, 80, 4, 0.5, 1.01, 11));
-  const Workload wl{16, Layout::kColMajor};
+  const Workload wl{16};
   const auto best = select_best(ModelKind::kOverlap, a, p, wl);
   const auto ranked = rank_candidates(ModelKind::kOverlap, a, p, wl);
   EXPECT_EQ(best.candidate.id(), ranked.front().candidate.id());

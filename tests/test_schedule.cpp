@@ -619,34 +619,22 @@ TEST(TaskGraph, RunMultiMatchesBulkBackendBitwise) {
   const Csr<double> a = Csr<double>::from_coo(skewed_coo(130, 110, 57));
   const auto X = random_x<double>(110 * 3, 29);
   const ThreadedSpmv<Csr<double>> d(a, 4, ExecBackend::kTasks);
-  for (Layout layout : {Layout::kRowMajor, Layout::kColMajor}) {
-    // Reference: serial run per extracted vector (identical per-row
-    // accumulation order).
-    aligned_vector<double> yref(130 * 3, 0.0), y(130 * 3, -1.0);
-    for (int j = 0; j < 3; ++j) {
-      aligned_vector<double> xj(110), yj(130, 0.0);
-      for (index_t i = 0; i < 110; ++i)
-        xj[static_cast<std::size_t>(i)] =
-            layout == Layout::kRowMajor
-                ? X[static_cast<std::size_t>(i) * 3 +
-                    static_cast<std::size_t>(j)]
-                : X[static_cast<std::size_t>(j) * 110 +
-                    static_cast<std::size_t>(i)];
-      spmv(a, xj.data(), yj.data());
-      for (index_t i = 0; i < 130; ++i)
-        yref[layout == Layout::kRowMajor
-                 ? static_cast<std::size_t>(i) * 3 +
-                       static_cast<std::size_t>(j)
-                 : static_cast<std::size_t>(j) * 130 +
-                       static_cast<std::size_t>(i)] =
-            yj[static_cast<std::size_t>(i)];
-    }
-    d.run_multi(X.data(), y.data(), 3, layout);
-    for (std::size_t i = 0; i < y.size(); ++i)
-      ASSERT_EQ(y[i], yref[i]) << "layout "
-                               << (layout == Layout::kRowMajor ? "row" : "col")
-                               << " elem " << i;
+  // Reference: serial run per extracted vector (identical per-row
+  // accumulation order).
+  aligned_vector<double> yref(130 * 3, 0.0), y(130 * 3, -1.0);
+  for (int j = 0; j < 3; ++j) {
+    aligned_vector<double> xj(110), yj(130, 0.0);
+    for (index_t i = 0; i < 110; ++i)
+      xj[static_cast<std::size_t>(i)] =
+          X[static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(j)];
+    spmv(a, xj.data(), yj.data());
+    for (index_t i = 0; i < 130; ++i)
+      yref[static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(j)] =
+          yj[static_cast<std::size_t>(i)];
   }
+  d.run_multi(X.data(), y.data(), 3);
+  for (std::size_t i = 0; i < y.size(); ++i)
+    ASSERT_EQ(y[i], yref[i]) << "elem " << i;
 }
 
 TEST(TaskGraph, WarmUpZeroFillsYAndPreservesX) {

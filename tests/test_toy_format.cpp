@@ -159,25 +159,49 @@ TEST(ToyFormat, GenericSpmmFallsBackToSingleVectorRuns) {
     ys.emplace_back(kRows, 0.0);
     spmv(toy, xs.back().data(), ys.back().data());
   }
-  for (Layout layout : {Layout::kRowMajor, Layout::kColMajor}) {
-    const bool row = layout == Layout::kRowMajor;
-    auto at = [&](index_t i, int j, index_t n) {
-      return row ? static_cast<std::size_t>(i) * k + static_cast<std::size_t>(j)
-                 : static_cast<std::size_t>(j) * static_cast<std::size_t>(n) +
-                       static_cast<std::size_t>(i);
-    };
-    aligned_vector<double> X(static_cast<std::size_t>(kCols) * k);
+  auto at = [&](index_t i, int j) {
+    return static_cast<std::size_t>(i) * k + static_cast<std::size_t>(j);
+  };
+  aligned_vector<double> X(static_cast<std::size_t>(kCols) * k);
+  aligned_vector<double> Y(static_cast<std::size_t>(kRows) * k, -1.0);
+  for (int j = 0; j < k; ++j)
+    for (index_t i = 0; i < kCols; ++i)
+      X[at(i, j)] =
+          xs[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];
+  spmm(toy, X.data(), Y.data(), k);
+  for (int j = 0; j < k; ++j)
+    for (index_t i = 0; i < kRows; ++i)
+      EXPECT_EQ(Y[at(i, j)],
+                ys[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)])
+          << "vector " << j << " row " << i;
+}
+
+TEST(ToyFormat, ThreadedRunMultiFallsBackToSingleVectorRuns) {
+  // Without pass_run_multi the threaded driver runs one threaded run()
+  // per vector through a deinterleave/reinterleave copy: per vector it
+  // must equal spmv exactly.
+  constexpr index_t kRows = 53, kCols = 47;
+  constexpr int k = 3;
+  const Csr<double> a =
+      Csr<double>::from_coo(random_coo<double>(kRows, kCols, 0.1, 31));
+  const ToyCoo<double> toy = ToyCoo<double>::from_csr(a);
+  const auto X = random_x<double>(kCols * k, 32);
+  for (int threads : {1, 3}) {
     aligned_vector<double> Y(static_cast<std::size_t>(kRows) * k, -1.0);
-    for (int j = 0; j < k; ++j)
+    ThreadedSpmv<ToyCoo<double>>(toy, threads).run_multi(X.data(), Y.data(),
+                                                         k);
+    for (int j = 0; j < k; ++j) {
+      aligned_vector<double> xj(kCols), yj(kRows, 0.0);
       for (index_t i = 0; i < kCols; ++i)
-        X[at(i, j, kCols)] = xs[static_cast<std::size_t>(j)]
-                               [static_cast<std::size_t>(i)];
-    spmm(toy, X.data(), Y.data(), k, layout);
-    for (int j = 0; j < k; ++j)
+        xj[static_cast<std::size_t>(i)] =
+            X[static_cast<std::size_t>(i) * k + static_cast<std::size_t>(j)];
+      spmv(toy, xj.data(), yj.data());
       for (index_t i = 0; i < kRows; ++i)
-        EXPECT_EQ(Y[at(i, j, kRows)],
-                  ys[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)])
-            << layout_name(layout) << " vector " << j << " row " << i;
+        EXPECT_EQ(Y[static_cast<std::size_t>(i) * k +
+                    static_cast<std::size_t>(j)],
+                  yj[static_cast<std::size_t>(i)])
+            << threads << " threads, vector " << j << " row " << i;
+    }
   }
 }
 
