@@ -4,9 +4,9 @@
 #   - test_run_control: RunControl/Watchdog (deadline enforcement,
 #     first-abort-wins, heartbeat stall detection);
 #   - test_schedule: the threaded driver's TaskPool — packed-cursor
-#     owner/thief races, epoch dispatch and parking, stealing, async
-#     completion, the busy-pool inline fallback — and the stealing
-#     parity/stress cases (docs/tasking.md);
+#     owner/thief races, epoch dispatch and parking, stealing, the
+#     busy-pool inline fallback — and the stealing parity/stress cases
+#     (docs/tasking.md);
 #   - test_parallel, test_engine, test_partition_edges, test_spmm: the
 #     threaded parity suites (every parallel format × schedule × thread
 #     count, run_multi at k = 1..16) and the engine's threaded plans;
@@ -36,7 +36,14 @@
 #     single-threaded checkpoint codec/file cases and the checkpoint cost
 #     models. The respawn/reshard/single-node ladder itself forks and is
 #     covered by the functional suite and the ASan dist chaos soak
-#     (scripts/run_dist_soak.sh) instead.
+#     (scripts/run_dist_soak.sh) instead;
+#   - test_serve and test_engine_cache, Server, AdmissionQueue and
+#     EngineCache cases: a live serving daemon in process — acceptor,
+#     detached connection readers, request workers, the same-matrix
+#     batcher's leader hand-off, per-round Watchdogs, threaded engines
+#     sharing one task pool (a busy pool runs the request inline) — and
+#     the admission queue and engine cache under concurrent callers.
+#     None of these cases forks.
 #
 # Usage: scripts/run_tsan.sh [extra ctest args...]
 set -euo pipefail
@@ -52,11 +59,12 @@ cmake -B "$build_dir" -S "$repo_root" \
 cmake --build "$build_dir" -j "$(nproc)" \
   --target test_run_control test_schedule test_parallel test_engine \
            test_partition_edges test_spmm test_coo_csr test_decomposed \
-           test_dist test_dist_recovery test_working_set test_stats
+           test_dist test_dist_recovery test_working_set test_stats \
+           test_serve test_engine_cache
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
 ctest --test-dir "$build_dir" --output-on-failure --timeout 600 \
   -j "$(nproc)" \
-  -R '^(RunControl|Watchdog|AtomicFile|RobustSamples|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskSchedule|TaskGraph|Threads/TaskGraphParity|Partition|PartitionEdges|Threads/ThreadedParity|ThreadedSpmvEdge|SpmvEngine|Threads/SpmmParity|SpmmAllFormats|SpmmEngine|SpmmSmoke|CsrWalk|DecFused|HaloDecFormat|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel|CandidateCost|StatsScratch)\.' \
+  -R '^(RunControl|Watchdog|AtomicFile|RobustSamples|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskSchedule|TaskGraph|Threads/TaskGraphParity|Partition|PartitionEdges|Threads/ThreadedParity|ThreadedSpmvEdge|SpmvEngine|Threads/SpmmParity|SpmmAllFormats|SpmmEngine|SpmmSmoke|CsrWalk|DecFused|HaloDecFormat|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel|CandidateCost|StatsScratch|Server|AdmissionQueue|EngineCache)\.' \
   "$@"

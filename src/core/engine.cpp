@@ -18,12 +18,7 @@ struct SpmvEngine<V>::TypedPlan final : SpmvEngine<V>::Plan {
                  RunControl* control) const override {
     driver.run_multi(X, Y, k, impl, control);
   }
-  void run_async(const V* x, V* y, Impl impl, RunControl* control,
-                 std::function<void(std::exception_ptr)> done) const override {
-    driver.run_async(x, y, impl, control, std::move(done));
-  }
   void warm_up(V* x, V* y) const override { driver.warm_up(x, y); }
-  bool async_capable() const override { return driver.async_capable(); }
   ThreadedSpmv<F> driver;
 };
 
@@ -171,53 +166,6 @@ void SpmvEngine<V>::run_multi(const V* X, V* Y, int k, RunControl* control,
     check_finite("run_multi: output block Y", Y,
                  static_cast<std::size_t>(fmt_->rows()) *
                      static_cast<std::size_t>(k));
-}
-
-template <class V>
-void SpmvEngine<V>::run_async(
-    const V* x, V* y, RunControl* control,
-    std::function<void(std::exception_ptr)> done) const {
-  BSPMV_CHECK_MSG(static_cast<bool>(done),
-                  "run_async needs a completion callback");
-  if (plan_ == nullptr) {
-    // Plain plan: synchronous, complete inline.
-    std::exception_ptr err;
-    try {
-      run(x, y, control, false);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    done(err);
-    return;
-  }
-  // Surface the control's typed abort error through the callback, the
-  // way the synchronous guarded run() surfaces it by throwing.
-  auto wrapped = [control,
-                  done = std::move(done)](std::exception_ptr err) {
-    if (err == nullptr && control != nullptr) {
-      try {
-        control->throw_if_aborted();
-      } catch (...) {
-        err = std::current_exception();
-      }
-    }
-    done(err);
-  };
-  if (control != nullptr) {
-    try {
-      control->check();
-    } catch (...) {
-      wrapped(std::current_exception());
-      return;
-    }
-  }
-  plan_->run_async(x, y, fmt_->candidate().impl, control,
-                   std::move(wrapped));
-}
-
-template <class V>
-bool SpmvEngine<V>::async_capable() const {
-  return plan_ != nullptr && plan_->async_capable();
 }
 
 template <class V>

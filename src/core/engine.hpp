@@ -32,7 +32,6 @@
 // applies the same guards to a single y = A·x for service loops.
 #pragma once
 
-#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -194,20 +193,6 @@ class SpmvEngine {
   void run_multi(const V* X, V* Y, int k, RunControl* control,
                  bool check_numerics = false) const;
 
-  /// Asynchronous y = A·x. On a stealing plan with two or more threads
-  /// this returns immediately and `done` fires on a pool worker when the
-  /// last task completes (StarPU-style completion callback); on a bulk,
-  /// one-thread or plain plan the run executes inline and `done` fires
-  /// before the call returns. `done` receives the first failure (including the
-  /// control's typed abort error) or nullptr; x, y and the control must
-  /// outlive the completion.
-  void run_async(const V* x, V* y, RunControl* control,
-                 std::function<void(std::exception_ptr)> done) const;
-
-  /// True when run_async actually overlaps with the caller (stealing
-  /// plan on a pool); callers that need real overlap can pre-check.
-  bool async_capable() const;
-
   /// First-touch placement of caller-owned x/y buffers through the
   /// current plan: each worker touches the rows and x slice of its home
   /// range (no-op for plain plans). Either pointer may be null.
@@ -235,11 +220,7 @@ class SpmvEngine {
                      RunControl* control) const = 0;
     virtual void run_multi(const V* X, V* Y, int k, Impl impl,
                            RunControl* control) const = 0;
-    virtual void run_async(
-        const V* x, V* y, Impl impl, RunControl* control,
-        std::function<void(std::exception_ptr)> done) const = 0;
     virtual void warm_up(V* x, V* y) const = 0;
-    virtual bool async_capable() const = 0;
   };
   template <class F>
   struct TypedPlan;

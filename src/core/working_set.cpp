@@ -102,8 +102,7 @@ class ScanJob final : public TaskPool::Job {
     run_scan(a_, scans_[task], scratch_[static_cast<std::size_t>(worker)]);
     return 1;
   }
-  void finish(std::span<const TaskPool::WorkerLoad>,
-              std::exception_ptr) override {}
+  void finish(std::span<const TaskPool::WorkerLoad>) override {}
 
  private:
   const Csr<V>& a_;

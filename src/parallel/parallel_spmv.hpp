@@ -41,7 +41,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -100,20 +99,6 @@ class ThreadedSpmv {
   void run_multi(const V* X, V* Y, int k, Impl impl = Impl::kScalar,
                  RunControl* control = nullptr) const;
 
-  /// Asynchronous y = A·x. On an async-capable plan this returns at once
-  /// and `done` fires once on a pool worker after the last task (first
-  /// task exception or nullptr); otherwise the run executes inline and
-  /// `done` fires before the call returns. The matrix, this driver, x, y
-  /// and the control must stay alive until `done` fires.
-  void run_async(const V* x, V* y, Impl impl, RunControl* control,
-                 std::function<void(std::exception_ptr)> done) const;
-
-  /// True when run_async overlaps with the caller: a stealing plan on a
-  /// pool (no thread owns worker 0's range in an async run).
-  bool async_capable() const {
-    return pool_ != nullptr && schedule_ == ExecBackend::kTasks;
-  }
-
   /// First-touch placement pass: each task's home worker writes
   /// the y rows that task will produce (zero-fill) and rewrites a
   /// proportional slice of x in place, so the OS backs those pages on
@@ -167,18 +152,16 @@ class ThreadedSpmv {
   std::vector<std::uint32_t> home_;  ///< threads+1 task bounds
 };
 
-/// The pool job of one run: tasks and homes from the plan, the work
-/// from `Body`. Blocking runs keep it on the caller's stack; an async run
-/// owns it on the heap and deletes it in finish().
+/// The pool job of one run, on the caller's stack: tasks and homes from
+/// the plan, the work from `Body`.
 template <class Format>
 template <class Body>
 class ThreadedSpmv<Format>::Job final : public TaskPool::Job {
  public:
   Job(const ThreadedSpmv& d, Body body, bool steal, const std::string* metric,
-      std::size_t scale,
-      std::function<void(std::exception_ptr)> done = nullptr)
+      std::size_t scale)
       : d_(d), body_(std::move(body)), steal_(steal), metric_(metric),
-        scale_(scale), done_(std::move(done)) {}
+        scale_(scale) {}
 
   std::span<const std::uint32_t> home() const override { return d_.home_; }
   bool steal() const override { return steal_; }
@@ -187,14 +170,8 @@ class ThreadedSpmv<Format>::Job final : public TaskPool::Job {
     body_(tk, worker);
     return tk.weight;
   }
-  void finish(std::span<const TaskPool::WorkerLoad> load,
-              std::exception_ptr err) override {
+  void finish(std::span<const TaskPool::WorkerLoad> load) override {
     d_.record(metric_, load, scale_);
-    if (done_) {
-      const auto done = std::move(done_);
-      delete this;  // async jobs are heap-owned; nothing touches them now
-      done(err);
-    }
   }
 
  private:
@@ -203,7 +180,6 @@ class ThreadedSpmv<Format>::Job final : public TaskPool::Job {
   bool steal_;
   const std::string* metric_;  ///< null: record nothing
   std::size_t scale_;
-  std::function<void(std::exception_ptr)> done_;
 };
 
 template <class Format>
@@ -318,28 +294,6 @@ void ThreadedSpmv<Format>::run(const V* x, V* y, Impl impl,
         run_one(tk, worker, x, y, impl, control);
       },
       schedule_ == ExecBackend::kTasks, &run_metric(), 1);
-}
-
-template <class Format>
-void ThreadedSpmv<Format>::run_async(
-    const V* x, V* y, Impl impl, RunControl* control,
-    std::function<void(std::exception_ptr)> done) const {
-  if (!async_capable()) {
-    std::exception_ptr err;
-    try {
-      run(x, y, impl, control);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    done(err);
-    return;
-  }
-  const auto body = [this, x, y, impl, control](const Task& tk,
-                                                int worker) {
-    run_one(tk, worker, x, y, impl, control);
-  };
-  pool_->run_async(*new Job<decltype(body)>(*this, body, true, &run_metric(),
-                                            1, std::move(done)));
 }
 
 template <class Format>

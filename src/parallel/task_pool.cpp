@@ -76,15 +76,6 @@ TaskPool::TaskPool(int workers, Topology topo)
 }
 
 TaskPool::~TaskPool() {
-  // An async job still in flight finishes first: its workers need the
-  // pool and its finish() may still be running.
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!busy_) break;
-    }
-    std::this_thread::yield();
-  }
   shutdown_.store(true, std::memory_order_seq_cst);
   epoch_.fetch_add(1, std::memory_order_seq_cst);
   epoch_.notify_all();
@@ -128,7 +119,7 @@ std::exception_ptr TaskPool::run_inline(Job& job) {
     }
   }
   load.seconds = timer.elapsed();
-  job.finish({&load, 1}, err);
+  job.finish({&load, 1});
   return err;
 }
 
@@ -145,10 +136,9 @@ void TaskPool::run(Job& job) {
     if (auto err = run_inline(job)) std::rethrow_exception(err);
     return;
   }
-  reset_job_state(/*async=*/false);
+  reset_job_state();
   if (publish(job)) {
-    participate(0, epoch_.load(std::memory_order_relaxed), &job, job.steal(),
-                false);
+    participate(0, epoch_.load(std::memory_order_relaxed), &job, job.steal());
     // The caller spins on the completion count, yielding past the budget
     // (a descheduled worker may still hold a task).
     Timer spin;
@@ -159,40 +149,18 @@ void TaskPool::run(Job& job) {
     }
   }
   const std::exception_ptr err = error_;
-  finish_job(job);
-  if (Job* next = release_and_next()) start(next);
+  job.finish(loads_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    busy_ = false;
+  }
   if (err) std::rethrow_exception(err);
 }
 
-void TaskPool::run_async(Job& job) {
-  validate(job);
-  BSPMV_CHECK_MSG(job.steal(),
-                  "run_async needs a stealing job: no thread owns slot 0");
-  if (threads_.empty()) {
-    (void)run_inline(job);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (busy_) {
-      job.next_ = nullptr;
-      if (pending_tail_ != nullptr)
-        pending_tail_->next_ = &job;
-      else
-        pending_head_ = &job;
-      pending_tail_ = &job;
-      return;
-    }
-    busy_ = true;
-  }
-  start(&job);
-}
-
-void TaskPool::reset_job_state(bool async) {
+void TaskPool::reset_job_state() {
   for (WorkerLoad& l : loads_) l = WorkerLoad{};
   failed_.store(false, std::memory_order_relaxed);
   error_ = nullptr;
-  async_.store(async, std::memory_order_relaxed);
 }
 
 bool TaskPool::publish(Job& job) {
@@ -213,8 +181,7 @@ bool TaskPool::publish(Job& job) {
   return true;
 }
 
-void TaskPool::participate(int w, std::uint32_t gen, Job* job, bool steal,
-                           bool async) {
+void TaskPool::participate(int w, std::uint32_t gen, Job* job, bool steal) {
   Slot& me = slots_[static_cast<std::size_t>(w)];
   std::uint32_t done = 0;
   std::uint64_t items = 0;
@@ -252,39 +219,7 @@ void TaskPool::participate(int w, std::uint32_t gen, Job* job, bool steal,
   load.seconds += busy.elapsed();
   load.items += items;
   me.executed.fetch_add(done, std::memory_order_relaxed);
-  if (remaining_.fetch_sub(done, std::memory_order_acq_rel) != done ||
-      !async)
-    return;
-  // This slot completed an async job: finish it and hand the pool on.
-  finish_job(*job);
-  if (Job* next = release_and_next()) start(next);
-}
-
-void TaskPool::finish_job(Job& job) {
-  job.finish(loads_, error_);  // may destroy an async job
-}
-
-TaskPool::Job* TaskPool::release_and_next() {
-  std::lock_guard<std::mutex> lock(mu_);
-  Job* next = pending_head_;
-  if (next == nullptr) {
-    busy_ = false;
-    return nullptr;
-  }
-  pending_head_ = next->next_;
-  if (pending_head_ == nullptr) pending_tail_ = nullptr;
-  return next;
-}
-
-void TaskPool::start(Job* job) {
-  // Holds the pool: start async jobs until one is in flight or the queue
-  // is empty (a job without tasks finishes right here).
-  while (job != nullptr) {
-    reset_job_state(/*async=*/true);
-    if (publish(*job)) return;
-    finish_job(*job);
-    job = release_and_next();
-  }
+  remaining_.fetch_sub(done, std::memory_order_acq_rel);
 }
 
 std::uint32_t TaskPool::wait_epoch(std::uint32_t seen) {
@@ -314,8 +249,7 @@ void TaskPool::worker_loop(int w) {
     seen = wait_epoch(seen);
     if (shutdown_.load(std::memory_order_acquire)) return;
     participate(w, seen, job_.load(std::memory_order_relaxed),
-                steal_.load(std::memory_order_relaxed),
-                async_.load(std::memory_order_relaxed));
+                steal_.load(std::memory_order_relaxed));
   }
 }
 

@@ -16,14 +16,12 @@
 // Dispatch is a 32-bit epoch word: publishing a batch resets the
 // cursors and bumps the epoch. Idle workers spin on the epoch for
 // kSpinSeconds, then park on std::atomic::wait; the publisher only
-// issues a wake-up when someone is parked. A blocking run's caller spins
-// on the completion count. A run allocates nothing.
+// issues a wake-up when someone is parked. The caller spins on the
+// completion count. A run allocates nothing.
 //
-// One job holds the pool at a time. A blocking caller that finds the
-// pool busy runs its whole job inline on its own thread (the result is
-// the same: a row's tasks and their order do not depend on who runs
-// them). run_async queues behind the holder and always completes on a
-// pool thread.
+// One job holds the pool at a time. A caller that finds the pool busy
+// runs its whole job inline on its own thread (the result is the same:
+// a row's tasks and their order do not depend on who runs them).
 #pragma once
 
 #include <atomic>
@@ -111,8 +109,8 @@ class TaskPool {
     std::uint64_t items = 0;
   };
 
-  /// A unit of pool work: one batch of tasks. The job must outlive its
-  /// run (blocking) or its finish() call (async).
+  /// A unit of pool work: one batch of tasks, owned by the caller of
+  /// run().
   class Job {
    public:
     virtual ~Job() = default;
@@ -122,15 +120,10 @@ class TaskPool {
     virtual bool steal() const = 0;
     /// Run one task on slot `worker`; returns the weight it processed.
     virtual std::size_t run_task(std::uint32_t task, int worker) = 0;
-    /// Called once, after the last task, on the thread that completed
-    /// it, while the job still holds the pool. load has one entry per
-    /// slot; err is the first task exception or nullptr.
-    virtual void finish(std::span<const WorkerLoad> load,
-                        std::exception_ptr err) = 0;
-
-   private:
-    friend class TaskPool;
-    Job* next_ = nullptr;  ///< pending run_async queue link
+    /// Called once, after the last task, on the caller's thread, while
+    /// the job still holds the pool (also when a task threw). load has
+    /// one entry per slot.
+    virtual void finish(std::span<const WorkerLoad> load) = 0;
   };
 
   explicit TaskPool(int workers, Topology topo = Topology::detect());
@@ -145,12 +138,6 @@ class TaskPool {
   /// caller's job, or this call comes from inside a task or a finish() —
   /// the job runs inline (run_inline).
   void run(Job& job);
-
-  /// Returns at once; the job runs on the pool threads (queued behind
-  /// the current holder) and finish() fires once on the pool thread that
-  /// completes it. A job with no tasks, or a pool with no threads,
-  /// finishes inline. Requires job.steal(): no thread owns slot 0.
-  void run_async(Job& job);
 
   /// Every task in order on the calling thread as slot 0, then finish()
   /// (with one load entry). Needs no pool. Returns the first task
@@ -182,13 +169,9 @@ class TaskPool {
   };
 
   void validate(const Job& job) const;
-  void reset_job_state(bool async);
+  void reset_job_state();
   bool publish(Job& job);
-  void participate(int w, std::uint32_t gen, Job* job, bool steal,
-                   bool async);
-  void finish_job(Job& job);
-  Job* release_and_next();
-  void start(Job* job);
+  void participate(int w, std::uint32_t gen, Job* job, bool steal);
   std::uint32_t wait_epoch(std::uint32_t seen);
   void worker_loop(int w);
 
@@ -206,7 +189,6 @@ class TaskPool {
   std::atomic<std::uint32_t> epoch_{0};
   std::atomic<Job*> job_{nullptr};
   std::atomic<bool> steal_{false};
-  std::atomic<bool> async_{false};
   alignas(64) std::atomic<std::int64_t> remaining_{0};
   alignas(64) std::atomic<int> sleepers_{0};
   std::atomic<bool> shutdown_{false};
@@ -214,10 +196,8 @@ class TaskPool {
   std::atomic<bool> failed_{false};  ///< first task error claimed
   std::exception_ptr error_;         ///< written by the claimer only
 
-  std::mutex mu_;            ///< guards busy_ and the pending queue
-  bool busy_ = false;
-  Job* pending_head_ = nullptr;
-  Job* pending_tail_ = nullptr;
+  std::mutex mu_;      ///< guards busy_
+  bool busy_ = false;  ///< a job holds the pool, until after its finish()
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> parks_{0};

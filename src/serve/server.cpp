@@ -50,38 +50,27 @@ struct Server::Connection {
   }
 };
 
-/// Everything one non-batched spmv needs alive until its reply is sent.
-/// On the task executor the completion callback owns this state, so the
-/// connection, cached engine, control + watchdog and both vectors
-/// survive the request worker returning to the pool.
-struct Server::AsyncSpmv {
-  std::shared_ptr<const CachedEngine> entry;
+/// One decoded spmv request waiting for its round.
+struct Server::PendingSpmv {
+  std::shared_ptr<Connection> conn;
   SpmvRequest req;
-  SpmvReply rep;
-  RunControl control;
-  std::optional<Watchdog> watchdog;
-  Timer t;
+  Timer timer;  ///< started at request decode; reply carries its elapsed
 };
 
 /// Per-fingerprint batch box for the same-matrix SpMM batcher. Workers
 /// push their request and the first one in becomes the leader, draining
-/// the box in max_batch-sized rounds through run_multi; the others return
-/// to the pool immediately (their replies are sent by the leader).
+/// the box in max_batch-sized rounds; the others return to the pool
+/// immediately (their replies are sent by the leader).
 struct Server::SpmmBatch {
-  struct Pending {
-    std::shared_ptr<Connection> conn;
-    SpmvRequest req;
-    Timer timer;  ///< started at request decode; reply carries its elapsed
-  };
   std::mutex mu;
-  std::vector<Pending> waiting;
+  std::vector<PendingSpmv> waiting;
   bool leader_active = false;
 };
 
 struct Server::ServerStats {
   std::atomic<std::uint64_t> requests_total{0};
-  // Bumped before the reply is sent, so a stats request the client issues
-  // after reading the reply always counts it.
+  // Both bumped before the reply is sent, so a stats request the client
+  // issues after reading the reply always counts it.
   std::atomic<std::uint64_t> requests_ok{0};
   std::atomic<std::uint64_t> requests_error{0};
   std::atomic<std::uint64_t> submits{0};
@@ -178,16 +167,6 @@ void Server::stop() {
   for (auto& w : workers_)
     if (w.joinable()) w.join();
 
-  // Drain asynchronous spmv completions still running on the shared
-  // task pool: their callbacks touch stats_ and connection state, so
-  // they must retire before teardown continues.
-  {
-    std::unique_lock<std::mutex> lock(conns_mu_);
-    conns_cv_.wait(lock, [this] {
-      return async_inflight_.load(std::memory_order_acquire) == 0;
-    });
-  }
-
   // Reader threads are detached; wait for the last one to sign off so
   // the Server members they touch outlive them.
   {
@@ -258,10 +237,11 @@ void Server::connection_loop(std::shared_ptr<Connection> conn) {
     }
   }
   conn->hang_up();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.erase(conn);
-  }
+  // Notify under the lock: once stop() sees the set empty it returns and
+  // the Server (conns_cv_ included) may be destroyed, so this detached
+  // thread must not touch it after releasing conns_mu_.
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  conns_.erase(conn);
   conns_cv_.notify_all();
 }
 
@@ -349,10 +329,10 @@ bool Server::requeue_backoff(const std::shared_ptr<Connection>& conn,
                              MsgType type, const std::string& payload,
                              int priority, int attempts) {
   if (attempts >= opt_.max_retries) {
+    stats_->requests_error.fetch_add(1, std::memory_order_relaxed);
     send_error(conn, ErrorCode::kOverloaded,
                "engine busy after " + std::to_string(attempts) +
                    " retries — back off and retry");
-    stats_->requests_error.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   const double delay =
@@ -584,10 +564,10 @@ void Server::handle_spmv(const std::shared_ptr<Connection>& conn,
       preparing_.erase(req.fingerprint);
     }
     if (!entry) {
+      stats_->requests_error.fetch_add(1, std::memory_order_relaxed);
       send_error(conn, ErrorCode::kUnknownMatrix,
                  "no engine cached under fingerprint " +
                      hash_hex(req.fingerprint));
-      stats_->requests_error.fetch_add(1, std::memory_order_relaxed);
       return;
     }
   }
@@ -598,114 +578,15 @@ void Server::handle_spmv(const std::shared_ptr<Connection>& conn,
         " entries, matrix wants " + std::to_string(entry->key.cols));
   }
 
-  if (opt_.max_batch > 1) {
-    spmv_batched(conn, std::move(req), std::move(entry), t);
-    return;
-  }
-
-  // Per-request deadline budget carved from RunControl: the requested
-  // budget (or the server default), capped by the server maximum. All
-  // run state lives in one shared block so the asynchronous completion
-  // path can outlive this worker.
-  auto st = std::make_shared<AsyncSpmv>();
-  st->entry = std::move(entry);
-  st->req = std::move(req);
-  st->t = t;
-  double budget = st->req.deadline_seconds > 0
-                      ? st->req.deadline_seconds
-                      : opt_.default_deadline_seconds;
-  if (budget > 0) {
-    budget = std::min(budget, opt_.max_deadline_seconds);
-    st->control.set_deadline(budget);
-  }
-  st->control.set_stall_timeout(opt_.stall_timeout_seconds);
-  st->control.set_watchdog_poll(opt_.watchdog_poll_seconds);
-  st->watchdog.emplace(st->control);
-  st->rep.y.resize(static_cast<std::size_t>(st->entry->key.rows));
-
-  // Input scan happens before submission either way (the output scan is
-  // finish_spmv's job, after the run completed).
-  if (st->req.check_numerics)
-    check_finite("run: input vector x", st->req.x.data(), st->req.x.size());
-
-  if (st->entry->engine.async_capable()) {
-    // Stealing plan: queue the run on the task pool and return this
-    // worker immediately; the reply is sent from the completion callback
-    // on a task-pool worker (StarPU-style asynchronous execution).
-    async_inflight_.fetch_add(1, std::memory_order_acq_rel);
-    BSPMV_OBS_COUNT("serve.async_submitted", 1);
-    auto self = this;
-    auto conn_ref = conn;
-    st->entry->engine.run_async(
-        st->req.x.data(), st->rep.y.data(), &st->control,
-        [self, conn_ref, st](std::exception_ptr err) {
-          self->finish_spmv(conn_ref, st, err);
-          {
-            std::lock_guard<std::mutex> lock(self->conns_mu_);
-            self->async_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-          }
-          self->conns_cv_.notify_all();
-        });
-    return;
-  }
-
-  // Bulk/plain plan: synchronous run on this worker, completed through
-  // the same finish path as the asynchronous case.
-  std::exception_ptr err;
-  try {
-    st->entry->engine.run(st->req.x.data(), st->rep.y.data(), &st->control,
-                          false);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  finish_spmv(conn, st, err);
+  PendingSpmv p{conn, std::move(req), t};
+  if (opt_.max_batch > 1)
+    spmv_batched(std::move(p), *entry);
+  else
+    serve_round(*entry, {&p, 1});  // batching off: a one-member round
 }
 
-void Server::finish_spmv(const std::shared_ptr<Connection>& conn,
-                         const std::shared_ptr<AsyncSpmv>& st,
-                         std::exception_ptr err) {
-  try {
-    if (err) std::rethrow_exception(err);
-    st->watchdog.reset();  // retire the deadline thread before replying
-    if (st->req.check_numerics)
-      check_finite("run: output vector y", st->rep.y.data(),
-                   st->rep.y.size());
-    st->rep.server_seconds = st->t.elapsed();
-    st->rep.degraded = st->entry->degraded || degrade_level() > 0;
-    if (st->rep.degraded)
-      stats_->degraded_served.fetch_add(1, std::memory_order_relaxed);
-    stats_->requests_ok.fetch_add(1, std::memory_order_relaxed);
-    send_reply(conn, MsgType::kSpmvOk, st->rep.encode());
-    record_success();
-    return;
-  } catch (const timeout_error& e) {
-    if (st->control.reason() == AbortReason::kStalled) {
-      stats_->stalls.fetch_add(1, std::memory_order_relaxed);
-      record_stall();
-    }
-    stats_->timeouts.fetch_add(1, std::memory_order_relaxed);
-    BSPMV_OBS_COUNT("serve.timeouts", 1);
-    stats_->requests_error.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, error_code_for(e), e.what());
-  } catch (const numerical_error& e) {
-    stats_->numerical.fetch_add(1, std::memory_order_relaxed);
-    BSPMV_OBS_COUNT("serve.numerical", 1);
-    stats_->requests_error.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, error_code_for(e), e.what());
-  } catch (const error& e) {
-    stats_->requests_error.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, error_code_for(e), e.what());
-  } catch (const std::exception& e) {
-    stats_->requests_error.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, ErrorCode::kError, std::string("internal: ") + e.what());
-  }
-}
-
-void Server::spmv_batched(const std::shared_ptr<Connection>& conn,
-                          SpmvRequest&& req,
-                          std::shared_ptr<const CachedEngine> entry,
-                          Timer t) {
-  const std::uint64_t fp = req.fingerprint;
+void Server::spmv_batched(PendingSpmv&& p, const CachedEngine& entry) {
+  const std::uint64_t fp = p.req.fingerprint;
   std::shared_ptr<SpmmBatch> batch;
   {
     std::lock_guard<std::mutex> lock(batches_mu_);
@@ -715,7 +596,7 @@ void Server::spmv_batched(const std::shared_ptr<Connection>& conn,
   }
   {
     std::lock_guard<std::mutex> lock(batch->mu);
-    batch->waiting.push_back(SpmmBatch::Pending{conn, std::move(req), t});
+    batch->waiting.push_back(std::move(p));
     if (batch->leader_active) {
       // A leader is already draining this fingerprint; it will pick this
       // request up before retiring, so this worker is free again.
@@ -728,7 +609,7 @@ void Server::spmv_batched(const std::shared_ptr<Connection>& conn,
   // re-check under the lock before clearing leader_active closes the
   // window where a straggler enqueued after the previous round.
   for (;;) {
-    std::vector<SpmmBatch::Pending> take;
+    std::vector<PendingSpmv> take;
     {
       std::lock_guard<std::mutex> lock(batch->mu);
       if (batch->waiting.empty()) {
@@ -746,95 +627,7 @@ void Server::spmv_batched(const std::shared_ptr<Connection>& conn,
                                static_cast<std::ptrdiff_t>(n));
     }
 
-    const int m = static_cast<int>(take.size());
-    const auto rows = static_cast<std::size_t>(entry->key.rows);
-    const auto cols = static_cast<std::size_t>(entry->key.cols);
-
-    // One RunControl for the round: the tightest member budget bounds the
-    // whole batch (a batch must never outlive any member's deadline).
-    RunControl control;
-    double budget = 0.0;
-    bool check_numerics = false;
-    for (const auto& p : take) {
-      const double b = p.req.deadline_seconds > 0
-                           ? p.req.deadline_seconds
-                           : opt_.default_deadline_seconds;
-      if (b > 0) budget = budget > 0 ? std::min(budget, b) : b;
-      check_numerics = check_numerics || p.req.check_numerics;
-    }
-    if (budget > 0) {
-      budget = std::min(budget, opt_.max_deadline_seconds);
-      control.set_deadline(budget);
-    }
-    control.set_stall_timeout(opt_.stall_timeout_seconds);
-    control.set_watchdog_poll(opt_.watchdog_poll_seconds);
-    Watchdog watchdog(control);
-
-    const auto fail_all = [&](ErrorCode code, const std::string& message) {
-      for (const auto& p : take) {
-        send_error(p.conn, code, message);
-        stats_->requests_error.fetch_add(1, std::memory_order_relaxed);
-      }
-    };
-
-    try {
-      std::vector<SpmvReply> reps(take.size());
-      if (m == 1) {
-        // Lone request in the round: the plain single-vector path.
-        reps[0].y.resize(rows);
-        entry->engine.run(take[0].req.x.data(), reps[0].y.data(), &control,
-                          check_numerics);
-      } else {
-        stats_->batch_rounds.fetch_add(1, std::memory_order_relaxed);
-        stats_->batched_spmvs.fetch_add(static_cast<std::uint64_t>(m),
-                                        std::memory_order_relaxed);
-        BSPMV_OBS_COUNT("serve.batch_rounds", 1);
-        BSPMV_OBS_COUNT("serve.batched_spmvs", m);
-        // Gather the members' vectors into one row-major (interleaved)
-        // block, stream the matrix once for all of them, and scatter the
-        // outputs back per request.
-        aligned_vector<double> X(cols * take.size());
-        aligned_vector<double> Y(rows * take.size());
-        for (std::size_t j = 0; j < take.size(); ++j) {
-          const auto& x = take[j].req.x;
-          for (std::size_t i = 0; i < cols; ++i)
-            X[i * take.size() + j] = x[i];
-        }
-        entry->engine.run_multi(X.data(), Y.data(), m, &control,
-                                check_numerics);
-        for (std::size_t j = 0; j < take.size(); ++j) {
-          reps[j].y.resize(rows);
-          for (std::size_t i = 0; i < rows; ++i)
-            reps[j].y[i] = Y[i * take.size() + j];
-        }
-      }
-      const bool degraded = entry->degraded || degrade_level() > 0;
-      for (std::size_t j = 0; j < take.size(); ++j) {
-        reps[j].server_seconds = take[j].timer.elapsed();
-        reps[j].degraded = degraded;
-        if (degraded)
-          stats_->degraded_served.fetch_add(1, std::memory_order_relaxed);
-        stats_->requests_ok.fetch_add(1, std::memory_order_relaxed);
-        send_reply(take[j].conn, MsgType::kSpmvOk, reps[j].encode());
-        record_success();
-      }
-    } catch (const timeout_error& e) {
-      if (control.reason() == AbortReason::kStalled) {
-        stats_->stalls.fetch_add(1, std::memory_order_relaxed);
-        record_stall();
-      }
-      stats_->timeouts.fetch_add(1, std::memory_order_relaxed);
-      BSPMV_OBS_COUNT("serve.timeouts", 1);
-      fail_all(error_code_for(e), e.what());
-    } catch (const numerical_error& e) {
-      stats_->numerical.fetch_add(1, std::memory_order_relaxed);
-      BSPMV_OBS_COUNT("serve.numerical", 1);
-      fail_all(error_code_for(e), e.what());
-    } catch (const error& e) {
-      fail_all(error_code_for(e), e.what());
-    } catch (const std::exception& e) {
-      fail_all(ErrorCode::kError, std::string("internal: ") + e.what());
-    }
+    serve_round(entry, take);
   }
 
   // Retire the box when idle so the map only tracks live fingerprints. A
@@ -847,6 +640,101 @@ void Server::spmv_batched(const std::shared_ptr<Connection>& conn,
       if (batch->waiting.empty() && !batch->leader_active)
         batches_.erase(it);
     }
+  }
+}
+
+void Server::serve_round(const CachedEngine& entry,
+                         std::span<const PendingSpmv> round) {
+  const int m = static_cast<int>(round.size());
+  const auto rows = static_cast<std::size_t>(entry.key.rows);
+  const auto cols = static_cast<std::size_t>(entry.key.cols);
+
+  // One RunControl for the round: the tightest member budget bounds the
+  // whole batch (a batch must never outlive any member's deadline).
+  RunControl control;
+  double budget = 0.0;
+  bool check_numerics = false;
+  for (const auto& p : round) {
+    const double b = p.req.deadline_seconds > 0
+                         ? p.req.deadline_seconds
+                         : opt_.default_deadline_seconds;
+    if (b > 0) budget = budget > 0 ? std::min(budget, b) : b;
+    check_numerics = check_numerics || p.req.check_numerics;
+  }
+  if (budget > 0) {
+    budget = std::min(budget, opt_.max_deadline_seconds);
+    control.set_deadline(budget);
+  }
+  control.set_stall_timeout(opt_.stall_timeout_seconds);
+  control.set_watchdog_poll(opt_.watchdog_poll_seconds);
+  std::optional<Watchdog> watchdog;
+  watchdog.emplace(control);
+
+  const auto fail_all = [&](ErrorCode code, const std::string& message) {
+    for (const auto& p : round) {
+      stats_->requests_error.fetch_add(1, std::memory_order_relaxed);
+      send_error(p.conn, code, message);
+    }
+  };
+
+  try {
+    std::vector<SpmvReply> reps(round.size());
+    if (m == 1) {
+      // Lone request in the round: the plain single-vector path.
+      reps[0].y.resize(rows);
+      entry.engine.run(round[0].req.x.data(), reps[0].y.data(), &control,
+                       check_numerics);
+    } else {
+      stats_->batch_rounds.fetch_add(1, std::memory_order_relaxed);
+      stats_->batched_spmvs.fetch_add(static_cast<std::uint64_t>(m),
+                                      std::memory_order_relaxed);
+      BSPMV_OBS_COUNT("serve.batch_rounds", 1);
+      BSPMV_OBS_COUNT("serve.batched_spmvs", m);
+      // Gather the members' vectors into one row-major (interleaved)
+      // block, stream the matrix once for all of them, and scatter the
+      // outputs back per request.
+      aligned_vector<double> X(cols * round.size());
+      aligned_vector<double> Y(rows * round.size());
+      for (std::size_t j = 0; j < round.size(); ++j) {
+        const auto& x = round[j].req.x;
+        for (std::size_t i = 0; i < cols; ++i)
+          X[i * round.size() + j] = x[i];
+      }
+      entry.engine.run_multi(X.data(), Y.data(), m, &control,
+                             check_numerics);
+      for (std::size_t j = 0; j < round.size(); ++j) {
+        reps[j].y.resize(rows);
+        for (std::size_t i = 0; i < rows; ++i)
+          reps[j].y[i] = Y[i * round.size() + j];
+      }
+    }
+    watchdog.reset();  // retire the deadline thread before replying
+    const bool degraded = entry.degraded || degrade_level() > 0;
+    for (std::size_t j = 0; j < round.size(); ++j) {
+      reps[j].server_seconds = round[j].timer.elapsed();
+      reps[j].degraded = degraded;
+      if (degraded)
+        stats_->degraded_served.fetch_add(1, std::memory_order_relaxed);
+      stats_->requests_ok.fetch_add(1, std::memory_order_relaxed);
+      send_reply(round[j].conn, MsgType::kSpmvOk, reps[j].encode());
+      record_success();
+    }
+  } catch (const timeout_error& e) {
+    if (control.reason() == AbortReason::kStalled) {
+      stats_->stalls.fetch_add(1, std::memory_order_relaxed);
+      record_stall();
+    }
+    stats_->timeouts.fetch_add(1, std::memory_order_relaxed);
+    BSPMV_OBS_COUNT("serve.timeouts", 1);
+    fail_all(error_code_for(e), e.what());
+  } catch (const numerical_error& e) {
+    stats_->numerical.fetch_add(1, std::memory_order_relaxed);
+    BSPMV_OBS_COUNT("serve.numerical", 1);
+    fail_all(error_code_for(e), e.what());
+  } catch (const error& e) {
+    fail_all(error_code_for(e), e.what());
+  } catch (const std::exception& e) {
+    fail_all(ErrorCode::kError, std::string("internal: ") + e.what());
   }
 }
 
@@ -938,8 +826,6 @@ Json Server::stats_json() const {
   o["queue_capacity"] = static_cast<std::uint64_t>(queue_->capacity());
   o["shed"] = queue_->shed_count();
   o["executor"] = backend_name(opt_.executor);
-  o["async_inflight"] = static_cast<std::uint64_t>(
-      std::max(0, async_inflight_.load(std::memory_order_relaxed)));
   o["degrade_level"] = degrade_level();
   o["connections"] = stats_->connections.load();
   o["workers"] = opt_.workers;

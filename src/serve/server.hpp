@@ -12,8 +12,10 @@
 //                  └─ miss ────────────► prepare (measured selection,
 //                                        ConversionGuard-capped, CSR
 //                                        fallback) ► cache insert ► reply
-//           spmv ─── cache hit ────────► run under RunControl deadline +
-//                                        Watchdog ► reply y
+//           spmv ─── cache hit ────────► one round (alone, or batched
+//                                        with same-matrix requests) under
+//                                        a RunControl deadline + Watchdog
+//                                        ► reply y
 //                  ├─ spool hit ───────► rebuild engine from persisted
 //                  │                     matrix (crash recovery) ► run
 //                  └─ miss ────────────► unknown_matrix (client resubmits)
@@ -36,9 +38,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -50,7 +52,6 @@
 #include "src/serve/engine_cache.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/util/json.hpp"
-#include "src/util/timing.hpp"
 
 namespace bspmv::serve {
 
@@ -66,9 +67,7 @@ struct ServerOptions {
   /// Schedule policy of every threaded engine this server prepares. All
   /// cached engines share one process-wide TaskPool of engine_threads
   /// workers; a request that finds it busy runs its SpMV inline on the
-  /// request worker. Under kTasks non-batched spmv requests complete
-  /// asynchronously: the request worker queues the run on the pool and
-  /// returns, with the reply sent from a completion callback.
+  /// request worker.
   ExecBackend executor = ExecBackend::kBulk;
 
   /// Measured selection on prepare: convert each parallel-safe candidate
@@ -137,7 +136,7 @@ class Server {
   struct Connection;
   struct ServerStats;
   struct SpmmBatch;
-  struct AsyncSpmv;
+  struct PendingSpmv;
 
   void accept_loop();
   void worker_loop();
@@ -159,19 +158,16 @@ class Server {
 
   /// Same-matrix batcher (opt_.max_batch > 1): enqueue the request under
   /// its fingerprint's batch box; the first worker in becomes the leader
-  /// and drains the box — gathering up to max_batch requests into one
-  /// run_multi call per round — while followers return to the pool
-  /// immediately.
-  void spmv_batched(const std::shared_ptr<Connection>& conn,
-                    SpmvRequest&& req,
-                    std::shared_ptr<const CachedEngine> entry, Timer t);
+  /// and drains the box in rounds of up to max_batch requests, while
+  /// followers return to the pool immediately.
+  void spmv_batched(PendingSpmv&& p, const CachedEngine& entry);
 
-  /// Completion of one non-batched spmv: reply or typed error, counters,
-  /// degradation bookkeeping. Runs on the request worker for synchronous
-  /// plans and on a task-pool worker for asynchronous (stealing) ones.
-  void finish_spmv(const std::shared_ptr<Connection>& conn,
-                   const std::shared_ptr<AsyncSpmv>& st,
-                   std::exception_ptr err);
+  /// Serve one round on the calling worker: one RunControl bounded by the
+  /// tightest member deadline, a Watchdog, run (one member) or run_multi
+  /// (two or more), then a reply or typed error per member, counters and
+  /// degradation bookkeeping.
+  void serve_round(const CachedEngine& entry,
+                   std::span<const PendingSpmv> round);
 
   /// Requeue a busy request with exponential backoff; replies overloaded
   /// once attempts exceed max_retries. Returns true if requeued.
@@ -226,11 +222,6 @@ class Server {
   std::unordered_map<std::uint64_t, std::shared_ptr<SpmmBatch>> batches_;
 
   std::atomic<int> stall_strikes_{0};
-
-  /// Async spmv completions still owed to clients (task executor only);
-  /// stop() drains this before tearing down, since the callbacks touch
-  /// stats_ and connections.
-  std::atomic<int> async_inflight_{0};
 
   std::unique_ptr<ServerStats> stats_;
 };

@@ -3,10 +3,7 @@
 // non-parallel rejection.
 #include <gtest/gtest.h>
 
-#include <condition_variable>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <vector>
 
 #include "src/core/engine.hpp"
@@ -296,14 +293,12 @@ TEST(SpmvEngine, TaskBackendMatchesBulkBitwise) {
       SpmvEngine<double>::prepare(a, bcsr_candidate(3, 1), 4,
                                   ExecBackend::kBulk);
   EXPECT_EQ(bulk.backend(), ExecBackend::kBulk);
-  EXPECT_FALSE(bulk.async_capable());
   bulk.run(x.data(), yb.data());
 
   const auto tasks =
       SpmvEngine<double>::prepare(a, bcsr_candidate(3, 1), 4,
                                   ExecBackend::kTasks);
   EXPECT_EQ(tasks.backend(), ExecBackend::kTasks);
-  EXPECT_TRUE(tasks.async_capable());
   tasks.run(x.data(), yt.data());
   for (std::size_t i = 0; i < 90; ++i) EXPECT_EQ(yt[i], yb[i]) << "row " << i;
 }
@@ -323,86 +318,9 @@ TEST(SpmvEngine, SetBackendReplansOverTheSameFormat) {
   for (std::size_t i = 0; i < 70; ++i) EXPECT_EQ(y[i], ref[i]) << i;
 
   engine.set_backend(ExecBackend::kBulk);
-  EXPECT_FALSE(engine.async_capable());
   y.assign(70, -1.0);
   engine.run(x.data(), y.data());
   for (std::size_t i = 0; i < 70; ++i) EXPECT_EQ(y[i], ref[i]) << i;
-}
-
-TEST(SpmvEngine, RunAsyncFallsBackToInlineForSyncPlans) {
-  // A plain (non-task) plan has no async path: run_async must execute
-  // synchronously and still deliver exactly one completion.
-  const Csr<double> a =
-      Csr<double>::from_coo(random_coo<double>(30, 30, 0.3, 75));
-  const auto x = random_x<double>(30, 76);
-  aligned_vector<double> ref(30, 0.0), y(30, -1.0);
-  spmv(a, x.data(), ref.data());
-
-  const auto engine = SpmvEngine<double>::prepare(
-      a, Candidate{FormatKind::kCsr, BlockShape{1, 1}, 0, Impl::kScalar});
-  int completions = 0;
-  engine.run_async(x.data(), y.data(), nullptr,
-                   [&](std::exception_ptr err) {
-                     EXPECT_EQ(err, nullptr);
-                     ++completions;  // inline: same thread
-                   });
-  EXPECT_EQ(completions, 1);
-  for (std::size_t i = 0; i < 30; ++i) EXPECT_EQ(y[i], ref[i]) << i;
-}
-
-TEST(SpmvEngine, RunAsyncOnTaskPlanDeliversOffThread) {
-  const Csr<double> a =
-      Csr<double>::from_coo(random_blocky_coo<double>(80, 75, 3, 0.3, 0.8,
-                                                      77));
-  const auto x = random_x<double>(75, 78);
-  aligned_vector<double> ref(80, -1.0), y(80, -2.0);
-
-  auto engine = SpmvEngine<double>::prepare(a, bcsr_candidate(3, 1), 3,
-                                            ExecBackend::kTasks);
-  engine.run(x.data(), ref.data());
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool completed = false;
-  std::exception_ptr got;
-  engine.run_async(x.data(), y.data(), nullptr,
-                   [&](std::exception_ptr err) {
-                     std::lock_guard<std::mutex> lk(mu);
-                     got = err;
-                     completed = true;
-                     cv.notify_all();
-                   });
-  std::unique_lock<std::mutex> lk(mu);
-  cv.wait(lk, [&] { return completed; });
-  EXPECT_EQ(got, nullptr);
-  for (std::size_t i = 0; i < 80; ++i) EXPECT_EQ(y[i], ref[i]) << i;
-}
-
-TEST(SpmvEngine, RunAsyncReportsCancelledControl) {
-  const Csr<double> a =
-      Csr<double>::from_coo(random_blocky_coo<double>(50, 48, 2, 0.3, 0.8,
-                                                      79));
-  const auto x = random_x<double>(48, 80);
-  aligned_vector<double> y(50, 0.0);
-  auto engine = SpmvEngine<double>::prepare(a, bcsr_candidate(2, 2), 2,
-                                            ExecBackend::kTasks);
-  RunControl rc;
-  rc.request_cancel();
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool completed = false;
-  std::exception_ptr got;
-  engine.run_async(x.data(), y.data(), &rc, [&](std::exception_ptr err) {
-    std::lock_guard<std::mutex> lk(mu);
-    got = err;
-    completed = true;
-    cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lk(mu);
-  cv.wait(lk, [&] { return completed; });
-  ASSERT_NE(got, nullptr);
-  EXPECT_THROW(std::rethrow_exception(got), cancelled_error);
 }
 
 TEST(SpmvEngine, WarmUpIsHarmlessOnEveryPlanKind) {

@@ -1,6 +1,6 @@
 // Threaded-driver schedule tests (docs/tasking.md): the packed task
-// cursor, NUMA topology mapping, the TaskPool (dispatch, stealing,
-// async completion, the busy-pool inline fallback) and ThreadedSpmv's
+// cursor, NUMA topology mapping, the TaskPool (dispatch, stealing, the
+// busy-pool inline fallback) and ThreadedSpmv's
 // bitwise parity with the serial kernels under the stealing schedule and
 // adversarial skew.
 //
@@ -10,11 +10,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <filesystem>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -38,26 +36,20 @@ using bspmv::testing::random_x;
 class FnJob final : public TaskPool::Job {
  public:
   FnJob(std::vector<std::uint32_t> home,
-        std::function<void(std::uint32_t, int)> fn, bool steal = true,
-        std::function<void(std::exception_ptr)> done = nullptr)
-      : home_(std::move(home)), fn_(std::move(fn)), steal_(steal),
-        done_(std::move(done)) {}
+        std::function<void(std::uint32_t, int)> fn, bool steal = true)
+      : home_(std::move(home)), fn_(std::move(fn)), steal_(steal) {}
   std::span<const std::uint32_t> home() const override { return home_; }
   bool steal() const override { return steal_; }
   std::size_t run_task(std::uint32_t task, int worker) override {
     fn_(task, worker);
     return 1;
   }
-  void finish(std::span<const TaskPool::WorkerLoad>,
-              std::exception_ptr err) override {
-    if (done_) done_(err);
-  }
+  void finish(std::span<const TaskPool::WorkerLoad>) override {}
 
  private:
   std::vector<std::uint32_t> home_;
   std::function<void(std::uint32_t, int)> fn_;
   bool steal_;
-  std::function<void(std::exception_ptr)> done_;
 };
 
 /// `tasks` tasks split into `workers` contiguous home ranges.
@@ -69,25 +61,6 @@ std::vector<std::uint32_t> even_homes(std::uint32_t tasks, int workers) {
         static_cast<std::uint32_t>(workers);
   return home;
 }
-
-/// Block until `done` fired (for async completions on a pool thread).
-class Latch {
- public:
-  void open() {
-    std::lock_guard<std::mutex> lk(mu_);
-    open_ = true;
-    cv_.notify_all();
-  }
-  void wait() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return open_; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = false;
-};
 
 // ------------------------------------------------------ ExecBackend ----
 
@@ -242,14 +215,6 @@ TEST(TaskPool, EmptyBatchCompletesInline) {
   FnJob empty(even_homes(0, 2),
               [](std::uint32_t, int) { FAIL() << "no tasks to run"; });
   pool.run(empty);
-  bool done_ran = false;
-  FnJob async(even_homes(0, 2), [](std::uint32_t, int) {}, true,
-              [&](std::exception_ptr err) {
-                EXPECT_EQ(err, nullptr);
-                done_ran = true;  // inline: same thread, no sync needed
-              });
-  pool.run_async(async);
-  EXPECT_TRUE(done_ran);
 }
 
 TEST(TaskPool, RethrowsFirstTaskError) {
@@ -263,25 +228,6 @@ TEST(TaskPool, RethrowsFirstTaskError) {
   FnJob good(even_homes(6, 3), [&](std::uint32_t, int) { ok.fetch_add(1); });
   pool.run(good);
   EXPECT_EQ(ok.load(), 6);
-}
-
-TEST(TaskPool, RunAsyncDeliversCompletionOffThread) {
-  TaskPool pool(2, Topology::clustered(2, 2));
-  std::atomic<int> ran{0};
-  Latch latch;
-  std::exception_ptr got = std::make_exception_ptr(error("sentinel"));
-  std::thread::id done_thread;
-  FnJob job(even_homes(64, 2), [&](std::uint32_t, int) { ran.fetch_add(1); },
-            true, [&](std::exception_ptr err) {
-              got = err;
-              done_thread = std::this_thread::get_id();
-              latch.open();
-            });
-  pool.run_async(job);
-  latch.wait();
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_EQ(got, nullptr);
-  EXPECT_NE(done_thread, std::this_thread::get_id());
 }
 
 TEST(TaskPool, SharedRegistryReturnsOnePoolPerWidth) {
@@ -303,8 +249,6 @@ TEST(TaskPool, RejectsOutOfRangeHome) {
   EXPECT_ANY_THROW(pool.run(too_few));
   EXPECT_ANY_THROW(pool.run(decreasing));
   EXPECT_ANY_THROW(pool.run(not_at_zero));
-  FnJob static_async(even_homes(4, 2), noop, /*steal=*/false);
-  EXPECT_ANY_THROW(pool.run_async(static_async));
 }
 
 // ----------------------------------------- ThreadedSpmv, stealing ----
@@ -572,7 +516,6 @@ TEST(TaskSchedule, OneThreadPlanSpawnsNoPoolThread) {
   for (ExecBackend schedule : {ExecBackend::kTasks, ExecBackend::kBulk}) {
     const ThreadedSpmv<Csr<double>> d(a, 1, schedule);
     EXPECT_EQ(d.pool(), nullptr);
-    EXPECT_FALSE(d.async_capable());
     d.run(x.data(), y.data());
     for (std::size_t i = 0; i < 90; ++i) ASSERT_EQ(y[i], ref[i]) << i;
   }
@@ -592,27 +535,6 @@ TEST(TaskGraph, OverDecomposesAndSkipsEmptySlices) {
   EXPECT_LE(d.task_count(), 4u * kTasksPerThread);
   const ThreadedSpmv<Csr<double>> b(a, 4, ExecBackend::kBulk);
   EXPECT_LE(b.task_count(), 4u);
-}
-
-TEST(TaskGraph, AsyncRunMatchesSyncBitwise) {
-  const Csr<double> a = Csr<double>::from_coo(skewed_coo(150, 120, 47));
-  const auto x = random_x<double>(120, 9);
-  const ThreadedSpmv<Csr<double>> d(a, 3, ExecBackend::kTasks);
-  ASSERT_TRUE(d.async_capable());
-  aligned_vector<double> ysync(150, -1.0), yasync(150, -1.0);
-  d.run(x.data(), ysync.data());
-
-  Latch latch;
-  std::exception_ptr got;
-  d.run_async(x.data(), yasync.data(), Impl::kScalar, nullptr,
-              [&](std::exception_ptr err) {
-                got = err;
-                latch.open();
-              });
-  latch.wait();
-  EXPECT_EQ(got, nullptr);
-  for (std::size_t i = 0; i < 150; ++i)
-    ASSERT_EQ(yasync[i], ysync[i]) << "row " << i;
 }
 
 TEST(TaskGraph, RunMultiMatchesBulkBackendBitwise) {

@@ -358,6 +358,88 @@ TEST(Server, BatchingDisabledServesSingleVectorPath) {
   EXPECT_EQ(stats.at("requests").at("batch_rounds").as_number(), 0.0);
 }
 
+TEST(Server, StealingEnginesServeUnbatchedRequests) {
+  // Threaded stealing engines with batching off: every spmv is a
+  // one-member round on its request worker, and concurrent requests
+  // share one two-wide task pool (a request that finds it busy runs
+  // inline).
+  ServerOptions opt;
+  opt.executor = ExecBackend::kTasks;
+  opt.engine_threads = 2;
+  opt.max_batch = 1;
+  opt.workers = 4;
+  TestServer ts(opt);
+  const std::vector<Csr<double>> mats = {make_matrix(96, 21),
+                                         make_matrix(80, 22)};
+  std::vector<std::uint64_t> fps;
+  {
+    ServeClient c = ts.client();
+    for (const auto& a : mats) fps.push_back(c.submit(a).fingerprint);
+  }
+
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 6;
+  // Request r of client j runs matrix (j + r) % 2 with its own x.
+  const auto x_for = [](int j, int r, index_t n) {
+    std::vector<double> x(static_cast<std::size_t>(n));
+    for (index_t i = 0; i < n; ++i)
+      x[static_cast<std::size_t>(i)] =
+          0.5 * (j + 1) - 0.125 * r + 0.01 * static_cast<double>(i);
+    return x;
+  };
+  std::vector<std::vector<std::vector<double>>> ys(
+      kClients, std::vector<std::vector<double>>(kPerClient));
+  std::vector<std::thread> clients;
+  for (int j = 0; j < kClients; ++j)
+    clients.emplace_back([&, j] {
+      ServeClient c = ts.client();
+      for (int r = 0; r < kPerClient; ++r) {
+        const std::size_t m = static_cast<std::size_t>((j + r) % 2);
+        ys[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)] =
+            c.spmv(fps[m], x_for(j, r, mats[m].cols())).y;
+      }
+    });
+  for (auto& th : clients) th.join();
+
+  for (int j = 0; j < kClients; ++j)
+    for (int r = 0; r < kPerClient; ++r) {
+      const Csr<double>& a = mats[static_cast<std::size_t>((j + r) % 2)];
+      const std::vector<double> x = x_for(j, r, a.cols());
+      std::vector<double> ref(static_cast<std::size_t>(a.rows()), 0.0);
+      a.to_coo().spmv_reference(x.data(), ref.data());
+      const auto& y =
+          ys[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)];
+      ASSERT_EQ(y.size(), ref.size()) << "client " << j << " request " << r;
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        EXPECT_NEAR(y[i], ref[i], 1e-12)
+            << "client " << j << " request " << r << " row " << i;
+    }
+
+  ServeClient c = ts.client();
+  // The deadline is checked before the run, so an expired budget is a
+  // typed timeout.
+  EXPECT_THROW(c.spmv(fps[0], ones(mats[0].cols()), /*deadline_seconds=*/1e-9),
+               timeout_error);
+  std::vector<double> bad = ones(mats[1].cols());
+  bad[3] = std::nan("");
+  EXPECT_THROW(c.spmv(fps[1], bad, 0.0, 0, /*check_numerics=*/true),
+               numerical_error);
+
+  const Json stats = c.stats();
+  const Json& req = stats.at("requests");
+  const double spmvs = kClients * kPerClient + 2;
+  EXPECT_EQ(req.at("submits").as_number(), 2.0);
+  EXPECT_EQ(req.at("spmvs").as_number(), spmvs);
+  EXPECT_EQ(req.at("ok").as_number(), 2.0 + kClients * kPerClient);
+  EXPECT_EQ(req.at("error").as_number(), 2.0);
+  EXPECT_EQ(req.at("ok").as_number() + req.at("error").as_number(),
+            req.at("submits").as_number() + spmvs);
+  EXPECT_EQ(req.at("timeouts").as_number(), 1.0);
+  EXPECT_EQ(req.at("numerical").as_number(), 1.0);
+  EXPECT_EQ(req.at("batch_rounds").as_number(), 0.0);
+  EXPECT_EQ(stats.at("executor").as_string(), "tasks");
+}
+
 TEST(Server, MalformedFramesGetTypedErrorsNeverCrash) {
   TestServer ts;
   const std::string socket = ts.server->options().socket_path;
@@ -494,6 +576,22 @@ TEST(Server, ShutdownFrameStopsTheServer) {
   for (int i = 0; i < 100 && !ts.server->stopping(); ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_TRUE(ts.server->stopping());
+}
+
+TEST(Server, StopRightAfterClientsHangUpOutlivesEveryReader) {
+  // Each connection's reader is a detached thread that signs off by
+  // erasing its connection and notifying stop(). The Server is destroyed
+  // as soon as stop() sees no connection left, so a reader must not
+  // touch it after that notification (ThreadSanitizer checks this).
+  for (int round = 0; round < 5; ++round) {
+    TestServer ts;
+    std::vector<ServeClient> clients;
+    for (int i = 0; i < 8; ++i) {
+      clients.push_back(ts.client());
+      clients.back().ping();
+    }
+    clients.clear();  // hang up while the server is about to stop
+  }
 }
 
 TEST(Server, StatsReportServeCounters) {

@@ -259,8 +259,7 @@ TEST(CandidateCost, ParallelScansRankIdenticallyInsidePoolTask) {
       ranked = rank_candidates(ModelKind::kOverlap, a_, p_);
       return 1;
     }
-    void finish(std::span<const TaskPool::WorkerLoad>,
-                std::exception_ptr) override {}
+    void finish(std::span<const TaskPool::WorkerLoad>) override {}
     std::vector<RankedCandidate> ranked;
 
    private:

@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
                  "threads per engine plan (0 = single-threaded kernels)");
   cli.add_option("executor", "bulk",
                  "threaded-engine schedule: bulk (static, default) or tasks "
-                 "(work stealing; non-batched requests complete "
-                 "asynchronously)");
+                 "(work stealing)");
   cli.add_option("spool-dir", "",
                  "persist submitted matrices here for crash recovery"
                  " (empty = off)");
