@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -69,102 +70,31 @@ DistSpmv::DistSpmv(const Csr<double>& a, const DistOptions& opt)
   BSPMV_CHECK_MSG(opt_.threads_per_rank >= 0 && opt_.threads_per_rank <= 64,
                   "threads_per_rank out of range");
   BSPMV_CHECK_MSG(opt_.timeout_seconds > 0.0, "timeout must be positive");
-  plan_ = plan_shards(a, opt_.ranks);  // validates the rank count
   limits_.read_timeout_seconds = opt_.timeout_seconds;
   // Supervision needs the matrix after construction: respawn re-ships
   // shards, the ladder re-shards or runs single-node.
   if (opt_.supervise.enabled) matrix_ = a;
-  persistent_faults_.assign(static_cast<std::size_t>(opt_.ranks), FaultMsg{});
-  spawn(a);
+  build_mesh(a, opt_.ranks);
 }
 
-void DistSpmv::spawn(const Csr<double>& a) {
-  const int n = opt_.ranks;
-  std::vector<Pair> ctrl(static_cast<std::size_t>(n));
-  // data[i][j] for i < j: fds[0] is rank i's end, fds[1] rank j's.
-  std::vector<std::vector<Pair>> data(static_cast<std::size_t>(n));
-  for (auto& row : data) row.resize(static_cast<std::size_t>(n));
-
+void DistSpmv::build_mesh(const Csr<double>& a, int ranks) {
+  // A fresh deterministic plan over `ranks`; armed test faults do not
+  // carry over (rank identities changed).
+  plan_ = plan_shards(a, ranks);  // validates the rank count
+  opt_.ranks = ranks;
+  const std::size_t n = static_cast<std::size_t>(ranks);
+  persistent_faults_.assign(n, FaultMsg{});
+  stats_.assign(n, RankStats{});
+  // A fresh mesh is a respawn of every rank with no survivors: the
+  // survivor rewire and the fault re-arm in spawn_ranks do nothing.
+  pids_.assign(n, -1);
+  ctrl_fds_.assign(n, -1);
+  std::vector<int> all(n);
+  std::iota(all.begin(), all.end(), 0);
   try {
-    for (int r = 0; r < n; ++r)
-      make_pair_or_throw(ctrl[static_cast<std::size_t>(r)]);
-    for (int i = 0; i < n; ++i)
-      for (int j = i + 1; j < n; ++j)
-        make_pair_or_throw(data[static_cast<std::size_t>(i)]
-                               [static_cast<std::size_t>(j)]);
-
-    for (int r = 0; r < n; ++r) {
-      const pid_t pid = fork();
-      if (pid < 0)
-        throw io_error(std::string("fork failed: ") + std::strerror(errno));
-      if (pid == 0) {
-        // Child: keep only this rank's fds, serve, and _exit — never
-        // return into the parent's stack/atexit/gtest machinery.
-        RankContext ctx;
-        ctx.rank = r;
-        ctx.limits = limits_;
-        ctx.peer_fds.assign(static_cast<std::size_t>(n), -1);
-        for (int q = 0; q < n; ++q) {
-          Pair& c = ctrl[static_cast<std::size_t>(q)];
-          if (q == r) {
-            ctx.ctrl_fd = c.fds[1];
-            close_quiet(c.fds[0]);
-          } else {
-            close_quiet(c.fds[0]);
-            close_quiet(c.fds[1]);
-          }
-        }
-        for (int i = 0; i < n; ++i)
-          for (int j = i + 1; j < n; ++j) {
-            Pair& d = data[static_cast<std::size_t>(i)]
-                          [static_cast<std::size_t>(j)];
-            if (i == r) {
-              ctx.peer_fds[static_cast<std::size_t>(j)] = d.fds[0];
-              close_quiet(d.fds[1]);
-            } else if (j == r) {
-              ctx.peer_fds[static_cast<std::size_t>(i)] = d.fds[1];
-              close_quiet(d.fds[0]);
-            } else {
-              close_quiet(d.fds[0]);
-              close_quiet(d.fds[1]);
-            }
-          }
-        _exit(rank_main(ctx));
-      }
-      pids_.push_back(pid);
-    }
+    spawn_ranks(a, all);
   } catch (...) {
-    for (auto& c : ctrl) {
-      close_quiet(c.fds[0]);
-      close_quiet(c.fds[1]);
-    }
-    for (auto& row : data)
-      for (auto& d : row) {
-        close_quiet(d.fds[0]);
-        close_quiet(d.fds[1]);
-      }
-    shutdown();
-    throw;
-  }
-
-  // Parent: keep the driver ends, drop everything else.
-  for (int r = 0; r < n; ++r) {
-    ctrl_fds_.push_back(ctrl[static_cast<std::size_t>(r)].fds[0]);
-    close_quiet(ctrl[static_cast<std::size_t>(r)].fds[1]);
-  }
-  for (auto& row : data)
-    for (auto& d : row) {
-      close_quiet(d.fds[0]);
-      close_quiet(d.fds[1]);
-    }
-
-  // Ship the shards, then confirm every rank decoded its own. Children
-  // are already blocked in read_frame, so the sequential sends drain.
-  try {
-    BSPMV_OBS_SPAN("dist/shard");
-    for (int r = 0; r < n; ++r) ship_shard(a, r);
-    for (int r = 0; r < n; ++r) expect_ok(r, MsgType::kShardOk, limits_);
-  } catch (...) {
+    // Reap whatever was forked: a throwing constructor runs no destructor.
     shutdown();
     throw;
   }
@@ -279,75 +209,15 @@ void DistSpmv::run(const double* x, double* y, int iterations) {
                                                   wall.elapsed());
     return;
   }
-  if (opt_.supervise.enabled)
-    run_supervised(x, y, iterations);
-  else
-    run_unsupervised(x, y, iterations);
+  run_rounds(x, y, iterations);
   observe::CounterRegistry::instance().add_span("dist/run_wall",
                                                 wall.elapsed());
 }
 
-void DistSpmv::run_unsupervised(const double* x, double* y, int iterations) {
-  const serve::WireLimits lim = round_limits();
-  ++epoch_;
-  for (int r = 0; r < opt_.ranks; ++r) {
-    const RankShard& sh = plan_.shards[static_cast<std::size_t>(r)];
-    RunMsg msg;
-    msg.mode = opt_.mode;
-    msg.impl = opt_.impl == Impl::kSimd ? 1 : 0;
-    msg.iterations = static_cast<std::uint32_t>(iterations);
-    msg.epoch = epoch_;
-    msg.x.assign(x + sh.x_begin, x + sh.x_end);
-    serve::write_frame(ctrl_fds_[static_cast<std::size_t>(r)],
-                       MsgType::kDistRun, msg.encode(), lim);
-  }
-
-  stats_.assign(static_cast<std::size_t>(opt_.ranks), RankStats{});
-  std::uint64_t bytes = 0, msgs = 0;
-  for (int r = 0; r < opt_.ranks; ++r) {
-    const RankShard& sh = plan_.shards[static_cast<std::size_t>(r)];
-    MsgType type{};
-    std::string payload;
-    if (!serve::read_frame(ctrl_fds_[static_cast<std::size_t>(r)], type,
-                           payload, lim))
-      throw io_error("rank " + std::to_string(r) +
-                     " exited mid-run (no dist_done frame)");
-    if (type == MsgType::kError) {
-      const auto rep = serve::ErrorReply::decode(payload);
-      serve::throw_wire_error(
-          rep.code, "rank " + std::to_string(r) + ": " + rep.message);
-    }
-    if (type != MsgType::kDistDone)
-      throw parse_error(std::string("expected dist_done from rank, got ") +
-                        serve::msg_type_name(type));
-    DoneMsg done = DoneMsg::decode(payload);
-    if (done.y.size() != static_cast<std::size_t>(sh.rows()))
-      throw parse_error("rank " + std::to_string(r) + " returned " +
-                        std::to_string(done.y.size()) + " y values for " +
-                        std::to_string(sh.rows()) + " rows");
-    std::copy(done.y.begin(), done.y.end(), y + sh.row_begin);
-    stats_[static_cast<std::size_t>(r)] = done.stats;
-    bytes += done.stats.bytes_sent;
-    msgs += done.stats.msgs_sent;
-
-    // Per-rank timeline record: the same thread_times channel the
-    // threaded drivers feed, keyed dist/<mode>, tid = rank. items =
-    // stored values processed over all iterations (the §V-A load view).
-    observe::CounterRegistry::instance().add_thread_time(
-        std::string("dist/") + dist_mode_name(opt_.mode), r,
-        done.stats.total_seconds,
-        sh.nnz * static_cast<std::uint64_t>(iterations));
-  }
-  BSPMV_OBS_COUNT("dist.runs", 1);
-  BSPMV_OBS_COUNT("dist.iterations",
-                  static_cast<std::uint64_t>(iterations));
-  BSPMV_OBS_COUNT("dist.halo_bytes", bytes);
-  BSPMV_OBS_COUNT("dist.halo_msgs", msgs);
-}
-
 DistSpmv::RoundResult DistSpmv::run_round(const double* x, double* y,
                                           int step, int first,
-                                          const serve::WireLimits& lim) {
+                                          std::uint32_t progress_every) {
+  const serve::WireLimits lim = round_limits();
   ++epoch_;
   const int n = opt_.ranks;
   RoundResult rr;
@@ -365,8 +235,12 @@ DistSpmv::RoundResult DistSpmv::run_round(const double* x, double* y,
   std::vector<char> sent(static_cast<std::size_t>(n), 0);
   for (int r = 0; r < n; ++r) {
     if (pids_[static_cast<std::size_t>(r)] <= 0) {
-      // Already down (a previous recovery failed to bring it back).
-      note(r, "rank_dead", "rank is down entering the round", nullptr, true);
+      // Already down: a previous recovery failed to bring it back, or a
+      // failed unsupervised round took it down.
+      note(r, "rank_dead", "down entering the round",
+           std::make_exception_ptr(io_error(
+               "rank " + std::to_string(r) + " is down entering the round")),
+           true);
       continue;
     }
     const RankShard& sh = plan_.shards[static_cast<std::size_t>(r)];
@@ -376,7 +250,7 @@ DistSpmv::RoundResult DistSpmv::run_round(const double* x, double* y,
     msg.iterations = static_cast<std::uint32_t>(step);
     msg.epoch = epoch_;
     msg.first_iteration = static_cast<std::uint32_t>(first);
-    msg.progress_every = opt_.supervise.progress_every;
+    msg.progress_every = progress_every;
     msg.x.assign(x + sh.x_begin, x + sh.x_end);
     try {
       serve::write_frame(ctrl_fds_[static_cast<std::size_t>(r)],
@@ -389,8 +263,9 @@ DistSpmv::RoundResult DistSpmv::run_round(const double* x, double* y,
     }
   }
 
-  // Collect a reply from EVERY rank the round reached — recovery must
-  // start from a quiesced mesh, so no throw-on-first-failure here. The
+  // Collect a reply from EVERY rank the round reached, so no throw-on-
+  // first-failure here: recovery must start from a quiesced mesh, and a
+  // reply left unread would be taken as the next run's result. The
   // collect timeout carries a grace over the rank-side wire timeout so a
   // rank's own typed timeout surfaces as kError before the driver
   // classifies the rank itself as stalled.
@@ -463,7 +338,8 @@ DistSpmv::RoundResult DistSpmv::run_round(const double* x, double* y,
       }
     } catch (const timeout_error& e) {
       // No reply within the grace window: a stall. The rank cannot be
-      // trusted mid-protocol, so it joins the dead set via SIGKILL and
+      // trusted mid-protocol and its late reply would be read by the next
+      // round, so it joins the dead set via SIGKILL (in both modes) and
       // recovery respawns it. (If it in fact died, waitpid says so.)
       const bool was_dead = child_exited(r);
       force_down(r);
@@ -480,8 +356,18 @@ DistSpmv::RoundResult DistSpmv::run_round(const double* x, double* y,
   return rr;
 }
 
-void DistSpmv::run_supervised(const double* x, double* y, int iterations) {
-  const SuperviseOptions& sup = opt_.supervise;
+void DistSpmv::run_rounds(const double* x, double* y, int iterations) {
+  // Unsupervised, the run is one round of every iteration with no retry
+  // and no ladder rung, so its first failure takes the abort exit below.
+  // No other SuperviseOptions field is read.
+  SuperviseOptions sup = opt_.supervise;
+  if (!sup.enabled) {
+    sup = SuperviseOptions{};
+    sup.max_respawns = 0;
+    sup.checkpoint_interval = iterations;
+    sup.allow_reshard = false;
+    sup.allow_single_node = false;
+  }
   int interval = sup.checkpoint_interval;
   if (interval <= 0) interval = std::max(1, (iterations + 3) / 4);
   interval = std::min(interval, iterations);
@@ -515,7 +401,7 @@ void DistSpmv::run_supervised(const double* x, double* y, int iterations) {
   while (completed < iterations) {
     if (control_) control_->check();  // typed deadline/cancel between rounds
     const int step = std::min(interval, iterations - completed);
-    RoundResult rr = run_round(x, y, step, completed, round_limits());
+    RoundResult rr = run_round(x, y, step, completed, sup.progress_every);
     bytes += rr.bytes;
     msgs += rr.msgs;
     if (rr.ok) {
@@ -553,7 +439,8 @@ void DistSpmv::run_supervised(const double* x, double* y, int iterations) {
       // The retry rung is exhausted: walk the degradation ladder.
       const int live = live_ranks();
       if (sup.allow_reshard && live >= 2 && live < opt_.ranks) {
-        reshard(live);
+        shutdown();
+        build_mesh(matrix_, live);
         ev.action = "reshard";
         ev.ranks_after = opt_.ranks;
         ev.seconds = rt.elapsed();
@@ -581,8 +468,8 @@ void DistSpmv::run_supervised(const double* x, double* y, int iterations) {
       ev.seconds = rt.elapsed();
       log_.push_back(ev);
       if (rr.error) std::rethrow_exception(rr.error);
-      throw io_error("distributed run failed and every ladder rung is "
-                     "disabled: " + rr.message);
+      throw io_error("distributed run failed with no ladder rung "
+                     "enabled: " + rr.message);
     }
 
     // Bounded retry: back off, heal the mesh, go around again.
@@ -619,7 +506,7 @@ void DistSpmv::run_supervised(const double* x, double* y, int iterations) {
 
 void DistSpmv::recover(const std::vector<int>& failed) {
   BSPMV_OBS_SPAN("dist/recover");
-  if (!failed.empty()) respawn_ranks(failed);
+  if (!failed.empty()) spawn_ranks(matrix_, failed);
 
   // Quiesce + drain: every rank discards whatever stale pre-recovery
   // frames a failed peer left in its kernel buffers, so the next epoch
@@ -653,7 +540,11 @@ void DistSpmv::recover(const std::vector<int>& failed) {
   if (stale > 0) BSPMV_OBS_COUNT("dist.recovery.stale_bytes", stale);
 }
 
-void DistSpmv::respawn_ranks(const std::vector<int>& dead_in) {
+// The one mesh builder: forks the ranks in `dead_in` (all of them for a
+// fresh mesh) on fresh channels, ships their shards and rewires every
+// surviving rank to them.
+void DistSpmv::spawn_ranks(const Csr<double>& a,
+                           const std::vector<int>& dead_in) {
   std::vector<int> dead = dead_in;
   std::sort(dead.begin(), dead.end());
   dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
@@ -662,7 +553,7 @@ void DistSpmv::respawn_ranks(const std::vector<int>& dead_in) {
   for (int d : dead) {
     BSPMV_CHECK(d >= 0 && d < n);
     BSPMV_CHECK_MSG(pids_[static_cast<std::size_t>(d)] <= 0,
-                    "respawn asked for a rank that is still alive");
+                    "spawn asked for a rank that is still alive");
     is_dead[static_cast<std::size_t>(d)] = 1;
   }
 
@@ -671,6 +562,7 @@ void DistSpmv::respawn_ranks(const std::vector<int>& dead_in) {
   // before the first fork so each new child inherits its ends to every
   // peer, including other respawned ranks.
   std::vector<Pair> ctrl(static_cast<std::size_t>(n));
+  // data[i][j] for i < j: fds[0] is rank i's end, fds[1] rank j's.
   std::vector<std::vector<Pair>> data(static_cast<std::size_t>(n));
   for (auto& row : data) row.resize(static_cast<std::size_t>(n));
 
@@ -700,6 +592,8 @@ void DistSpmv::respawn_ranks(const std::vector<int>& dead_in) {
       if (pid < 0)
         throw io_error(std::string("fork failed: ") + std::strerror(errno));
       if (pid == 0) {
+        // Child: keep only this rank's fds, serve, and _exit — never
+        // return into the parent's stack/atexit/gtest machinery.
         RankContext ctx;
         ctx.rank = d;
         ctx.limits = limits_;
@@ -762,12 +656,16 @@ void DistSpmv::respawn_ranks(const std::vector<int>& dead_in) {
         if (is_dead[static_cast<std::size_t>(j)]) close_quiet(p.fds[1]);
       }
 
-    // Re-ship the dead ranks' shards — the ShardPlan is deterministic,
-    // so this is the same slice they held before — and re-arm any
-    // persistent test faults.
+    // Ship the shards — the ShardPlan is deterministic, so a respawned
+    // rank gets the slice it held before — and re-arm any persistent
+    // test faults. Children are already blocked in read_frame, so the
+    // sequential sends drain.
     const serve::WireLimits lim = round_limits();
-    for (int d : dead) ship_shard(matrix_, d);
-    for (int d : dead) expect_ok(d, MsgType::kShardOk, lim);
+    {
+      BSPMV_OBS_SPAN("dist/shard");
+      for (int d : dead) ship_shard(a, d);
+      for (int d : dead) expect_ok(d, MsgType::kShardOk, lim);
+    }
     for (int d : dead) {
       const FaultMsg& f = persistent_faults_[static_cast<std::size_t>(d)];
       if (f.kind == FaultKind::kNone) continue;
@@ -803,18 +701,6 @@ void DistSpmv::respawn_ranks(const std::vector<int>& dead_in) {
     throw;
   }
   close_all_local();
-}
-
-void DistSpmv::reshard(int new_ranks) {
-  // Second ladder rung: tear the whole mesh down and rebuild it over the
-  // survivors' count with a fresh deterministic plan. Armed test faults
-  // die with the old mesh (rank identities changed).
-  shutdown();
-  opt_.ranks = new_ranks;
-  plan_ = plan_shards(matrix_, new_ranks);
-  persistent_faults_.assign(static_cast<std::size_t>(new_ranks), FaultMsg{});
-  stats_.assign(static_cast<std::size_t>(new_ranks), RankStats{});
-  spawn(matrix_);
 }
 
 void DistSpmv::run_single_node(const double* x, double* y) {

@@ -3,14 +3,24 @@
 // Construction builds the nnz-balanced shard plan, wires a socketpair
 // mesh (one control channel per rank, one data channel per rank pair),
 // forks one rank process per shard and ships each its kShard message.
-// run() then scatters x, triggers `iterations` halo-exchange + SpMV
-// rounds inside the ranks (overlap or naive, switchable per run without
-// re-sharding), and gathers the y slices plus per-rank phase timings.
+// One builder does this for construction, for a supervised respawn and
+// for a re-shard: a fresh mesh is a respawn of every rank with no
+// survivors to rewire. run() then scatters x, triggers `iterations`
+// halo-exchange + SpMV rounds inside the ranks (overlap or naive,
+// switchable per run without re-sharding), and gathers the y slices
+// plus per-rank phase timings.
 //
-// Without supervision, failure surfaces through the typed taxonomy: a
-// rank that dies mid-run is an io_error, a stalled one a timeout_error
-// (wire read timeout), and a rank-reported failure rethrows via
-// throw_wire_error — the same contract the serving client keeps.
+// Every run() goes through one round loop, which reads a reply from
+// every rank it reached before it returns, so no reply of a failed run
+// is ever taken as a later run's result. Without supervision the run is
+// one round of all `iterations` and its first failure surfaces through
+// the typed taxonomy: a rank that dies mid-run is an io_error, a
+// stalled one a timeout_error (no reply within the collect grace,
+// 1.5·T + 0.5 s for wire timeout T; the rank is SIGKILLed), and a
+// rank-reported failure rethrows via throw_wire_error — the same
+// contract the serving client keeps. Nothing is respawned or drained:
+// a later run throws io_error while a rank is down, and parse_error
+// (stale epoch) if the failed round left a halo frame in flight.
 //
 // With SuperviseOptions::enabled the driver instead *survives* rank
 // failure (docs/distribution.md "Failure modes and recovery"):
@@ -56,7 +66,8 @@
 namespace bspmv::dist {
 
 /// Rank-supervision policy. Defaults keep supervision OFF: the library's
-/// fail-fast typed-error contract is unchanged unless a caller opts in.
+/// fail-fast typed-error contract is unchanged unless a caller opts in,
+/// and no field other than `enabled` is read while it is off.
 struct SuperviseOptions {
   bool enabled = false;
   /// Consecutive failed recoveries tolerated before the degradation
@@ -176,24 +187,22 @@ class DistSpmv {
     std::vector<int> failed;     ///< ranks now dead (incl. killed stalls)
     std::string cause;           ///< worst classification of the round
     std::string message;         ///< first error observed
-    std::exception_ptr error;    ///< for the unsupervised rethrow path
+    std::exception_ptr error;    ///< rethrown by the abort exit
     std::uint64_t bytes = 0;     ///< halo bytes this round (counters)
     std::uint64_t msgs = 0;      ///< halo frames this round (counters)
   };
 
-  void spawn(const Csr<double>& a);
+  void build_mesh(const Csr<double>& a, int ranks);
+  void spawn_ranks(const Csr<double>& a, const std::vector<int>& dead);
   void ship_shard(const Csr<double>& a, int r);
   void expect_ok(int r, serve::MsgType want, const serve::WireLimits& lim);
   bool child_exited(int r);
   void force_down(int r) noexcept;
   int live_ranks() const;
   RoundResult run_round(const double* x, double* y, int step, int first,
-                        const serve::WireLimits& lim);
-  void run_supervised(const double* x, double* y, int iterations);
-  void run_unsupervised(const double* x, double* y, int iterations);
+                        std::uint32_t progress_every);
+  void run_rounds(const double* x, double* y, int iterations);
   void recover(const std::vector<int>& failed);
-  void respawn_ranks(const std::vector<int>& dead);
-  void reshard(int new_ranks);
   void run_single_node(const double* x, double* y);
   serve::WireLimits round_limits() const;
   void shutdown() noexcept;

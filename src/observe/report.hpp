@@ -219,7 +219,7 @@ struct ReportOptions {
 };
 
 /// Build the full report for one matrix: predict every model candidate
-/// under all four models, measure each one that converts, score every
+/// under all three models, measure each one that converts, score every
 /// model's selection against the measured best, run the chosen candidate
 /// multithreaded for per-thread timing, and snapshot the observability
 /// registry. Resets the global CounterRegistry first so the embedded

@@ -1,16 +1,22 @@
 // Distributed SpMV: shard-plan invariants, the HaloDec column split
 // under the rank's executors, multi-process parity (bitwise vs the
 // same decomposition in-process, tolerance vs serial CSR), the overlap
-// and naive exchange modes, wire-decoder fuzzing, rank-kill fault
-// injection and the communication model/benchmark.
+// and naive exchange modes, wire-decoder fuzzing, rank-kill and
+// stale-reply fault injection, the mesh builder's fd hygiene and the
+// communication model/benchmark.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,6 +31,7 @@
 #include "src/parallel/parallel_spmv.hpp"
 #include "src/profile/comm_bench.hpp"
 #include "src/profile/machine_profile.hpp"
+#include "src/util/errors.hpp"
 #include "tests/fault_injection.hpp"
 #include "tests/test_helpers.hpp"
 
@@ -32,11 +39,15 @@ namespace bspmv {
 namespace {
 
 using dist::DistOptions;
+using dist::DistOutcome;
 using dist::DistSpmv;
+using dist::FaultKind;
+using dist::FaultMsg;
 using dist::HaloDec;
 using dist::RankShard;
 using dist::ShardPlan;
 using dist::plan_shards;
+using testing::expect_same_bits;
 using testing::expect_typed_errors_only;
 using testing::expect_vectors_near;
 using testing::random_coo;
@@ -365,6 +376,123 @@ TEST(DistSpmvFault, KilledRankSurfacesTypedError) {
   // The survivor sees EOF mid-exchange (io_error via its kError reply)
   // or the driver reads EOF from the dead rank's control channel.
   EXPECT_THROW(d.run(x.data(), y.data()), error);
+}
+
+TEST(DistSpmvFault, FailedRunLeavesNoStaleReply) {
+  // An unsupervised run that fails must still read every rank's reply:
+  // one left unread would be returned as the next run's result.
+  const Csr<double> a = test_matrix(64, 64, 0.15, 29);
+  DistOptions opt;
+  opt.ranks = 2;
+  opt.timeout_seconds = 10.0;
+  const auto x_fault = random_x<double>(a.cols(), 2);
+  const auto x_next = random_x<double>(a.cols(), 3);
+  const std::size_t rows = static_cast<std::size_t>(a.rows());
+  aligned_vector<double> want(rows, 0.0), y(rows, 0.0);
+  {
+    DistSpmv clean(a, opt);
+    clean.run(x_next.data(), want.data());
+  }
+  {
+    // Rank 0 rejects rank 1's corrupt halo frame while rank 1 finishes
+    // its run and replies; that reply belongs to the failed run.
+    DistSpmv d(a, opt);
+    FaultMsg f;
+    f.kind = FaultKind::kCorruptHaloSend;
+    f.at_iteration = 0;
+    d.inject_fault(1, f);
+    EXPECT_THROW(d.run(x_fault.data(), y.data()), parse_error);
+    d.run(x_next.data(), y.data());
+    expect_same_bits(y, want, "run after a corrupt halo frame");
+  }
+  {
+    // Rank 1 stalls past rank 0's wire timeout: rank 0 reports a typed
+    // timeout, and nothing the stall leaves behind may pass as a result.
+    opt.timeout_seconds = 1.0;
+    DistSpmv d(a, opt);
+    FaultMsg f;
+    f.kind = FaultKind::kStallAtIteration;
+    f.at_iteration = 0;
+    f.seconds = 2.0 * opt.timeout_seconds;
+    d.inject_fault(1, f);
+    EXPECT_THROW(d.run(x_fault.data(), y.data()), timeout_error);
+    for (int k = 0; k < 3; ++k)
+      EXPECT_THROW(d.run(x_next.data(), y.data()), error) << "later run " << k;
+  }
+}
+
+/// Open descriptors of process `pid` ("self" for this one, not counting
+/// the directory handle the count itself opens); -1 when unreadable.
+int count_fds(const std::string& pid) {
+  DIR* dir = ::opendir(("/proc/" + pid + "/fd").c_str());
+  if (!dir) return -1;
+  const std::string own = pid == "self" ? std::to_string(::dirfd(dir)) : "";
+  int n = 0;
+  while (const dirent* e = ::readdir(dir))
+    if (e->d_name[0] != '.' && e->d_name != own) ++n;
+  ::closedir(dir);
+  return n;
+}
+
+/// Pids of the processes this thread forked, or nullopt when the kernel
+/// does not expose /proc/<pid>/task/<tid>/children.
+std::optional<std::vector<std::string>> child_pids() {
+  const long tid = ::syscall(SYS_gettid);
+  std::ifstream in("/proc/self/task/" + std::to_string(tid) + "/children");
+  if (!in) return std::nullopt;
+  std::vector<std::string> pids;
+  for (std::string p; in >> p;) pids.push_back(p);
+  return pids;
+}
+
+TEST(DistSpmv, EveryRankHoldsOnlyItsOwnChannels) {
+  // A rank that kept another rank's control end would hide that rank's
+  // EOF from the driver; one that kept a foreign data end would hide a
+  // dead peer from its neighbours. Every rank must hold what it
+  // inherited from this process, its control end and one data end per
+  // peer — after construction, after a respawn and after a re-shard.
+  if (!child_pids()) GTEST_SKIP() << "/proc/<pid>/task/<tid>/children absent";
+  const Csr<double> a = test_matrix(64, 64, 0.15, 41);
+  const int inherited = count_fds("self");
+  ASSERT_GT(inherited, 0);
+
+  DistOptions opt;
+  opt.ranks = 4;
+  opt.timeout_seconds = 10.0;
+  opt.supervise.enabled = true;
+  opt.supervise.max_respawns = 1;
+  DistSpmv d(a, opt);
+  auto expect_ranks_hold = [&](std::size_t ranks, const char* when) {
+    const auto pids = child_pids();
+    ASSERT_TRUE(pids.has_value());
+    ASSERT_EQ(pids->size(), ranks) << when;
+    for (const std::string& pid : *pids)
+      EXPECT_EQ(count_fds(pid), inherited + static_cast<int>(ranks))
+          << when << ", rank pid " << pid;
+  };
+  expect_ranks_hold(4, "after construction");
+  const int driver_fds = count_fds("self");
+  EXPECT_EQ(driver_fds, inherited + 4);  // one control end per rank
+
+  const auto x = random_x<double>(a.cols(), 5);
+  aligned_vector<double> y(static_cast<std::size_t>(a.rows()), 0.0);
+  d.kill_rank(1);
+  d.kill_rank(2);
+  d.run(x.data(), y.data(), 2);
+  ASSERT_EQ(d.outcome(), DistOutcome::kRecovered);
+  expect_ranks_hold(4, "after respawning ranks 1 and 2");
+  EXPECT_EQ(count_fds("self"), driver_fds);
+
+  // Rank 3 exits in every round, so the second failure re-shards.
+  FaultMsg f;
+  f.kind = FaultKind::kExitAtIteration;
+  f.at_iteration = 0;
+  d.inject_fault(3, f, /*persistent=*/true);
+  d.run(x.data(), y.data(), 2);
+  ASSERT_EQ(d.outcome(), DistOutcome::kResharded);
+  ASSERT_EQ(d.ranks(), 3);
+  expect_ranks_hold(3, "after re-sharding to 3 ranks");
+  EXPECT_EQ(count_fds("self"), inherited + 3);
 }
 
 // ---------------------------------------------------------------------
