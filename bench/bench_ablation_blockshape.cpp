@@ -28,10 +28,12 @@ int main(int argc, char** argv) {
   for (auto& e : x) e = rng.uniform() - 0.5;
   aligned_vector<double> y(static_cast<std::size_t>(n), 0.0);
 
-  auto time_it = [&](auto&& fn) {
-    return time_repeated(fn, cfg.measure.iterations, cfg.measure.reps,
-                         cfg.measure.warmup)
-        .seconds_per_iter;
+  const Measurement m{.batches = cfg.measure.reps,
+                      .warmup = cfg.measure.warmup,
+                      .iterations =
+                          static_cast<std::uint64_t>(cfg.measure.iterations)};
+  auto time_it = [&](const std::function<void()>& fn) {
+    return m.run(fn).min;
   };
 
   const double flops = 2.0 * static_cast<double>(a.nnz());

@@ -43,15 +43,15 @@ int main(int argc, char** argv) {
     const Csr<double> a = build_suite_csr<double>(id, cfg.scale);
     const auto secs = sweep_matrix(a, id, cands, cfg, cache);
     double best = 1e300;
-    for (const auto& [cid, t] : secs) best = std::min(best, t);
+    for (const auto& [cid, t] : secs) best = std::min(best, t.min);
 
     const HeuristicSelection h = select_bcsr_heuristic(a, profile, sample);
     const RankedCandidate o = select_best(ModelKind::kOverlap, a, profile);
     const RankedCandidate m = select_best(ModelKind::kMemComp, a, profile);
 
-    const double rh = secs.at(h.candidate.id()) / best;
-    const double ro = secs.at(o.candidate.id()) / best;
-    const double rm = secs.at(m.candidate.id()) / best;
+    const double rh = secs.at(h.candidate.id()).min / best;
+    const double ro = secs.at(o.candidate.id()).min / best;
+    const double rm = secs.at(m.candidate.id()).min / best;
     sum_h += rh;
     sum_o += ro;
     sum_m += rm;

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench/harness.hpp"
+#include "src/core/engine.hpp"
 #include "src/formats/stats.hpp"
 #include "src/gen/generators.hpp"
 
@@ -43,8 +44,7 @@ int main(int argc, char** argv) {
         static_cast<double>(ds.remainder_nnz) / static_cast<double>(a.nnz());
 
     auto measure = [&](const Candidate& c) {
-      const AnyFormat<double> f = AnyFormat<double>::convert(a, c);
-      return measure_spmv_seconds(f, cfg.measure) * 1e3;
+      return SpmvEngine<double>::prepare(a, c).measure(cfg.measure).min * 1e3;
     };
     const double t_csr = measure(Candidate{});
     const double t_bcsr =

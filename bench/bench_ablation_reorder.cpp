@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "bench/harness.hpp"
+#include "src/core/engine.hpp"
 #include "src/core/reorder.hpp"
 #include "src/formats/permute.hpp"
 #include "src/formats/stats.hpp"
@@ -65,8 +66,8 @@ int main(int argc, char** argv) {
   for (const Stage& st : stages) {
     const BlockStats bs = bcsr_stats(*st.a, shape);
     auto measure = [&](const Candidate& c) {
-      const AnyFormat<double> f = AnyFormat<double>::convert(*st.a, c);
-      return measure_spmv_seconds(f, cfg.measure) * 1e3;
+      return SpmvEngine<double>::prepare(*st.a, c).measure(cfg.measure).min *
+             1e3;
     };
     const double t_csr = measure(Candidate{});
     const double t_bcsr =

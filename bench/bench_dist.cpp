@@ -5,7 +5,9 @@
 // records measured and t_comm-model-predicted time per mode, the
 // per-rank send/recv/wait/local/halo timelines (the overlap claim is
 // wait_overlap << wait_naive: comm hidden under the local-columns
-// pass), and whether choose_dist_mode picked the measured winner.
+// pass), and whether choose_dist_mode picked the measured winner. A
+// matrix whose modes are indistinguishable (compare()) counts as
+// neither a match nor a miss.
 //
 // Results go to BENCH_dist.json (--out, checked in as the reference
 // trajectory) and the BENCH_report.json trajectory. --smoke runs a
@@ -13,7 +15,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -29,13 +30,13 @@ using namespace bspmv::bench;
 
 namespace {
 
-struct ModeResult {
-  double measured_seconds = 0.0;   ///< wall per iteration, median batch
-  double predicted_seconds = 0.0;  ///< predict_distributed
-  double worst_wait_seconds = 0.0; ///< per iteration, worst rank
-  std::vector<double> batch_seconds;  ///< per-iteration wall of each batch
-  std::vector<dist::RankStats> rank_stats;  ///< from the median batch
-};
+/// Worst rank's wait per iteration in one run's timeline.
+double worst_wait(const std::vector<dist::RankStats>& stats, int iterations) {
+  double w = 0.0;
+  for (const dist::RankStats& s : stats)
+    w = std::max(w, s.wait_seconds / iterations);
+  return w;
+}
 
 Json::Object rank_stats_json(const dist::ShardPlan& plan,
                              const std::vector<dist::RankStats>& stats,
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
   cli.add_option("dist-threads", "1", "threads per rank's local pass");
   cli.add_option("dist-iters", "40", "iterations per timed batch");
   cli.add_option("dist-reps", "5",
-                 "interleaved naive/overlap batches; min batch reported");
+                 "interleaved naive/overlap batches; median batch reported");
   cli.add_flag("smoke", "tiny seconds-long CI run (skips the JSON output)");
   if (!cli.parse(argc, argv)) return 0;
   auto cfg_opt = parse_common(cli);
@@ -130,7 +131,7 @@ int main(int argc, char** argv) {
   out["comm_beta_bps"] = profile.comm_beta_bps;
   Json::Array matrices;
 
-  int matches = 0, rows_done = 0;
+  int matches = 0, misses = 0, indistinguishable = 0, rows_done = 0;
   double best_overlap_speedup = 0.0;
   std::string best_overlap_name;
 
@@ -158,41 +159,10 @@ int main(int argc, char** argv) {
     // batch is the interference-free schedule, which costs the same
     // total CPU in both modes and erases the very contention the two
     // exchange strategies differ on.)
-    std::map<DistMode, ModeResult> res;
-    for (DistMode m : {DistMode::kNaive, DistMode::kOverlap}) {
-      res[m].predicted_seconds = predict_distributed(profile, costs, m);
-      d.set_mode(m);
-      d.run(x.data(), y.data(), 1);  // warm-up (fault page-ins, caches)
-    }
     const int reps = std::max(1, static_cast<int>(cli.get_int("dist-reps")));
-    for (int rep = 0; rep < reps; ++rep) {
-      for (DistMode m : {DistMode::kNaive, DistMode::kOverlap}) {
-        d.set_mode(m);
-        Timer t;
-        d.run(x.data(), y.data(), iters);
-        ModeResult& mr = res[m];
-        const double per_iter = t.elapsed() / iters;
-        // Keep the stats of the batch that is the running median so the
-        // reported per-rank timeline belongs to the reported time.
-        std::vector<double> sorted = mr.batch_seconds;
-        sorted.push_back(per_iter);
-        std::sort(sorted.begin(), sorted.end());
-        mr.batch_seconds.push_back(per_iter);
-        if (per_iter == sorted[sorted.size() / 2] ||
-            mr.rank_stats.empty()) {
-          mr.rank_stats = d.last_stats();
-          mr.worst_wait_seconds = 0.0;
-          for (const dist::RankStats& s : mr.rank_stats)
-            mr.worst_wait_seconds =
-                std::max(mr.worst_wait_seconds, s.wait_seconds / iters);
-        }
-      }
-    }
-    for (DistMode m : {DistMode::kNaive, DistMode::kOverlap}) {
-      std::vector<double> sorted = res[m].batch_seconds;
-      std::sort(sorted.begin(), sorted.end());
-      res[m].measured_seconds = sorted[sorted.size() / 2];
-    }
+    const auto timings =
+        dist::time_modes(d, x.data(), y.data(), iters, reps);
+    const auto& [rn, ro] = timings;
 
     // Sanity: the result must agree with serial CSR (tolerance — the
     // column split reorders within-row sums).
@@ -204,56 +174,59 @@ int main(int argc, char** argv) {
         throw numerical_error("dist bench: result diverges from serial CSR");
     }
 
-    const ModeResult& rn = res[DistMode::kNaive];
-    const ModeResult& ro = res[DistMode::kOverlap];
     const DistMode predicted = choose_dist_mode(profile, costs);
-    // A mode is the measured winner only when it beats the other by
-    // more than the 3% noise floor (same margin as the SpMM crossover
-    // checks); inside it the run is a dead heat and either prediction
-    // is correct — run-to-run scheduling jitter exceeds the gap.
-    constexpr double kNoiseMargin = 0.97;
-    const char* measured_mode = "tie";
-    if (ro.measured_seconds < kNoiseMargin * rn.measured_seconds)
-      measured_mode = "overlap";
-    else if (rn.measured_seconds < kNoiseMargin * ro.measured_seconds)
-      measured_mode = "naive";
-    const bool match =
-        std::string(measured_mode) == "tie" ||
-        measured_mode == std::string(dist_mode_name(predicted));
-    matches += match ? 1 : 0;
+    // A mode is the measured winner only when its median beats the
+    // other's by more than the larger IQR; otherwise the two are
+    // indistinguishable, which no prediction matches.
+    const std::string measured_mode = dist::measured_mode(timings);
+    const bool tie = measured_mode == verdict_name(Verdict::kIndistinguishable);
+    const bool match = measured_mode == dist_mode_name(predicted);
+    if (tie)
+      ++indistinguishable;
+    else if (match)
+      ++matches;
+    else
+      ++misses;
     ++rows_done;
-    const double speedup = rn.measured_seconds / ro.measured_seconds;
+    const double pred_naive = predict_distributed(profile, costs,
+                                                  DistMode::kNaive);
+    const double pred_overlap = predict_distributed(profile, costs,
+                                                    DistMode::kOverlap);
+    const double wait_naive = worst_wait(rn.rank_stats, iters);
+    const double wait_overlap = worst_wait(ro.rank_stats, iters);
+    const double speedup = rn.samples.median / ro.samples.median;
     if (speedup > best_overlap_speedup) {
       best_overlap_speedup = speedup;
       best_overlap_name = name;
     }
 
     std::printf("%02d.%-15s %12.3f %12.3f %8.2fx %12.3f %12.3f %9s %8s\n",
-                id, name.c_str(), rn.measured_seconds * 1e3,
-                ro.measured_seconds * 1e3, speedup,
-                rn.predicted_seconds * 1e3, ro.predicted_seconds * 1e3,
-                dist_mode_name(predicted),
-                match ? (std::string(measured_mode) == "tie" ? "tie" : "yes")
-                      : "NO");
-    std::printf("   worst-rank wait/iter: naive %.3f ms -> overlap %.3f ms "
-                "(comm hidden under local compute)\n",
-                rn.worst_wait_seconds * 1e3, ro.worst_wait_seconds * 1e3);
+                id, name.c_str(), rn.samples.median * 1e3,
+                ro.samples.median * 1e3, speedup, pred_naive * 1e3,
+                pred_overlap * 1e3, dist_mode_name(predicted),
+                tie ? "indist" : match ? "yes" : "NO");
+    std::printf("   IQR naive %.3f ms, overlap %.3f ms; worst-rank wait/iter: "
+                "naive %.3f ms -> overlap %.3f ms\n",
+                rn.samples.iqr * 1e3, ro.samples.iqr * 1e3, wait_naive * 1e3,
+                wait_overlap * 1e3);
 
     Json::Object row;
     row["id"] = id;
     row["name"] = name;
     row["rows"] = static_cast<std::int64_t>(a.rows());
     row["nnz"] = static_cast<std::uint64_t>(a.nnz());
-    row["measured_naive_s"] = rn.measured_seconds;
-    row["measured_overlap_s"] = ro.measured_seconds;
-    row["predicted_naive_s"] = rn.predicted_seconds;
-    row["predicted_overlap_s"] = ro.predicted_seconds;
+    row["measured_naive_s"] = rn.samples.median;
+    row["measured_overlap_s"] = ro.samples.median;
+    row["iqr_naive_s"] = rn.samples.iqr;
+    row["iqr_overlap_s"] = ro.samples.iqr;
+    row["predicted_naive_s"] = pred_naive;
+    row["predicted_overlap_s"] = pred_overlap;
     row["overlap_speedup"] = speedup;
-    row["worst_wait_naive_s"] = rn.worst_wait_seconds;
-    row["worst_wait_overlap_s"] = ro.worst_wait_seconds;
+    row["worst_wait_naive_s"] = wait_naive;
+    row["worst_wait_overlap_s"] = wait_overlap;
     Json::Array nb, ob;
-    for (double s : rn.batch_seconds) nb.push_back(Json(s));
-    for (double s : ro.batch_seconds) ob.push_back(Json(s));
+    for (double s : rn.samples.seconds) nb.push_back(Json(s));
+    for (double s : ro.samples.seconds) ob.push_back(Json(s));
     row["naive_batches_s"] = Json(std::move(nb));
     row["overlap_batches_s"] = Json(std::move(ob));
     row["predicted_mode"] = dist_mode_name(predicted);
@@ -264,13 +237,16 @@ int main(int argc, char** argv) {
     matrices.push_back(Json(std::move(row)));
   }
   print_rule(102);
-  std::printf("summary: model picked the measured winner on %d/%d matrices; "
-              "best overlap speedup %.2fx (%s)\n",
-              matches, rows_done, best_overlap_speedup,
-              best_overlap_name.c_str());
+  std::printf("summary: of %d matrices, the model picked the measured winner "
+              "on %d, missed on %d, and the modes were indistinguishable on "
+              "%d; best overlap speedup %.2fx (%s)\n",
+              rows_done, matches, misses, indistinguishable,
+              best_overlap_speedup, best_overlap_name.c_str());
 
   out["matrices"] = Json(std::move(matrices));
   out["model_matches"] = matches;
+  out["model_misses"] = misses;
+  out["indistinguishable"] = indistinguishable;
   out["matrices_run"] = rows_done;
   out["best_overlap_speedup"] = best_overlap_speedup;
   out["best_overlap_matrix"] = best_overlap_name;

@@ -51,7 +51,7 @@ std::map<std::string, double> run_precision(const BenchConfig& cfg,
       double sum = 0.0;
       for (const auto& cost : costs) {
         const double pred = predict(m, cost, profile, prec);
-        const double real = secs.at(cost.candidate.id());
+        const double real = secs.at(cost.candidate.id()).min;
         sum += pred / real;
         dist_sum[m] += std::abs(pred - real) / real;
       }

@@ -39,14 +39,14 @@ void run_precision(const BenchConfig& cfg, const MachineProfile& profile,
     const auto secs = sweep_matrix(a, id, cands, cfg, cache);
 
     double best = 1e300;
-    for (const auto& [cid, t] : secs) best = std::min(best, t);
+    for (const auto& [cid, t] : secs) best = std::min(best, t.min);
 
     std::printf("%02d.%-15s", id,
                 suite_catalog()[static_cast<size_t>(id - 1)].name.c_str());
     std::string overlap_pick;
     for (ModelKind m : kModels) {
       const RankedCandidate sel = select_best(m, a, profile);
-      const double real = secs.at(sel.candidate.id());
+      const double real = secs.at(sel.candidate.id()).min;
       std::printf(" %9.3f", real / best);
       sum[m] += real / best;
       if (m == ModelKind::kOverlap) overlap_pick = sel.candidate.id();

@@ -33,6 +33,10 @@ int main(int argc, char** argv) {
               "t_zeroed(ms)", "speedup");
   print_rule(88);
 
+  const Measurement m{.batches = cfg.measure.reps,
+                      .warmup = cfg.measure.warmup,
+                      .iterations =
+                          static_cast<std::uint64_t>(cfg.measure.iterations)};
   for (int id : ids) {
     Csr<double> a = build_suite_csr<double>(id, cfg.scale);
 
@@ -41,20 +45,12 @@ int main(int argc, char** argv) {
     for (auto& e : x) e = rng.uniform() - 0.5;
     aligned_vector<double> y(static_cast<std::size_t>(a.rows()), 0.0);
 
-    const auto t_norm =
-        time_repeated([&] { spmv(a, x.data(), y.data()); },
-                      cfg.measure.iterations, cfg.measure.reps,
-                      cfg.measure.warmup)
-            .seconds_per_iter;
+    const double t_norm = m.run([&] { spmv(a, x.data(), y.data()); }).min;
 
     // The §V-B trick: all column indices set to zero — identical traffic
     // for the matrix arrays, zero irregularity on the input vector.
     std::fill(a.mutable_col_ind().begin(), a.mutable_col_ind().end(), 0);
-    const auto t_zero =
-        time_repeated([&] { spmv(a, x.data(), y.data()); },
-                      cfg.measure.iterations, cfg.measure.reps,
-                      cfg.measure.warmup)
-            .seconds_per_iter;
+    const double t_zero = m.run([&] { spmv(a, x.data(), y.data()); }).min;
     do_not_optimize(y.data());
 
     std::printf("%02d.%-15s %12.3f %12.3f %9.2fx\n", id,

@@ -46,7 +46,7 @@ std::shared_ptr<const CachedEngine> build_entry(const Csr<double>& a,
     for (const Candidate& c : ranked) {
       auto f = try_convert(a, c);
       if (!f) continue;
-      const double s = SpmvEngine<double>::borrow(*f).measure(opt);
+      const double s = SpmvEngine<double>::borrow(*f).measure(opt).min;
       if (s < best) {
         best = s;
         chosen = c;
@@ -92,17 +92,17 @@ int main(int argc, char** argv) {
 
     // Hit: what every later request costs.
     const MatrixKey key = matrix_key(a);
-    double hit_total = 0.0;
-    for (int i = 0; i < lookups; ++i) {
-      Timer t;
-      auto hit = cache.find(key);
-      hit_total += t.elapsed();
-      if (!hit) {
-        std::fprintf(stderr, "cache lost the entry\n");
-        return 1;
-      }
+    bool lost = false;
+    const double hit_s =
+        Measurement{.batches = 1,
+                    .warmup = 0,
+                    .iterations = static_cast<std::uint64_t>(lookups)}
+            .run([&] { lost = lost || !cache.find(key); })
+            .min;
+    if (lost) {
+      std::fprintf(stderr, "cache lost the entry\n");
+      return 1;
     }
-    const double hit_s = hit_total / lookups;
 
     // Eviction storm: insert matrices until the byte budget forces the
     // original out, demonstrating bounded memory.

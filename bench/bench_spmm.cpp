@@ -25,15 +25,14 @@ namespace {
 
 const std::vector<int> kRhsCounts = {1, 2, 4, 8};
 
-/// Smallest k in kRhsCounts where `blocked` beats `csr` by more than the
-/// measurement noise floor; 0 if never. The 3% margin keeps dead heats
-/// (run-to-run jitter routinely exceeds it) from reporting a spurious
-/// crossover the model rightly calls "never".
-int measured_crossover(const std::vector<double>& blocked,
-                       const std::vector<double>& csr) {
-  constexpr double kNoiseMargin = 0.97;
+/// Smallest k in kRhsCounts where `blocked` is faster than `csr` beyond
+/// their observed spread (compare()); 0 if never. A dead heat is not a
+/// crossover, so jitter cannot report one the model rightly calls
+/// "never".
+int measured_crossover(const std::vector<Samples>& blocked,
+                       const std::vector<Samples>& csr) {
   for (std::size_t i = 0; i < kRhsCounts.size(); ++i)
-    if (blocked[i] < kNoiseMargin * csr[i]) return kRhsCounts[i];
+    if (compare(blocked[i], csr[i]) == Verdict::kFaster) return kRhsCounts[i];
   return 0;
 }
 
@@ -138,7 +137,8 @@ int main(int argc, char** argv) {
     const auto blocked_engine = SpmvEngine<double>::prepare(a, blocked);
     const auto csr_engine = SpmvEngine<double>::prepare(a, csr);
 
-    std::vector<double> mb, mc, pb, pc;
+    std::vector<Samples> mb, mc;
+    std::vector<double> pb, pc;
     for (int k : kRhsCounts) {
       mb.push_back(blocked_engine.measure_multi(k, cfg.measure));
       mc.push_back(csr_engine.measure_multi(k, cfg.measure));
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
     vbl.kind = FormatKind::kVbl;
     vbl.impl = Impl::kSimd;
     const auto vbl_engine = SpmvEngine<double>::prepare(a, vbl);
-    std::vector<double> mv;
+    std::vector<Samples> mv;
     for (int k : kRhsCounts)
       mv.push_back(vbl_engine.measure_multi(k, cfg.measure));
 
@@ -167,22 +167,23 @@ int main(int argc, char** argv) {
     const bool within_1 = std::abs(pred_k - meas_k) <= 1;
     all_within_1 = all_within_1 && within_1;
     const double k8_speedup =
-        gflops(a.nnz(), 8, mb[3]) / gflops(a.nnz(), 1, mb[0]);
+        gflops(a.nnz(), 8, mb[3].min) / gflops(a.nnz(), 1, mb[0].min);
     const double vbl_k8_speedup =
-        gflops(a.nnz(), 8, mv[3]) / gflops(a.nnz(), 1, mv[0]);
+        gflops(a.nnz(), 8, mv[3].min) / gflops(a.nnz(), 1, mv[0].min);
     best_k8_speedup =
         std::max({best_k8_speedup, k8_speedup, vbl_k8_speedup});
 
     std::printf("%02d.%-15s %-18s %6.2f %6.2f %6.2f %6.2f %6.2f %6.2f "
                 "%6.2f %6.2f  m=%d p=%d\n",
-                id, name.c_str(), blocked.id().c_str(), mb[0] * 1e3,
-                mb[1] * 1e3, mb[2] * 1e3, mb[3] * 1e3, mc[0] * 1e3,
-                mc[1] * 1e3, mc[2] * 1e3, mc[3] * 1e3, meas_k, pred_k);
+                id, name.c_str(), blocked.id().c_str(), mb[0].min * 1e3,
+                mb[1].min * 1e3, mb[2].min * 1e3, mb[3].min * 1e3,
+                mc[0].min * 1e3, mc[1].min * 1e3, mc[2].min * 1e3,
+                mc[3].min * 1e3, meas_k, pred_k);
     std::printf("   GFLOP/s blocked: k=1 %.2f -> k=8 %.2f (%.2fx)\n",
-                gflops(a.nnz(), 1, mb[0]), gflops(a.nnz(), 8, mb[3]),
+                gflops(a.nnz(), 1, mb[0].min), gflops(a.nnz(), 8, mb[3].min),
                 k8_speedup);
     std::printf("   GFLOP/s vbl_simd: k=1 %.2f -> k=8 %.2f (%.2fx)\n",
-                gflops(a.nnz(), 1, mv[0]), gflops(a.nnz(), 8, mv[3]),
+                gflops(a.nnz(), 1, mv[0].min), gflops(a.nnz(), 8, mv[3].min),
                 vbl_k8_speedup);
 
     Json::Object row;
@@ -194,13 +195,18 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < kRhsCounts.size(); ++i) {
       Json::Object e;
       e["k"] = kRhsCounts[i];
-      e["measured_blocked_s"] = mb[i];
-      e["measured_csr_s"] = mc[i];
+      e["measured_blocked_s"] = mb[i].min;
+      e["measured_csr_s"] = mc[i].min;
+      e["median_blocked_s"] = mb[i].median;
+      e["median_csr_s"] = mc[i].median;
+      e["iqr_blocked_s"] = mb[i].iqr;
+      e["iqr_csr_s"] = mc[i].iqr;
+      e["blocked_vs_csr"] = verdict_name(compare(mb[i], mc[i]));
       e["predicted_blocked_s"] = pb[i];
       e["predicted_csr_s"] = pc[i];
-      e["gflops_blocked"] = gflops(a.nnz(), kRhsCounts[i], mb[i]);
-      e["measured_vbl_s"] = mv[i];
-      e["gflops_vbl"] = gflops(a.nnz(), kRhsCounts[i], mv[i]);
+      e["gflops_blocked"] = gflops(a.nnz(), kRhsCounts[i], mb[i].min);
+      e["measured_vbl_s"] = mv[i].min;
+      e["gflops_vbl"] = gflops(a.nnz(), kRhsCounts[i], mv[i].min);
       per_k.push_back(Json(std::move(e)));
     }
     row["per_k"] = Json(std::move(per_k));
@@ -212,8 +218,8 @@ int main(int argc, char** argv) {
     matrices.push_back(Json(std::move(row)));
   }
   print_rule(100);
-  std::printf("x-over: smallest k where blocked beats CSR (0 = never); "
-              "m=measured, p=model\n");
+  std::printf("x-over: smallest k where blocked beats CSR beyond the larger "
+              "IQR (0 = never); m=measured, p=model\n");
   std::printf("summary: best k8/k1 GFLOP/s amortisation %.2fx; model "
               "crossover within +/-1 on all matrices: %s\n",
               best_k8_speedup, all_within_1 ? "yes" : "NO");

@@ -56,14 +56,14 @@ int main(int argc, char** argv) {
     if (cfg.verbose) std::fprintf(stderr, "matrix %d...\n", id);
     const Csr<double> a = build_suite_csr<double>(id, cfg.scale);
     const auto secs = sweep_matrix(a, id, cands, cfg, cache);
-    const double csr_t = secs.at("csr_scalar");
+    const double csr_t = secs.at("csr_scalar").min;
     Row row;
     row.id = id;
     for (const Candidate& c : cands) {
       if (c.kind == FormatKind::kCsr || c.kind == FormatKind::kVbl) continue;
-      row.per[c.kind].add(csr_t / secs.at(c.id()));
+      row.per[c.kind].add(csr_t / secs.at(c.id()).min);
     }
-    row.vbl = csr_t / secs.at("vbl_scalar");
+    row.vbl = csr_t / secs.at("vbl_scalar").min;
     rows.push_back(std::move(row));
   }
 

@@ -15,8 +15,8 @@ void add_common_flags(CliParser& cli) {
   cli.add_option("scale", "small",
                  "suite scale: tiny (CI), small (default), paper (>=25MiB)");
   cli.add_option("iters", "10", "SpMV iterations per timed batch");
-  cli.add_option("reps", "2", "timed batches per candidate (min reported)");
-  cli.add_option("warmup", "1", "unmeasured warm-up batches");
+  cli.add_option("reps", "2", "timed batches per candidate");
+  cli.add_option("warmup", "1", "untimed SpMVs before the first batch");
   cli.add_option("matrices", "",
                  "comma-separated suite ids to run (default: all relevant)");
   cli.add_option("profile", "machine_profile.json",
@@ -116,8 +116,13 @@ SweepCache::SweepCache(std::string path, bool disabled)
         static_cast<int>(version->second.as_number()) != kSchemaVersion)
       throw validation_error("schema version mismatch; expected " +
                              std::to_string(kSchemaVersion));
-    for (const auto& [k, v] : obj)
-      if (k != kSchemaKey) entries_[k] = v.as_number();
+    for (const auto& [k, v] : obj) {
+      if (k == kSchemaKey) continue;
+      Samples& s = entries_[k];
+      s.min = v.at("min").as_number();
+      s.median = v.at("median").as_number();
+      s.iqr = v.at("iqr").as_number();
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr,
                  "warning: ignoring sweep cache %s (%s); re-measuring\n",
@@ -134,16 +139,16 @@ SweepCache::~SweepCache() {
   }
 }
 
-std::optional<double> SweepCache::get(const std::string& key) const {
+std::optional<Samples> SweepCache::get(const std::string& key) const {
   if (disabled_) return std::nullopt;
   auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
   return it->second;
 }
 
-void SweepCache::put(const std::string& key, double seconds) {
+void SweepCache::put(const std::string& key, const Samples& s) {
   if (disabled_) return;
-  entries_[key] = seconds;
+  entries_[key] = s;
   dirty_ = true;
 }
 
@@ -151,7 +156,13 @@ void SweepCache::save() {
   if (disabled_ || !dirty_) return;
   Json::Object o;
   o[kSchemaKey] = kSchemaVersion;
-  for (const auto& [k, v] : entries_) o[k] = v;
+  for (const auto& [k, s] : entries_) {
+    Json::Object e;
+    e["min"] = s.min;
+    e["median"] = s.median;
+    e["iqr"] = s.iqr;
+    o[k] = std::move(e);
+  }
   // Crash-safe: a kill mid-save leaves the previous cache intact, and
   // the checksum trailer lets the next load detect torn writes.
   atomic_write_file(path_, Json(std::move(o)).dump(-1) + '\n',
@@ -169,11 +180,11 @@ std::string sweep_key(const BenchConfig& cfg, int matrix_id, Precision prec,
 }
 
 template <class V>
-std::map<std::string, double> sweep_matrix(
+std::map<std::string, Samples> sweep_matrix(
     const Csr<V>& a, int matrix_id, const std::vector<Candidate>& candidates,
     const BenchConfig& cfg, SweepCache& cache) {
   constexpr Precision prec = precision_of<V>;
-  std::map<std::string, double> out;
+  std::map<std::string, Samples> out;
   int fresh = 0;
   for (const Candidate& c : candidates) {
     const std::string key = sweep_key(cfg, matrix_id, prec, c.id());
@@ -182,7 +193,7 @@ std::map<std::string, double> sweep_matrix(
       continue;
     }
     const auto engine = SpmvEngine<V>::prepare(a, c);
-    const double secs = engine.measure(cfg.measure);
+    const Samples secs = engine.measure(cfg.measure);
     cache.put(key, secs);
     out[c.id()] = secs;
     ++fresh;
@@ -195,12 +206,12 @@ std::map<std::string, double> sweep_matrix(
 }
 
 template <class V>
-std::map<int, std::map<std::string, double>> sweep_matrix_threaded(
+std::map<int, std::map<std::string, Samples>> sweep_matrix_threaded(
     const Csr<V>& a, int matrix_id, const std::vector<Candidate>& candidates,
     const std::vector<int>& threads, const BenchConfig& cfg,
     SweepCache& cache) {
   constexpr Precision prec = precision_of<V>;
-  std::map<int, std::map<std::string, double>> out;
+  std::map<int, std::map<std::string, Samples>> out;
   for (const Candidate& c : candidates) {
     // All-or-nothing per candidate: if any thread count is missing we
     // re-measure all of them, reusing one format conversion.
@@ -214,7 +225,7 @@ std::map<int, std::map<std::string, double>> sweep_matrix_threaded(
             *cache.get(sweep_key(cfg, matrix_id, prec, c.id(), t));
       continue;
     }
-    const std::vector<double> secs =
+    const std::vector<Samples> secs =
         measure_threaded_multi(a, c, threads, cfg.measure, ExecBackend::kBulk);
     for (std::size_t i = 0; i < threads.size(); ++i) {
       cache.put(sweep_key(cfg, matrix_id, prec, c.id(), threads[i]), secs[i]);
@@ -227,13 +238,13 @@ std::map<int, std::map<std::string, double>> sweep_matrix_threaded(
 
 std::map<FormatKind, double> best_per_format(
     const std::vector<Candidate>& candidates,
-    const std::map<std::string, double>& seconds) {
+    const std::map<std::string, Samples>& seconds) {
   std::map<FormatKind, double> best;
   for (const Candidate& c : candidates) {
     auto it = seconds.find(c.id());
     if (it == seconds.end()) continue;
-    auto [bit, fresh] = best.try_emplace(c.kind, it->second);
-    if (!fresh && it->second < bit->second) bit->second = it->second;
+    auto [bit, fresh] = best.try_emplace(c.kind, it->second.min);
+    if (!fresh && it->second.min < bit->second) bit->second = it->second.min;
   }
   return best;
 }
@@ -244,10 +255,10 @@ void print_rule(int n) {
 }
 
 #define BSPMV_BENCH_INST(V)                                                  \
-  template std::map<std::string, double> sweep_matrix(                      \
+  template std::map<std::string, Samples> sweep_matrix(                      \
       const Csr<V>&, int, const std::vector<Candidate>&, const BenchConfig&, \
       SweepCache&);                                                          \
-  template std::map<int, std::map<std::string, double>>                    \
+  template std::map<int, std::map<std::string, Samples>>                     \
   sweep_matrix_threaded(const Csr<V>&, int, const std::vector<Candidate>&,  \
                         const std::vector<int>&, const BenchConfig&,        \
                         SweepCache&);

@@ -58,7 +58,8 @@ void append_bench_report(const BenchConfig& cfg, const std::string& bench_name,
 // Sweep cache
 // ----------------------------------------------------------------------
 
-/// Persistent map from measurement key to seconds. Keys embed everything
+/// Persistent map from measurement key to its Samples, of which the file
+/// keeps min, median and IQR (not the per-batch list). Keys embed everything
 /// that affects the number: suite scale, matrix id, precision, candidate
 /// id, thread count, and the iteration count.
 class SweepCache {
@@ -66,7 +67,7 @@ class SweepCache {
   /// Cache file schema version; a mismatch (or any corruption) logs a
   /// one-line warning and falls back to re-measuring, same policy as
   /// MachineProfile::try_load.
-  static constexpr int kSchemaVersion = 2;
+  static constexpr int kSchemaVersion = 3;
   /// Reserved key the version is stored under (never a sweep_key: those
   /// always contain '/').
   static constexpr const char* kSchemaKey = "__schema_version";
@@ -74,15 +75,15 @@ class SweepCache {
   SweepCache(std::string path, bool disabled);
   ~SweepCache();  // saves on destruction (best effort)
 
-  std::optional<double> get(const std::string& key) const;
-  void put(const std::string& key, double seconds);
+  std::optional<Samples> get(const std::string& key) const;
+  void put(const std::string& key, const Samples& s);
   void save();
 
  private:
   std::string path_;
   bool disabled_;
   bool dirty_ = false;
-  std::map<std::string, double> entries_;
+  std::map<std::string, Samples> entries_;
 };
 
 /// Canonical cache key for a single-threaded candidate measurement.
@@ -90,17 +91,18 @@ std::string sweep_key(const BenchConfig& cfg, int matrix_id, Precision prec,
                       const std::string& candidate_id, int threads = 1);
 
 /// Measure (or load from cache) every candidate on one suite matrix.
-/// Returns candidate id -> seconds per SpMV.
+/// Returns candidate id -> samples of seconds per SpMV (min is the
+/// paper's number).
 template <class V>
-std::map<std::string, double> sweep_matrix(
+std::map<std::string, Samples> sweep_matrix(
     const Csr<V>& a, int matrix_id, const std::vector<Candidate>& candidates,
     const BenchConfig& cfg, SweepCache& cache);
 
 /// Threaded variant (CSR/BCSR/BCSD/DEC candidates only): measures every
 /// requested thread count per candidate with a single format conversion.
-/// Returns threads -> (candidate id -> seconds).
+/// Returns threads -> (candidate id -> samples).
 template <class V>
-std::map<int, std::map<std::string, double>> sweep_matrix_threaded(
+std::map<int, std::map<std::string, Samples>> sweep_matrix_threaded(
     const Csr<V>& a, int matrix_id, const std::vector<Candidate>& candidates,
     const std::vector<int>& threads, const BenchConfig& cfg,
     SweepCache& cache);
@@ -109,20 +111,21 @@ std::map<int, std::map<std::string, double>> sweep_matrix_threaded(
 // Small output helpers
 // ----------------------------------------------------------------------
 
-/// Group per-candidate seconds by format kind, keeping the minimum (the
-/// format's best block): the quantity Tables II/III and Fig. 2 rank.
+/// Group per-candidate minimum seconds by format kind, keeping the
+/// minimum (the format's best block): the quantity Tables II/III and
+/// Fig. 2 rank.
 std::map<FormatKind, double> best_per_format(
     const std::vector<Candidate>& candidates,
-    const std::map<std::string, double>& seconds);
+    const std::map<std::string, Samples>& seconds);
 
 /// Print a horizontal rule of width n.
 void print_rule(int n);
 
 #define BSPMV_BENCH_DECL(V)                                                  \
-  extern template std::map<std::string, double> sweep_matrix(               \
+  extern template std::map<std::string, Samples> sweep_matrix(               \
       const Csr<V>&, int, const std::vector<Candidate>&, const BenchConfig&, \
       SweepCache&);                                                          \
-  extern template std::map<int, std::map<std::string, double>>            \
+  extern template std::map<int, std::map<std::string, Samples>>              \
   sweep_matrix_threaded(const Csr<V>&, int, const std::vector<Candidate>&,  \
                         const std::vector<int>&, const BenchConfig&,        \
                         SweepCache&);

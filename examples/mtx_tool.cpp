@@ -18,7 +18,6 @@
 #include "src/core/executor.hpp"
 #include "src/dist/driver.hpp"
 #include "src/profile/comm_bench.hpp"
-#include "src/util/timing.hpp"
 #include "src/core/heuristic.hpp"
 #include "src/core/models.hpp"
 #include "src/core/working_set.hpp"
@@ -173,10 +172,7 @@ int run_dist(const CliParser& cli, const Csr<double>& a,
     x[i] = 0.5 + 0.001 * static_cast<double>(i % 1000);
   aligned_vector<double> y(static_cast<std::size_t>(a.rows()), 0.0);
 
-  if (chaos == 0) d.run(x.data(), y.data(), 1);  // warm-up
-  Timer t;
   d.run(x.data(), y.data(), iterations);
-  const double measured = t.elapsed() / iterations;
 
   // The supervision outcome is part of the result: a degraded run is
   // still correct, but never silently so.
@@ -222,35 +218,24 @@ int run_dist(const CliParser& cli, const Csr<double>& a,
                 s.halo_seconds * 1e3, s.total_seconds * 1e3);
   }
 
-  // Model vs measured, both modes: time the other mode over the same
-  // shard plan, then score choose_dist_mode against the measured winner.
-  const DistMode other =
-      mode == DistMode::kOverlap ? DistMode::kNaive : DistMode::kOverlap;
-  d.set_mode(other);
-  d.run(x.data(), y.data(), 1);
-  Timer t2;
-  d.run(x.data(), y.data(), iterations);
-  const double measured_other = t2.elapsed() / iterations;
-
+  // Model vs measured: time both modes over the same shard plan, then
+  // score choose_dist_mode against the measured winner. A gap inside the
+  // larger IQR is a dead heat, which no prediction matches.
+  const auto timings = dist::time_modes(d, x.data(), y.data(), iterations);
+  const auto& [naive, overlap] = timings;
   const auto costs = d.rank_costs();
   const DistMode predicted = choose_dist_mode(profile, costs);
-  // Tie-aware winner: inside the 3% noise floor either prediction is
-  // right — the mode gap is below run-to-run scheduling jitter.
-  constexpr double kNoiseMargin = 0.97;
-  const char* winner = "tie";
-  if (measured < kNoiseMargin * measured_other)
-    winner = dist_mode_name(mode);
-  else if (measured_other < kNoiseMargin * measured)
-    winner = dist_mode_name(other);
-  const bool match = std::string(winner) == "tie" ||
-                     std::string(winner) == dist_mode_name(predicted);
-  std::printf("model: naive %.3f ms, overlap %.3f ms -> %s | measured: "
-              "%s %.3f ms, %s %.3f ms -> %s (%s)\n",
+  const std::string winner = dist::measured_mode(timings);
+  std::printf("model: naive %.3f ms, overlap %.3f ms -> %s | measured "
+              "(median, IQR): naive %.3f ms, %.3f ms; overlap %.3f ms, "
+              "%.3f ms -> %s (%s)\n",
               predict_distributed(profile, costs, DistMode::kNaive) * 1e3,
               predict_distributed(profile, costs, DistMode::kOverlap) * 1e3,
-              dist_mode_name(predicted), dist_mode_name(mode), measured * 1e3,
-              dist_mode_name(other), measured_other * 1e3, winner,
-              match ? "model match" : "model miss");
+              dist_mode_name(predicted), naive.samples.median * 1e3,
+              naive.samples.iqr * 1e3, overlap.samples.median * 1e3,
+              overlap.samples.iqr * 1e3, winner.c_str(),
+              winner == dist_mode_name(predicted) ? "model match"
+                                                  : "model miss");
   return 0;
 }
 
@@ -504,11 +489,11 @@ int run(int argc, char** argv) {
       if (rhs > 1) {
         // One multi-vector multiply per iteration through run_multi;
         // the k=1 path below is byte-for-byte the single-vector tool.
-        const double t = engine.measure_multi(rhs, mopt);
+        const double t = engine.measure_multi(rhs, mopt).min;
         std::printf("  measured %.3f ms (%.3f ms/vec)", t * 1e3,
                     t * 1e3 / rhs);
       } else {
-        std::printf("  measured %.3f ms", engine.measure(mopt) * 1e3);
+        std::printf("  measured %.3f ms", engine.measure(mopt).min * 1e3);
       }
     }
     std::printf("\n");

@@ -2,7 +2,9 @@
 # Build under ThreadSanitizer and run every threaded path's tests:
 #
 #   - test_run_control: RunControl/Watchdog (deadline enforcement,
-#     first-abort-wins, heartbeat stall detection);
+#     first-abort-wins, heartbeat stall detection), and the Measurement
+#     cases: the timing primitive polls, between batches, a RunControl
+#     that a Watchdog thread writes;
 #   - test_schedule: the threaded driver's TaskPool — packed-cursor
 #     owner/thief races, epoch dispatch and parking, stealing, the
 #     busy-pool inline fallback — and the stealing parity/stress cases
@@ -66,5 +68,5 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
 ctest --test-dir "$build_dir" --output-on-failure --timeout 600 \
   -j "$(nproc)" \
-  -R '^(RunControl|Watchdog|AtomicFile|RobustSamples|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskSchedule|TaskGraph|Threads/TaskGraphParity|Partition|PartitionEdges|Threads/ThreadedParity|ThreadedSpmvEdge|SpmvEngine|Threads/SpmmParity|SpmmAllFormats|SpmmEngine|SpmmSmoke|CsrWalk|DecFused|HaloDecFormat|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel|CandidateCost|StatsScratch|Server|AdmissionQueue|EngineCache)\.' \
+  -R '^(RunControl|Watchdog|AtomicFile|Measurement|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskSchedule|TaskGraph|Threads/TaskGraphParity|Partition|PartitionEdges|Threads/ThreadedParity|ThreadedSpmvEdge|SpmvEngine|Threads/SpmmParity|SpmmAllFormats|SpmmEngine|SpmmSmoke|CsrWalk|DecFused|HaloDecFormat|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel|CandidateCost|StatsScratch|Server|AdmissionQueue|EngineCache)\.' \
   "$@"

@@ -174,7 +174,7 @@ void SpmvEngine<V>::warm_up(V* x, V* y) const {
 }
 
 template <class V>
-double SpmvEngine<V>::measure(const MeasureOptions& opt) const {
+Samples SpmvEngine<V>::measure(const MeasureOptions& opt) const {
   BSPMV_OBS_SPAN("measure");
   BSPMV_OBS_SPAN(plan_ ? "threaded" : "spmv");
   return detail::measure_guarded<V>(
@@ -189,7 +189,7 @@ double SpmvEngine<V>::measure(const MeasureOptions& opt) const {
 }
 
 template <class V>
-double SpmvEngine<V>::measure_multi(int k, const MeasureOptions& opt) const {
+Samples SpmvEngine<V>::measure_multi(int k, const MeasureOptions& opt) const {
   BSPMV_CHECK_MSG(k >= 1, "rhs count must be >= 1");
   BSPMV_OBS_SPAN("measure");
   BSPMV_OBS_SPAN(plan_ ? "threaded_multi" : "spmm");

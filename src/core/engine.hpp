@@ -32,7 +32,6 @@
 // applies the same guards to a single y = A·x for service loops.
 #pragma once
 
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -56,16 +55,16 @@ aligned_vector<V> random_measure_vector(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// The resilient repeated-batch measurement loop behind
-/// SpmvEngine::measure, shared (as a template) with the fault-injection
-/// tests so injected stalls and cancellations exercise the exact
-/// production path. `run_once(x, y)` must compute y = A·x; the loop
-/// replicates the paper's methodology (warmup, `reps` batches of
-/// `iterations`, minimum per-iteration time reported) with the
-/// RunControl/Watchdog and numeric-guard rails of MeasureOptions.
+/// The guarded measurement behind SpmvEngine::measure, shared (as a
+/// template) with the fault-injection tests so injected stalls and
+/// cancellations exercise the exact production path. `run_once(x, y)`
+/// must compute y = A·x; the paper's methodology (warm-up, then `reps`
+/// batches of `iterations` consecutive SpMVs) runs through one
+/// Measurement, with the RunControl/Watchdog and numeric-guard rails of
+/// MeasureOptions around it.
 template <class V, class RunFn, class WarmFn>
-double measure_guarded(index_t rows, index_t cols, const MeasureOptions& opt,
-                       RunFn&& run_once, WarmFn&& warm_touch) {
+Samples measure_guarded(index_t rows, index_t cols, const MeasureOptions& opt,
+                        RunFn&& run_once, WarmFn&& warm_touch) {
   BSPMV_CHECK(opt.iterations > 0 && opt.reps > 0 && opt.warmup >= 0);
   auto x =
       random_measure_vector<V>(static_cast<std::size_t>(cols), opt.seed);
@@ -106,28 +105,29 @@ double measure_guarded(index_t rows, index_t cols, const MeasureOptions& opt,
     BSPMV_OBS_COUNT("guard.numeric_scans", 1);
   }
 
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < opt.reps; ++r) {
-    Timer t;
-    for (int i = 0; i < opt.iterations; ++i) once();
-    best = std::min(best, t.elapsed() / opt.iterations);
-    if (opt.check_numerics &&
-        bits_fingerprint(y.data(), y.size()) != ref_fp) {
-      BSPMV_OBS_COUNT("guard.fingerprint_failures", 1);
-      throw numerical_error(
-          "measure: output fingerprint changed between batches — "
-          "nondeterministic kernel or memory corruption");
-    }
-  }
+  Measurement m{.batches = opt.reps,
+                .warmup = 0,
+                .iterations = static_cast<std::uint64_t>(opt.iterations),
+                .control = rc};
+  if (opt.check_numerics)
+    m.after_batch = [&](std::size_t) {
+      if (bits_fingerprint(y.data(), y.size()) != ref_fp) {
+        BSPMV_OBS_COUNT("guard.fingerprint_failures", 1);
+        throw numerical_error(
+            "measure: output fingerprint changed between batches — "
+            "nondeterministic kernel or memory corruption");
+      }
+    };
+  Samples s = m.run(once);
   do_not_optimize(y.data());
-  return best;
+  return s;
 }
 
 /// measure_guarded without a placement hook — the signature the
 /// fault-injection tests share with production.
 template <class V, class RunFn>
-double measure_guarded(index_t rows, index_t cols, const MeasureOptions& opt,
-                       RunFn&& run_once) {
+Samples measure_guarded(index_t rows, index_t cols, const MeasureOptions& opt,
+                        RunFn&& run_once) {
   return measure_guarded<V>(rows, cols, opt, std::forward<RunFn>(run_once),
                             [](V*, V*) {});
 }
@@ -198,15 +198,16 @@ class SpmvEngine {
   /// range (no-op for plain plans). Either pointer may be null.
   void warm_up(V* x, V* y) const;
 
-  /// Seconds per SpMV the way the paper measures it: repeated consecutive
-  /// operations on a random input vector, minimum over reps. Honours
-  /// opt.control and opt.check_numerics (see MeasureOptions).
-  double measure(const MeasureOptions& opt = {}) const;
+  /// Seconds per SpMV the way the paper measures it: `reps` batches of
+  /// `iterations` consecutive operations on a random input vector. The
+  /// paper's number is the returned min; compare() ranks by median and
+  /// IQR. Honours opt.control and opt.check_numerics (see MeasureOptions).
+  Samples measure(const MeasureOptions& opt = {}) const;
 
   /// Seconds per SpMM (one multiply of all k vectors), same methodology
   /// as measure(). Divide by k for the effective per-vector time the
   /// crossover analysis compares against measure().
-  double measure_multi(int k, const MeasureOptions& opt = {}) const;
+  Samples measure_multi(int k, const MeasureOptions& opt = {}) const;
 
  private:
   SpmvEngine() = default;

@@ -121,11 +121,6 @@ PreparedExecutor<V> try_prepare(const Csr<V>& a,
 // helpers are the stable thin entry points over it.
 
 template <class V>
-double measure_spmv_seconds(const AnyFormat<V>& f, const MeasureOptions& opt) {
-  return SpmvEngine<V>::borrow(f).measure(opt);
-}
-
-template <class V>
 std::vector<MeasuredCandidate> measure_candidates(
     const Csr<V>& a, const std::vector<Candidate>& candidates,
     const MeasureOptions& opt) {
@@ -133,7 +128,7 @@ std::vector<MeasuredCandidate> measure_candidates(
   out.reserve(candidates.size());
   for (const Candidate& c : candidates) {
     const auto engine = SpmvEngine<V>::prepare(a, c);
-    out.push_back(MeasuredCandidate{c, engine.measure(opt)});
+    out.push_back(MeasuredCandidate{c, engine.measure(opt).min});
   }
   return out;
 }
@@ -145,15 +140,15 @@ double measure_threaded_seconds(const Csr<V>& a, const Candidate& c,
   // threads == 0 means "plain single-threaded path" to the engine; this
   // entry point is explicitly threaded, so keep rejecting it.
   BSPMV_CHECK_MSG(threads >= 1, "thread count must be >= 1");
-  return SpmvEngine<V>::prepare(a, c, threads, backend).measure(opt);
+  return SpmvEngine<V>::prepare(a, c, threads, backend).measure(opt).min;
 }
 
 template <class V>
-std::vector<double> measure_threaded_multi(const Csr<V>& a,
-                                           const Candidate& c,
-                                           const std::vector<int>& threads,
-                                           const MeasureOptions& opt,
-                                           ExecBackend backend) {
+std::vector<Samples> measure_threaded_multi(const Csr<V>& a,
+                                            const Candidate& c,
+                                            const std::vector<int>& threads,
+                                            const MeasureOptions& opt,
+                                            ExecBackend backend) {
   // Convert once and re-plan per thread count (conversion dominates a
   // sweep; Fig. 2 measures 1/2/4 cores). Building the first plan eagerly
   // keeps the "format not parallelised" error even for an empty sweep.
@@ -161,7 +156,7 @@ std::vector<double> measure_threaded_multi(const Csr<V>& a,
   SpmvEngine<V> engine =
       SpmvEngine<V>::prepare(a, c, threads.empty() ? 1 : threads.front(),
                              backend);
-  std::vector<double> out;
+  std::vector<Samples> out;
   out.reserve(threads.size());
   for (int t : threads) {
     engine.set_threads(t);
@@ -176,14 +171,12 @@ std::vector<double> measure_threaded_multi(const Csr<V>& a,
       const Csr<V>&, const Candidate&, std::string*);                       \
   template PreparedExecutor<V> try_prepare(const Csr<V>&,                   \
                                            const std::vector<Candidate>&);  \
-  template double measure_spmv_seconds(const AnyFormat<V>&,                 \
-                                       const MeasureOptions&);              \
   template std::vector<MeasuredCandidate> measure_candidates(               \
       const Csr<V>&, const std::vector<Candidate>&, const MeasureOptions&); \
   template double measure_threaded_seconds(const Csr<V>&, const Candidate&, \
                                            int, const MeasureOptions&,      \
                                            ExecBackend);                    \
-  template std::vector<double> measure_threaded_multi(                      \
+  template std::vector<Samples> measure_threaded_multi(                     \
       const Csr<V>&, const Candidate&, const std::vector<int>&,             \
       const MeasureOptions&, ExecBackend);
 BSPMV_INST(float)

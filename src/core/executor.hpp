@@ -111,14 +111,19 @@ template <class V>
 PreparedExecutor<V> try_prepare(const Csr<V>& a,
                                 const std::vector<Candidate>& ranked);
 
+/// How SpmvEngine::measure times a candidate: one Measurement
+/// (src/util/timing.hpp) of `reps` batches of `iterations` consecutive
+/// SpMVs after `warmup` untimed ones, 40 timed SpMVs by default. The
+/// paper's number is the minimum batch; compare() ranks two candidates by
+/// their medians against the larger IQR.
 struct MeasureOptions {
   /// SpMVs per timed batch. The paper ran 100 consecutive operations; the
   /// default stays lower so test/bench sweeps finish quickly, and
   /// mtx_tool exposes --iterations/--reps so the paper's setting is
   /// reachable without recompiling.
   int iterations = 20;
-  int reps = 2;               ///< batches; the minimum is reported
-  int warmup = 1;             ///< unmeasured batches
+  int reps = 2;               ///< timed batches
+  int warmup = 1;             ///< untimed SpMVs before the first batch
   std::uint64_t seed = 1234;  ///< input-vector RNG seed
 
   /// Optional cooperative deadline/cancellation/stall control, polled at
@@ -135,10 +140,6 @@ struct MeasureOptions {
   /// timed batches.
   bool check_numerics = false;
 };
-
-/// Seconds per SpMV for one materialised candidate.
-template <class V>
-double measure_spmv_seconds(const AnyFormat<V>& f, const MeasureOptions& opt);
 
 struct MeasuredCandidate {
   Candidate candidate;
@@ -161,13 +162,13 @@ double measure_threaded_seconds(const Csr<V>& a, const Candidate& c,
 
 /// Measure one candidate at several thread counts, converting the matrix
 /// once (conversion dominates a sweep; Fig. 2 measures 1/2/4 cores).
-/// Returns seconds per SpMV in the same order as `threads`.
+/// Returns each count's samples in the same order as `threads`.
 template <class V>
-std::vector<double> measure_threaded_multi(const Csr<V>& a,
-                                           const Candidate& c,
-                                           const std::vector<int>& threads,
-                                           const MeasureOptions& opt,
-                                           ExecBackend backend);
+std::vector<Samples> measure_threaded_multi(const Csr<V>& a,
+                                            const Candidate& c,
+                                            const std::vector<int>& threads,
+                                            const MeasureOptions& opt,
+                                            ExecBackend backend);
 
 #define BSPMV_DECL(V)                                                      \
   extern template class AnyFormat<V>;                                      \
@@ -175,14 +176,12 @@ std::vector<double> measure_threaded_multi(const Csr<V>& a,
       const Csr<V>&, const Candidate&, std::string*);                      \
   extern template PreparedExecutor<V> try_prepare(                         \
       const Csr<V>&, const std::vector<Candidate>&);                       \
-  extern template double measure_spmv_seconds(const AnyFormat<V>&,         \
-                                              const MeasureOptions&);      \
   extern template std::vector<MeasuredCandidate> measure_candidates(       \
       const Csr<V>&, const std::vector<Candidate>&, const MeasureOptions&); \
   extern template double measure_threaded_seconds(                         \
       const Csr<V>&, const Candidate&, int, const MeasureOptions&,         \
       ExecBackend);                                                        \
-  extern template std::vector<double> measure_threaded_multi(              \
+  extern template std::vector<Samples> measure_threaded_multi(             \
       const Csr<V>&, const Candidate&, const std::vector<int>&,            \
       const MeasureOptions&, ExecBackend);
 BSPMV_DECL(float)

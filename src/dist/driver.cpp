@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -266,15 +267,17 @@ DistSpmv::RoundResult DistSpmv::run_round(const double* x, double* y,
   // Collect a reply from EVERY rank the round reached, so no throw-on-
   // first-failure here: recovery must start from a quiesced mesh, and a
   // reply left unread would be taken as the next run's result. The
-  // collect timeout carries a grace over the rank-side wire timeout so a
+  // collect deadline carries a grace over the rank-side wire timeout so a
   // rank's own typed timeout surfaces as kError before the driver
-  // classifies the rank itself as stalled.
-  serve::WireLimits collect = lim;
-  collect.read_timeout_seconds = lim.read_timeout_seconds * 1.5 + 0.5;
+  // classifies the rank itself as stalled. It is one deadline for the
+  // whole collect, so k stalled ranks cost one grace, not k; a progress
+  // heartbeat proves the round alive and pushes it out by a grace.
+  double grace = lim.read_timeout_seconds * 1.5 + 0.5;
   if (control_ && control_->has_deadline())
-    collect.read_timeout_seconds =
-        std::max(0.05, std::min(collect.read_timeout_seconds,
-                                control_->remaining_seconds()));
+    grace = std::max(0.05, std::min(grace, control_->remaining_seconds()));
+  Timer since;
+  double deadline = grace;
+  serve::WireLimits collect = lim;
   for (int r = 0; r < n; ++r) {
     if (!sent[static_cast<std::size_t>(r)]) continue;
     const RankShard& sh = plan_.shards[static_cast<std::size_t>(r)];
@@ -282,6 +285,9 @@ DistSpmv::RoundResult DistSpmv::run_round(const double* x, double* y,
       for (;;) {
         MsgType type{};
         std::string payload;
+        // A reply already queued is read even once the deadline passed.
+        collect.read_timeout_seconds =
+            std::max(0.05, deadline - since.elapsed());
         if (!serve::read_frame(ctrl_fds_[static_cast<std::size_t>(r)], type,
                                payload, collect)) {
           force_down(r);
@@ -292,7 +298,10 @@ DistSpmv::RoundResult DistSpmv::run_round(const double* x, double* y,
                true);
           break;
         }
-        if (type == MsgType::kProgress) continue;  // heartbeat
+        if (type == MsgType::kProgress) {  // heartbeat
+          deadline = since.elapsed() + grace;
+          continue;
+        }
         if (type == MsgType::kError) {
           const auto rep = serve::ErrorReply::decode(payload);
           std::exception_ptr ep;
@@ -465,6 +474,16 @@ void DistSpmv::run_rounds(const double* x, double* y, int iterations) {
       }
       ev.action = "abort";
       ev.ranks_after = live;
+      // A failed round that killed no rank can leave halo frames in
+      // flight, which would fail every later run as stale. Drain them;
+      // a drain that fails is logged, and the next run reports it.
+      if (rr.failed.empty()) {
+        try {
+          drain();
+        } catch (const error& e) {
+          ev.detail += std::string(" | drain: ") + e.what();
+        }
+      }
       ev.seconds = rt.elapsed();
       log_.push_back(ev);
       if (rr.error) std::rethrow_exception(rr.error);
@@ -507,7 +526,10 @@ void DistSpmv::run_rounds(const double* x, double* y, int iterations) {
 void DistSpmv::recover(const std::vector<int>& failed) {
   BSPMV_OBS_SPAN("dist/recover");
   if (!failed.empty()) spawn_ranks(matrix_, failed);
+  drain();
+}
 
+void DistSpmv::drain() {
   // Quiesce + drain: every rank discards whatever stale pre-recovery
   // frames a failed peer left in its kernel buffers, so the next epoch
   // starts on clean streams (the epoch stamp on every halo frame is the
@@ -515,8 +537,7 @@ void DistSpmv::recover(const std::vector<int>& failed) {
   const serve::WireLimits lim = round_limits();
   for (int r = 0; r < opt_.ranks; ++r) {
     if (pids_[static_cast<std::size_t>(r)] <= 0)
-      throw io_error("rank " + std::to_string(r) +
-                     " is still down after recovery");
+      throw io_error("rank " + std::to_string(r) + " is down at the drain");
     serve::write_frame(ctrl_fds_[static_cast<std::size_t>(r)],
                        MsgType::kDrain, "", lim);
   }
@@ -764,5 +785,58 @@ void DistSpmv::shutdown() noexcept {
 }
 
 DistSpmv::~DistSpmv() { shutdown(); }
+
+std::array<ModeTiming, 2> time_modes(
+    DistSpmv& d, const double* x, double* y, int iterations, int batches,
+    bool warm, const std::function<void(const DistSpmv&)>& after_run) {
+  BSPMV_CHECK_MSG(iterations >= 1, "iterations must be >= 1");
+  const DistMode original = d.mode();
+  std::array<ModeTiming, 2> out;
+  out[0].mode = DistMode::kNaive;
+  out[1].mode = DistMode::kOverlap;
+  std::vector<std::function<void()>> arms;
+  for (const ModeTiming& t : out) {
+    if (warm) {
+      d.set_mode(t.mode);
+      d.run(x, y, 1);  // page-in, socket buffers
+    }
+    arms.push_back([&d, &t, x, y, iterations] {
+      d.set_mode(t.mode);
+      d.run(x, y, iterations);
+    });
+  }
+  std::array<std::vector<std::vector<RankStats>>, 2> stats;
+  Measurement m{.batches = batches, .warmup = 0};
+  m.after_batch = [&](std::size_t arm) {
+    stats[arm].push_back(d.last_stats());
+    if (after_run) after_run(d);
+  };
+  const std::vector<Samples> runs = m.run(arms);
+  d.set_mode(original);
+
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    std::vector<double> per_iter;
+    for (double s : runs[i].seconds) per_iter.push_back(s / iterations);
+    out[i].samples = summarize(std::move(per_iter),
+                               static_cast<std::uint64_t>(iterations));
+    // Report the timeline of the run whose time is reported.
+    const std::vector<double>& secs = out[i].samples.seconds;
+    const double med = out[i].samples.median;
+    std::size_t pick = 0;
+    for (std::size_t k = 1; k < secs.size(); ++k)
+      if (std::abs(secs[k] - med) < std::abs(secs[pick] - med)) pick = k;
+    out[i].rank_stats = stats[i][pick];
+  }
+  return out;
+}
+
+const char* measured_mode(const std::array<ModeTiming, 2>& t) {
+  switch (compare(t[1].samples, t[0].samples)) {
+    case Verdict::kFaster: return dist_mode_name(t[1].mode);
+    case Verdict::kSlower: return dist_mode_name(t[0].mode);
+    case Verdict::kIndistinguishable: break;
+  }
+  return verdict_name(Verdict::kIndistinguishable);
+}
 
 }  // namespace bspmv::dist

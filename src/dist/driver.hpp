@@ -16,11 +16,13 @@
 // one round of all `iterations` and its first failure surfaces through
 // the typed taxonomy: a rank that dies mid-run is an io_error, a
 // stalled one a timeout_error (no reply within the collect grace,
-// 1.5·T + 0.5 s for wire timeout T; the rank is SIGKILLed), and a
-// rank-reported failure rethrows via throw_wire_error — the same
-// contract the serving client keeps. Nothing is respawned or drained:
-// a later run throws io_error while a rank is down, and parse_error
-// (stale epoch) if the failed round left a halo frame in flight.
+// 1.5·T + 0.5 s for wire timeout T, one deadline shared by all ranks;
+// the rank is SIGKILLed), and a rank-reported failure rethrows via
+// throw_wire_error — the same contract the serving client keeps.
+// Nothing is respawned: a later run throws io_error while a rank is
+// down. A failed round that killed no rank is drained (kDrain) before
+// its error is rethrown, so a halo frame it left in flight cannot fail
+// the next run.
 //
 // With SuperviseOptions::enabled the driver instead *survives* rank
 // failure (docs/distribution.md "Failure modes and recovery"):
@@ -51,7 +53,9 @@
 
 #include <sys/types.h>
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -62,6 +66,7 @@
 #include "src/kernels/impl.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/util/run_control.hpp"
+#include "src/util/timing.hpp"
 
 namespace bspmv::dist {
 
@@ -203,6 +208,7 @@ class DistSpmv {
                         std::uint32_t progress_every);
   void run_rounds(const double* x, double* y, int iterations);
   void recover(const std::vector<int>& failed);
+  void drain();
   void run_single_node(const double* x, double* y);
   serve::WireLimits round_limits() const;
   void shutdown() noexcept;
@@ -225,5 +231,27 @@ class DistSpmv {
   int resumed_ = 0;
   std::vector<FaultMsg> persistent_faults_;  ///< by rank; kNone = unset
 };
+
+/// One exchange mode's timing from time_modes().
+struct ModeTiming {
+  DistMode mode = DistMode::kNaive;
+  Samples samples;  ///< seconds per iteration of each timed run
+  /// Per-rank timeline of the run nearest the median.
+  std::vector<RankStats> rank_stats;
+};
+
+/// Time both exchange modes over `d`'s shard plan with one Measurement:
+/// `batches` runs of `iterations` per mode, naive and overlap interleaved
+/// run by run, after one untimed iteration per mode when `warm`.
+/// `after_run`, if set, sees `d` after every timed run (its recovery log
+/// covers that run only). Leaves `d` in the mode it had.
+std::array<ModeTiming, 2> time_modes(
+    DistSpmv& d, const double* x, double* y, int iterations, int batches = 3,
+    bool warm = true,
+    const std::function<void(const DistSpmv&)>& after_run = {});
+
+/// The measured winner of time_modes(): "naive" or "overlap" when
+/// compare() tells them apart, "indistinguishable" otherwise.
+const char* measured_mode(const std::array<ModeTiming, 2>& t);
 
 }  // namespace bspmv::dist

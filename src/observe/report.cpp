@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <thread>
 
+#include "src/core/engine.hpp"
 #include "src/core/selector.hpp"
 #include "src/dist/driver.hpp"
 #include "src/observe/observe.hpp"
@@ -24,10 +24,6 @@ namespace {
 
 constexpr ModelKind kModels[] = {ModelKind::kMem, ModelKind::kMemComp,
                                  ModelKind::kOverlap};
-
-// Table IV convention: a selection is "optimal" when it reaches the best
-// measured time within timing noise.
-constexpr double kOptimalSlack = 1.005;
 
 Json::Object span_stat_json(const SpanStat& s) {
   Json::Object o;
@@ -110,20 +106,22 @@ void build_dist_section(const Csr<double>& a, const MachineProfile& profile,
           if (got == order[k]) out.outcome = got;
   };
 
-  for (DistMode m : {DistMode::kNaive, DistMode::kOverlap}) {
-    d.set_mode(m);
-    if (!opt.dist_supervise || opt.dist_chaos == 0)
-      d.run(x.data(), y.data(), 1);  // warm-up: page-in, socket buffers
-    Timer t;
-    d.run(x.data(), y.data(), out.iterations);
-    merge_recovery(d);
+  // Both modes through one interleaved Measurement; a chaos drill skips
+  // the warm-up so its faults fire in the first timed run.
+  const bool warm = !opt.dist_supervise || opt.dist_chaos == 0;
+  const auto timings = dist::time_modes(d, x.data(), y.data(),
+                                        out.iterations, 3, warm,
+                                        merge_recovery);
+  for (const dist::ModeTiming& t : timings) {
     DistModeReport mr;
-    mr.mode = dist_mode_name(m);
-    mr.predicted_seconds = predict_distributed(p, costs, m);
-    mr.measured_seconds = t.elapsed() / out.iterations;
-    for (int r = 0; r < d.ranks(); ++r) {
+    mr.mode = dist_mode_name(t.mode);
+    mr.predicted_seconds = predict_distributed(p, costs, t.mode);
+    mr.measured_seconds = t.samples.median;
+    const int ranks =
+        std::min(d.ranks(), static_cast<int>(t.rank_stats.size()));
+    for (int r = 0; r < ranks; ++r) {
       const dist::RankShard& sh = d.plan().shards[static_cast<std::size_t>(r)];
-      const dist::RankStats& st = d.last_stats()[static_cast<std::size_t>(r)];
+      const dist::RankStats& st = t.rank_stats[static_cast<std::size_t>(r)];
       DistRankSample s;
       s.rank = r;
       s.rows = sh.rows();
@@ -141,20 +139,9 @@ void build_dist_section(const Csr<double>& a, const MachineProfile& profile,
     }
     out.modes.push_back(std::move(mr));
   }
-  // A measured winner must clear the 3% noise floor (the margin the
-  // bench crossover checks use); inside it the run is a dead heat and
-  // either prediction counts as a match — on a loaded machine the
-  // run-to-run scheduling jitter exceeds the mode gap.
-  const double naive_s = out.modes[0].measured_seconds;
-  const double overlap_s = out.modes[1].measured_seconds;
-  constexpr double kNoiseMargin = 0.97;
-  out.measured_mode = "tie";
-  if (overlap_s < kNoiseMargin * naive_s)
-    out.measured_mode = dist_mode_name(DistMode::kOverlap);
-  else if (naive_s < kNoiseMargin * overlap_s)
-    out.measured_mode = dist_mode_name(DistMode::kNaive);
-  out.model_match =
-      out.measured_mode == "tie" || out.predicted_mode == out.measured_mode;
+  // No prediction matches a dead heat ("indistinguishable").
+  out.measured_mode = dist::measured_mode(timings);
+  out.model_match = out.predicted_mode == out.measured_mode;
   out.ranks_final = d.ranks();
 }
 
@@ -586,7 +573,7 @@ RunReport build_run_report(const Csr<V>& a, const std::string& name,
   }
 
   // Predicted (every model) and measured time per candidate — Fig. 3.
-  std::map<std::string, double> measured;
+  std::map<std::string, Samples> measured;
   for (const CandidateCost& cost : costs) {
     CandidateReport cr;
     cr.id = cost.candidate.id();
@@ -598,9 +585,10 @@ RunReport build_run_report(const Csr<V>& a, const std::string& name,
     if (opt.measure_candidates) {
       std::string reason;
       if (auto f = try_convert(a, cost.candidate, &reason)) {
-        cr.measured_seconds = measure_spmv_seconds(*f, opt.measure);
+        const Samples s = SpmvEngine<V>::borrow(*f).measure(opt.measure);
+        cr.measured_seconds = s.min;
         cr.measured = true;
-        measured[cr.id] = cr.measured_seconds;
+        measured[cr.id] = s;
       } else {
         cr.skip_reason = std::move(reason);
       }
@@ -612,10 +600,10 @@ RunReport build_run_report(const Csr<V>& a, const std::string& name,
                  measured.size(), costs.size());
 
   std::string best_id;
-  double best = std::numeric_limits<double>::infinity();
+  const Samples* best = nullptr;
   for (const auto& [id, secs] : measured)
-    if (secs < best) {
-      best = secs;
+    if (!best || secs.min < best->min) {
+      best = &secs;
       best_id = id;
     }
 
@@ -634,13 +622,16 @@ RunReport build_run_report(const Csr<V>& a, const std::string& name,
     s.selected_id = sel.candidate.id();
     s.predicted_seconds = sel.predicted_seconds;
     s.best_id = best_id;
-    s.best_seconds = std::isfinite(best) ? best : 0.0;
+    s.best_seconds = best ? best->min : 0.0;
     auto it = measured.find(s.selected_id);
-    if (it != measured.end() && std::isfinite(best) && best > 0.0) {
-      s.measured_seconds = it->second;
-      s.off_best = it->second / best - 1.0;
-      s.optimal = s.selected_id == best_id || it->second <= best * kOptimalSlack;
-      s.model_error = (s.predicted_seconds - it->second) / it->second;
+    if (it != measured.end() && best && best->min > 0.0) {
+      const double secs = it->second.min;
+      s.measured_seconds = secs;
+      s.off_best = secs / best->min - 1.0;
+      // Table IV convention: a selection is "optimal" when it reaches the
+      // best measured time within the spread both showed.
+      s.optimal = compare(it->second, *best) != Verdict::kSlower;
+      s.model_error = (s.predicted_seconds - secs) / secs;
     }
     r.selections.push_back(std::move(s));
   }

@@ -53,7 +53,7 @@ struct SelectionReport {
   double measured_seconds = 0.0;  ///< measured time of the selection
   std::string best_id;            ///< fastest measured candidate
   double best_seconds = 0.0;
-  bool optimal = false;     ///< selection within noise of the best
+  bool optimal = false;     ///< selection not slower than the best (compare)
   double off_best = 0.0;    ///< measured/best - 1
   double model_error = 0.0; ///< (predicted - measured)/measured
 };
@@ -90,7 +90,7 @@ struct DistRankSample {
 struct DistModeReport {
   std::string mode;  ///< "naive" / "overlap"
   double predicted_seconds = 0.0;  ///< predict_distributed, per iteration
-  double measured_seconds = 0.0;   ///< wall per iteration, worst-rank view
+  double measured_seconds = 0.0;   ///< wall per iteration, median run
   std::vector<DistRankSample> rank_samples;
 };
 
@@ -122,8 +122,10 @@ struct DistReport {
   double comm_alpha_seconds = 0.0;
   double comm_beta_bps = 0.0;
   std::string predicted_mode;  ///< choose_dist_mode over the shard plan
-  std::string measured_mode;   ///< faster measured mode
-  bool model_match = false;
+  /// Measured winner by compare(): "naive", "overlap" or
+  /// "indistinguishable" (the medians lie within the larger IQR).
+  std::string measured_mode;
+  bool model_match = false;  ///< predicted_mode == measured_mode
   std::vector<DistModeReport> modes;
   bool supervised = false;
   /// Worst dist_outcome_name over the measured runs: "clean" /
@@ -138,8 +140,10 @@ struct RunReport {
   /// from_json reject mismatches (same policy as MachineProfile).
   /// v2 added the distributed section ("dist"); v3 its supervision
   /// fields (supervised/outcome/ranks_final/recovery); v4 dropped the
-  /// MEMLAT model's predictions and selection.
-  static constexpr int kSchemaVersion = 4;
+  /// MEMLAT model's predictions and selection; v5 (same keys) reports a
+  /// dead heat between the dist modes as measured_mode
+  /// "indistinguishable", never a match, where v4 read "tie", a match.
+  static constexpr int kSchemaVersion = 5;
   static constexpr const char* kKind = "bspmv_run_report";
 
   // Matrix identity and structure.
@@ -204,7 +208,7 @@ struct ReportOptions {
   /// section. Profiles comm α/β on the fly (quick) when the machine
   /// profile carries none.
   int dist_ranks = 0;
-  int dist_iterations = 10;       ///< per measured mode
+  int dist_iterations = 10;       ///< per timed run (3 runs per mode)
   int dist_threads_per_rank = 1;  ///< local-pass ThreadedSpmv workers
   /// Run the distributed section under rank supervision (recovery +
   /// degradation ladder); outcome and recovery timeline land in the

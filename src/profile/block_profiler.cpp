@@ -61,19 +61,15 @@ Sizes pick_sizes(const CacheInfo& cache, bool quick) {
   return {small_n, large_n};
 }
 
-// Per-iteration wall time of fn, estimated resiliently: each sample is
-// one adaptive timing window, the sample set is MAD-gated against
-// outliers (a page fault, a migrated thread, a noisy neighbour) and
-// contaminated rounds are retried with backoff per opt.sampling. The
-// minimum of the accepted samples is the paper's "best observed" time.
+// Per-call wall time of fn: the minimum over batches grown to a
+// 5 ms (quick) or 20 ms window, the paper's "best observed" time. One
+// scheduler hiccup only slows the batch it hits, never the minimum.
 double time_kernel(const std::function<void()>& fn, const ProfileOptions& opt) {
-  const double window = opt.quick ? 5e-3 : 20e-3;
-  SamplePolicy policy = opt.sampling;
-  if (opt.quick) policy.min_samples = std::min(policy.min_samples, 2);
-  const SampleStats stats = robust_samples(
-      [&] { return time_adaptive(fn, window, 1).seconds_per_iter; }, policy,
-      opt.control);
-  return stats.best;
+  const Measurement m{.batches = opt.quick ? 2 : 3,
+                      .warmup = 0,
+                      .min_batch_seconds = opt.quick ? 5e-3 : 20e-3,
+                      .control = opt.control};
+  return m.run(fn).min;
 }
 
 template <class V>

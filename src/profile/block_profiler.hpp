@@ -10,7 +10,6 @@
 
 #include "src/profile/cache_info.hpp"
 #include "src/profile/machine_profile.hpp"
-#include "src/profile/sampling.hpp"
 #include "src/util/run_control.hpp"
 
 namespace bspmv {
@@ -27,11 +26,6 @@ struct ProfileOptions {
   /// make profiling take hours. The effective LLC used for sizing is
   /// clamped to this value.
   std::size_t max_effective_llc = 32ull * 1024 * 1024;
-  /// Measurement resilience: every kernel timing is drawn through
-  /// robust_samples (MAD outlier rejection + retry-with-backoff), so one
-  /// scheduler hiccup cannot poison a t_b or nof estimate for the
-  /// lifetime of the cached profile.
-  SamplePolicy sampling;
   /// Optional deadline/cancellation for the whole profiling run, polled
   /// between kernel timings; aborts with the control's typed error.
   /// Non-owning; nullptr disables.

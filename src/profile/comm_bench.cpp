@@ -32,20 +32,18 @@ using serve::MsgType;
   }
 }
 
+// Best round trip of `payload` over `trials` one-trip batches, after
+// `warmup` untimed trips.
 double best_rtt(int fd, const serve::WireLimits& limits,
-                const std::string& payload, int trials) {
-  double best = -1.0;
+                const std::string& payload, int trials, int warmup) {
   MsgType type{};
   std::string reply;
-  for (int i = 0; i < trials; ++i) {
-    Timer t;
-    serve::write_frame(fd, MsgType::kPing, payload, limits);
-    if (!serve::read_frame(fd, type, reply, limits))
-      throw io_error("comm benchmark echo child exited early");
-    const double rtt = t.elapsed();
-    if (best < 0.0 || rtt < best) best = rtt;
-  }
-  return best;
+  const Measurement m{.batches = trials, .warmup = warmup};
+  return m.run([&] {
+            serve::write_frame(fd, MsgType::kPing, payload, limits);
+            if (!serve::read_frame(fd, type, reply, limits))
+              throw io_error("comm benchmark echo child exited early");
+          }).min;
 }
 
 }  // namespace
@@ -76,17 +74,16 @@ CommProfile profile_comm(bool quick) {
     const int big_trials = quick ? 3 : 8;
     const std::size_t big_bytes = quick ? (1u << 20) : (8u << 20);
 
-    // Warm both directions (page-in, socket buffer growth) off the clock.
-    best_rtt(fds[0], limits, "", 5);
-
-    // α: half the best empty-frame round trip. The 20-byte header still
-    // crosses the wire, but its bytes/β share is sub-nanosecond noise.
-    p.alpha_seconds = best_rtt(fds[0], limits, "", small_trials) / 2.0;
+    // α: half the best empty-frame round trip, after 5 trips that warm
+    // both directions (page-in, socket buffer growth) off the clock. The
+    // 20-byte header still crosses the wire, but its bytes/β share is
+    // sub-nanosecond noise.
+    p.alpha_seconds = best_rtt(fds[0], limits, "", small_trials, 5) / 2.0;
 
     // β: a big frame's round trip moves 2·bytes through the socket and
     // is dominated by the copies; subtract the latency floor.
     const std::string big(big_bytes, '\x5a');
-    const double rtt = best_rtt(fds[0], limits, big, big_trials);
+    const double rtt = best_rtt(fds[0], limits, big, big_trials, 0);
     const double stream = std::max(rtt - 2.0 * p.alpha_seconds, 1e-9);
     p.beta_bps = 2.0 * static_cast<double>(big.size()) / stream;
   } catch (...) {

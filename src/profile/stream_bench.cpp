@@ -16,23 +16,20 @@ double stream_triad_bandwidth(const StreamOptions& opt) {
   aligned_vector<double> a(n, 0.0), b(n, 1.0), c(n, 2.0);
   const double s = 3.0;
 
-  double best = 0.0;
-  for (int t = 0; t < opt.trials + 1; ++t) {  // first pass warms pages
-    if (opt.control) opt.control->check();
-    Timer timer;
-    double* BSPMV_RESTRICT pa = a.data();
-    const double* BSPMV_RESTRICT pb = b.data();
-    const double* BSPMV_RESTRICT pc = c.data();
-    for (std::size_t i = 0; i < n; ++i) pa[i] = pb[i] + s * pc[i];
-    clobber_memory();
-    const double secs = timer.elapsed();
-    if (t == 0) continue;
-    // Triad traffic: read b, read c, write a (write-allocate adds a read
-    // of a too, but STREAM's convention counts 3 arrays — we follow it).
-    best = std::max(best, 3.0 * static_cast<double>(opt.array_bytes) / secs);
-  }
+  // One pass per batch; the warm-up pass faults the pages in.
+  const Measurement m{.batches = opt.trials, .control = opt.control};
+  const double best = m.run([&] {
+                         double* BSPMV_RESTRICT pa = a.data();
+                         const double* BSPMV_RESTRICT pb = b.data();
+                         const double* BSPMV_RESTRICT pc = c.data();
+                         for (std::size_t i = 0; i < n; ++i)
+                           pa[i] = pb[i] + s * pc[i];
+                         clobber_memory();
+                       }).min;
   do_not_optimize(a[n / 2]);
-  return best;
+  // Triad traffic: read b, read c, write a (write-allocate adds a read
+  // of a too, but STREAM's convention counts 3 arrays — we follow it).
+  return 3.0 * static_cast<double>(opt.array_bytes) / best;
 }
 
 double stream_read_bandwidth(const StreamOptions& opt) {
@@ -40,29 +37,24 @@ double stream_read_bandwidth(const StreamOptions& opt) {
   const std::size_t n = opt.array_bytes / sizeof(double);
   aligned_vector<double> a(n, 1.0);
 
-  double best = 0.0;
   double sink = 0.0;
-  for (int t = 0; t < opt.trials + 1; ++t) {
-    if (opt.control) opt.control->check();
-    Timer timer;
-    const double* BSPMV_RESTRICT pa = a.data();
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      s0 += pa[i];
-      s1 += pa[i + 1];
-      s2 += pa[i + 2];
-      s3 += pa[i + 3];
-    }
-    for (; i < n; ++i) s0 += pa[i];
-    sink += s0 + s1 + s2 + s3;
-    clobber_memory();
-    const double secs = timer.elapsed();
-    if (t == 0) continue;
-    best = std::max(best, static_cast<double>(opt.array_bytes) / secs);
-  }
+  const Measurement m{.batches = opt.trials, .control = opt.control};
+  const double best = m.run([&] {
+                         const double* BSPMV_RESTRICT pa = a.data();
+                         double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+                         std::size_t i = 0;
+                         for (; i + 4 <= n; i += 4) {
+                           s0 += pa[i];
+                           s1 += pa[i + 1];
+                           s2 += pa[i + 2];
+                           s3 += pa[i + 3];
+                         }
+                         for (; i < n; ++i) s0 += pa[i];
+                         sink += s0 + s1 + s2 + s3;
+                         clobber_memory();
+                       }).min;
   do_not_optimize(sink);
-  return best;
+  return static_cast<double>(opt.array_bytes) / best;
 }
 
 double memory_latency_seconds(std::size_t buffer_bytes) {

@@ -440,7 +440,7 @@ std::shared_ptr<const CachedEngine> Server::prepare_and_cache(
         mopt.reps = 1;
         mopt.warmup = 1;
         mopt.control = &control;
-        const double s = SpmvEngine<double>::borrow(*f, 0).measure(mopt);
+        const double s = SpmvEngine<double>::borrow(*f, 0).measure(mopt).min;
         if (s < best) {
           best = s;
           chosen = c;

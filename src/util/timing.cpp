@@ -1,77 +1,108 @@
 #include "src/util/timing.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/util/macros.hpp"
+#include "src/util/run_control.hpp"
 
 namespace bspmv {
 
-double median_of(std::vector<double> xs) {
-  BSPMV_DBG_ASSERT(!xs.empty());
-  std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  return (n % 2 == 1) ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
 namespace {
 
-MeasureResult summarize(const std::vector<double>& per_iter, double total,
-                        std::uint64_t iterations) {
-  MeasureResult r;
-  r.seconds_per_iter = *std::min_element(per_iter.begin(), per_iter.end());
-  r.median_seconds = median_of(per_iter);
-  r.total_seconds = total;
-  r.iterations = iterations;
-  return r;
+// Quantile q of sorted `xs` by linear interpolation between order
+// statistics.
+double quantile(const std::vector<double>& xs, double q) {
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  return xs[lo] + (pos - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
 }
 
 }  // namespace
 
-MeasureResult time_repeated(const std::function<void()>& fn, int iters,
-                            int reps, int warmup) {
-  BSPMV_CHECK(iters > 0 && reps > 0 && warmup >= 0);
-  for (int i = 0; i < warmup; ++i) fn();
-
-  std::vector<double> per_iter;
-  per_iter.reserve(static_cast<std::size_t>(reps));
-  Timer total;
-  for (int r = 0; r < reps; ++r) {
-    Timer t;
-    for (int i = 0; i < iters; ++i) fn();
-    per_iter.push_back(t.elapsed() / iters);
-  }
-  return summarize(per_iter, total.elapsed(),
-                   static_cast<std::uint64_t>(iters) * reps);
+Samples summarize(std::vector<double> seconds, std::uint64_t iterations) {
+  BSPMV_CHECK_MSG(!seconds.empty(), "summarize needs at least one batch");
+  std::vector<double> sorted = seconds;
+  std::sort(sorted.begin(), sorted.end());
+  Samples s;
+  s.seconds = std::move(seconds);
+  s.iterations = iterations;
+  s.min = sorted.front();
+  s.median = quantile(sorted, 0.5);
+  s.iqr = quantile(sorted, 0.75) - quantile(sorted, 0.25);
+  return s;
 }
 
-MeasureResult time_adaptive(const std::function<void()>& fn,
-                            double min_batch_seconds, int reps) {
-  BSPMV_CHECK(min_batch_seconds > 0 && reps > 0);
-  // Grow the batch until it runs long enough to dominate timer noise.
-  std::uint64_t batch = 1;
-  double batch_time = 0.0;
-  for (;;) {
+const char* verdict_name(Verdict v) {
+  switch (v) {
+    case Verdict::kFaster: return "faster";
+    case Verdict::kSlower: return "slower";
+    case Verdict::kIndistinguishable: return "indistinguishable";
+  }
+  return "?";
+}
+
+Verdict compare(const Samples& a, const Samples& b) {
+  const double floor = std::max(a.iqr, b.iqr);
+  if (std::abs(a.median - b.median) <= floor)
+    return Verdict::kIndistinguishable;
+  return a.median < b.median ? Verdict::kFaster : Verdict::kSlower;
+}
+
+std::vector<Samples> Measurement::run(
+    const std::vector<std::function<void()>>& arms) const {
+  BSPMV_CHECK_MSG(batches > 0 && warmup >= 0 && iterations > 0 &&
+                      min_batch_seconds >= 0.0 && !arms.empty(),
+                  "Measurement needs batches >= 1, warmup >= 0, "
+                  "iterations >= 1, min_batch_seconds >= 0 and an arm");
+  const std::size_t n = arms.size();
+  std::vector<std::uint64_t> size(n, iterations);
+  std::vector<std::vector<double>> seconds(n);
+
+  auto timed = [&](std::size_t i) {
+    if (control) control->check();
     Timer t;
-    for (std::uint64_t i = 0; i < batch; ++i) fn();
-    batch_time = t.elapsed();
-    if (batch_time >= min_batch_seconds) break;
-    // At least double; overshoot toward the target to converge fast.
-    const double scale =
-        std::max(2.0, 1.4 * min_batch_seconds / std::max(batch_time, 1e-9));
-    batch = static_cast<std::uint64_t>(static_cast<double>(batch) * scale) + 1;
+    for (std::uint64_t k = 0; k < size[i]; ++k) arms[i]();
+    return t.elapsed();
+  };
+  auto keep = [&](std::size_t i, double s) {
+    seconds[i].push_back(s / static_cast<double>(size[i]));
+    if (after_batch) after_batch(i);
+  };
+
+  for (std::size_t i = 0; i < n; ++i) {
+    if (control) control->check();
+    for (int k = 0; k < warmup; ++k) arms[i]();
+    if (min_batch_seconds <= 0.0) continue;
+    // Grow until a batch runs long enough to dominate timer noise: at
+    // least double, overshooting toward the target to converge fast.
+    for (;;) {
+      const double s = timed(i);
+      if (s >= min_batch_seconds) {
+        keep(i, s);
+        break;
+      }
+      const double scale =
+          std::max(2.0, 1.4 * min_batch_seconds / std::max(s, 1e-9));
+      size[i] = static_cast<std::uint64_t>(
+                    static_cast<double>(size[i]) * scale) + 1;
+    }
   }
 
-  std::vector<double> per_iter;
-  per_iter.reserve(static_cast<std::size_t>(reps));
-  per_iter.push_back(batch_time / static_cast<double>(batch));
-  Timer total;
-  for (int r = 1; r < reps; ++r) {
-    Timer t;
-    for (std::uint64_t i = 0; i < batch; ++i) fn();
-    per_iter.push_back(t.elapsed() / static_cast<double>(batch));
-  }
-  return summarize(per_iter, total.elapsed() + batch_time,
-                   batch * static_cast<std::uint64_t>(reps));
+  const int first = min_batch_seconds > 0.0 ? 1 : 0;
+  for (int b = first; b < batches; ++b)
+    for (std::size_t i = 0; i < n; ++i) keep(i, timed(i));
+
+  std::vector<Samples> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back(summarize(std::move(seconds[i]), size[i]));
+  return out;
+}
+
+Samples Measurement::run(const std::function<void()>& fn) const {
+  return std::move(run(std::vector<std::function<void()>>{fn}).front());
 }
 
 }  // namespace bspmv

@@ -1,9 +1,9 @@
-// Measurement substrate for the benchmark harnesses and profilers.
-//
-// The paper times 100 consecutive SpMV operations; we expose the same
-// pattern (`time_repeated`) plus an adaptive variant that keeps measuring
-// until the total elapsed time is long enough for a stable per-iteration
-// estimate.
+// Measurement substrate: the one way the library, its benches and its
+// tools time code (docs/observability.md, "How the code measures"). A
+// Measurement times interleaved batches of one or more arms; each arm's
+// Samples carry the minimum (the paper's "best observed" time), the
+// median and the IQR, and compare() calls two arms different only when
+// their gap clears the spread they showed.
 #pragma once
 
 #include <chrono>
@@ -12,6 +12,8 @@
 #include <vector>
 
 namespace bspmv {
+
+class RunControl;
 
 /// Monotonic wall-clock stopwatch.
 class Timer {
@@ -30,30 +32,55 @@ class Timer {
   clock::time_point start_;
 };
 
-/// Result of a repeated-run measurement.
-struct MeasureResult {
-  double seconds_per_iter = 0.0;  ///< best (minimum) per-iteration time
-  double median_seconds = 0.0;    ///< median per-iteration time
-  double total_seconds = 0.0;     ///< wall time spent measuring
-  std::uint64_t iterations = 0;   ///< iterations actually executed
+/// One arm's per-batch times and their summary.
+struct Samples {
+  std::vector<double> seconds;   ///< seconds per call of each batch, run order
+  std::uint64_t iterations = 0;  ///< calls per batch
+  double min = 0.0;     ///< best batch: the paper's estimator
+  double median = 0.0;  ///< typical batch: what compare() ranks by
+  double iqr = 0.0;     ///< interquartile range: the noise compare() allows
 };
 
-/// Median of a non-empty sample (the mean of the two middle values when
-/// the count is even).
-double median_of(std::vector<double> xs);
+/// Samples over `seconds` (non-empty) with min, median and IQR filled in.
+/// Quartiles interpolate linearly between order statistics.
+Samples summarize(std::vector<double> seconds, std::uint64_t iterations = 0);
 
-/// Run `fn` exactly `iters` times (after `warmup` unmeasured runs) in
-/// `reps` back-to-back batches and report per-iteration statistics.
-/// Mirrors the paper's "100 consecutive SpMV operations" methodology.
-MeasureResult time_repeated(const std::function<void()>& fn, int iters,
-                            int reps = 3, int warmup = 2);
+/// Outcome of comparing two arms.
+enum class Verdict { kFaster, kSlower, kIndistinguishable };
 
-/// Adaptive measurement: grows the batch size until one batch takes at
-/// least `min_batch_seconds`, then reports per-iteration statistics over
-/// `reps` batches. Used by the profilers where per-call cost spans orders
-/// of magnitude.
-MeasureResult time_adaptive(const std::function<void()>& fn,
-                            double min_batch_seconds = 20e-3, int reps = 3);
+/// "faster", "slower" or "indistinguishable".
+const char* verdict_name(Verdict v);
+
+/// `a` against `b`: faster or slower only when the medians differ by
+/// more than the larger of the two IQRs, indistinguishable otherwise.
+Verdict compare(const Samples& a, const Samples& b);
+
+/// The timing primitive. Fill in the fields, then run() one arm or
+/// several; every call of an arm is one timed iteration.
+struct Measurement {
+  int batches = 3;  ///< timed batches per arm
+  int warmup = 1;   ///< unmeasured calls of each arm before its batches
+  /// Calls per batch; with min_batch_seconds > 0, the size to grow from.
+  std::uint64_t iterations = 1;
+  /// > 0: grow each arm's batch until one batch takes at least this
+  /// long. The growth batch that reaches it counts as the arm's first
+  /// batch; the remaining ones are interleaved.
+  double min_batch_seconds = 0.0;
+  /// Polled with check() before every batch, so a deadline or a cancel
+  /// stops the measurement between batches with the control's typed
+  /// error. Non-owning; nullptr disables.
+  RunControl* control = nullptr;
+  /// Called with the arm's index after each of its timed batches, off
+  /// the clock (a result check, a per-batch statistic).
+  std::function<void(std::size_t arm)> after_batch = nullptr;
+
+  /// Time `arms` batch by batch: batch b of every arm, in arm order,
+  /// before batch b + 1 of any.
+  std::vector<Samples> run(
+      const std::vector<std::function<void()>>& arms) const;
+  /// Time one arm.
+  Samples run(const std::function<void()>& fn) const;
+};
 
 /// Prevents the optimiser from discarding a computed value.
 template <class T>

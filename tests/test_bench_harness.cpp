@@ -13,6 +13,11 @@
 namespace bspmv::bench {
 namespace {
 
+// Three batches at min, 2·min and 4·min: median 2·min, IQR 1.5·min.
+Samples batches_from(double min) {
+  return summarize({min, 2.0 * min, 4.0 * min});
+}
+
 BenchConfig parse_args(std::vector<const char*> argv) {
   argv.insert(argv.begin(), "prog");
   CliParser cli;
@@ -67,15 +72,17 @@ TEST(SweepCacheTest, PersistsAcrossInstances) {
   {
     SweepCache c(path, /*disabled=*/false);
     EXPECT_FALSE(c.get("a/b").has_value());
-    c.put("a/b", 1.5e-3);
-    c.put("a/c", 2.5e-3);
+    c.put("a/b", batches_from(1.5e-3));
+    c.put("a/c", batches_from(2.5e-3));
     c.save();
   }
   {
     SweepCache c(path, false);
     ASSERT_TRUE(c.get("a/b").has_value());
-    EXPECT_DOUBLE_EQ(*c.get("a/b"), 1.5e-3);
-    EXPECT_DOUBLE_EQ(*c.get("a/c"), 2.5e-3);
+    EXPECT_DOUBLE_EQ(c.get("a/b")->min, 1.5e-3);
+    EXPECT_DOUBLE_EQ(c.get("a/b")->median, 3.0e-3);
+    EXPECT_DOUBLE_EQ(c.get("a/b")->iqr, 2.25e-3);
+    EXPECT_DOUBLE_EQ(c.get("a/c")->min, 2.5e-3);
   }
   std::remove(path.c_str());
 }
@@ -84,7 +91,7 @@ TEST(SweepCacheTest, DisabledCacheStoresNothing) {
   const std::string path = ::testing::TempDir() + "/bspmv_sweep_off.json";
   std::remove(path.c_str());
   SweepCache c(path, /*disabled=*/true);
-  c.put("k", 1.0);
+  c.put("k", batches_from(1.0));
   c.save();
   EXPECT_FALSE(c.get("k").has_value());
   std::ifstream f(path);
@@ -99,10 +106,10 @@ TEST(SweepCacheTest, CorruptFileIsIgnoredNotFatal) {
   }
   SweepCache c(path, false);
   EXPECT_FALSE(c.get("anything").has_value());
-  c.put("k", 2.0);
+  c.put("k", batches_from(2.0));
   c.save();  // must be able to overwrite the corrupt file
   SweepCache c2(path, false);
-  EXPECT_DOUBLE_EQ(*c2.get("k"), 2.0);
+  EXPECT_DOUBLE_EQ(c2.get("k")->min, 2.0);
   std::remove(path.c_str());
 }
 
@@ -111,7 +118,7 @@ TEST(SweepCacheTest, TornWriteIsDetectedByChecksumAndIgnored) {
   std::remove(path.c_str());
   {
     SweepCache c(path, false);
-    c.put("a/b", 3.5e-3);
+    c.put("a/b", batches_from(3.5e-3));
     c.save();
   }
   // Simulate a kill mid-write with no atomic protocol: truncate the
@@ -128,10 +135,28 @@ TEST(SweepCacheTest, TornWriteIsDetectedByChecksumAndIgnored) {
   // discarded — the bench re-measures instead of using half a cache.
   SweepCache c(path, false);
   EXPECT_FALSE(c.get("a/b").has_value());
-  c.put("a/b", 4.5e-3);
+  c.put("a/b", batches_from(4.5e-3));
   c.save();
   SweepCache c2(path, false);
-  EXPECT_DOUBLE_EQ(*c2.get("a/b"), 4.5e-3);
+  EXPECT_DOUBLE_EQ(c2.get("a/b")->min, 4.5e-3);
+  std::remove(path.c_str());
+}
+
+TEST(SweepCacheTest, SchemaTwoFileIsIgnoredAndRemeasured) {
+  // A schema-2 cache held one bare minimum per key, with no median or
+  // IQR for compare(): it must be ignored, not half-read.
+  const std::string path = ::testing::TempDir() + "/bspmv_sweep_v2.json";
+  {
+    std::ofstream f(path);
+    f << "{\"__schema_version\": 2, \"a/b\": 1.5e-3}";
+  }
+  SweepCache c(path, false);
+  EXPECT_FALSE(c.get("a/b").has_value());
+  c.put("a/b", batches_from(2.5e-3));
+  c.save();
+  SweepCache c2(path, false);
+  EXPECT_DOUBLE_EQ(c2.get("a/b")->min, 2.5e-3);
+  EXPECT_DOUBLE_EQ(c2.get("a/b")->median, 5.0e-3);
   std::remove(path.c_str());
 }
 
@@ -141,8 +166,10 @@ TEST(BestPerFormat, TakesMinimumAcrossShapes) {
       Candidate{FormatKind::kBcsr, BlockShape{2, 2}, 0, Impl::kScalar},
       Candidate{FormatKind::kBcsr, BlockShape{4, 1}, 0, Impl::kScalar},
   };
-  const std::map<std::string, double> secs = {
-      {"csr_scalar", 3.0}, {"bcsr_2x2_scalar", 2.0}, {"bcsr_4x1_scalar", 1.0}};
+  const std::map<std::string, Samples> secs = {
+      {"csr_scalar", batches_from(3.0)},
+      {"bcsr_2x2_scalar", batches_from(2.0)},
+      {"bcsr_4x1_scalar", batches_from(1.0)}};
   const auto best = best_per_format(cands, secs);
   EXPECT_DOUBLE_EQ(best.at(FormatKind::kCsr), 3.0);
   EXPECT_DOUBLE_EQ(best.at(FormatKind::kBcsr), 1.0);
@@ -152,7 +179,8 @@ TEST(BestPerFormat, SkipsUnmeasuredCandidates) {
   const std::vector<Candidate> cands = {
       Candidate{},
       Candidate{FormatKind::kVbl, BlockShape{1, 1}, 0, Impl::kScalar}};
-  const std::map<std::string, double> secs = {{"csr_scalar", 1.0}};
+  const std::map<std::string, Samples> secs = {
+      {"csr_scalar", batches_from(1.0)}};
   const auto best = best_per_format(cands, secs);
   EXPECT_EQ(best.count(FormatKind::kVbl), 0u);
 }
@@ -171,11 +199,14 @@ TEST(SweepMatrix, UsesAndFillsCache) {
   SweepCache cache(path, false);
   const auto first = sweep_matrix(a, 99, cands, cfg, cache);
   ASSERT_EQ(first.size(), 2u);
-  for (const auto& [id, t] : first) EXPECT_GT(t, 0.0) << id;
+  for (const auto& [id, t] : first) EXPECT_GT(t.min, 0.0) << id;
   // Second call must return identical (cached) numbers.
   const auto second = sweep_matrix(a, 99, cands, cfg, cache);
-  for (const auto& [id, t] : first)
-    EXPECT_DOUBLE_EQ(second.at(id), t) << id;
+  for (const auto& [id, t] : first) {
+    EXPECT_DOUBLE_EQ(second.at(id).min, t.min) << id;
+    EXPECT_DOUBLE_EQ(second.at(id).median, t.median) << id;
+    EXPECT_DOUBLE_EQ(second.at(id).iqr, t.iqr) << id;
+  }
   std::remove(path.c_str());
 }
 

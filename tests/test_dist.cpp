@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -406,18 +407,77 @@ TEST(DistSpmvFault, FailedRunLeavesNoStaleReply) {
     expect_same_bits(y, want, "run after a corrupt halo frame");
   }
   {
-    // Rank 1 stalls past rank 0's wire timeout: rank 0 reports a typed
-    // timeout, and nothing the stall leaves behind may pass as a result.
+    // Rank 1 stalls past rank 0's wire timeout and past the collect
+    // grace (1.5·T + 0.5 s = 2 s): rank 0 reports a typed timeout, rank 1
+    // is killed, and nothing the stall leaves behind may pass as a result.
     opt.timeout_seconds = 1.0;
     DistSpmv d(a, opt);
     FaultMsg f;
     f.kind = FaultKind::kStallAtIteration;
     f.at_iteration = 0;
-    f.seconds = 2.0 * opt.timeout_seconds;
+    f.seconds = 3.0 * opt.timeout_seconds;
     d.inject_fault(1, f);
     EXPECT_THROW(d.run(x_fault.data(), y.data()), timeout_error);
     for (int k = 0; k < 3; ++k)
       EXPECT_THROW(d.run(x_next.data(), y.data()), error) << "later run " << k;
+  }
+}
+
+TEST(DistSpmvFault, StalledRanksShareOneCollectDeadline) {
+  // Ranks 1 and 2 stall 4·T. The collect grace runs from the start of
+  // the collect for all ranks, so the failed run ends one grace in, not
+  // one grace per stalled rank read in turn.
+  const Csr<double> a = test_matrix(96, 96, 0.15, 31);
+  DistOptions opt;
+  opt.ranks = 3;
+  opt.timeout_seconds = 1.0;
+  const double grace = 1.5 * opt.timeout_seconds + 0.5;
+  const auto x = random_x<double>(a.cols(), 4);
+  aligned_vector<double> y(static_cast<std::size_t>(a.rows()), 0.0);
+  DistSpmv d(a, opt);
+  for (int r : {1, 2}) {
+    FaultMsg f;
+    f.kind = FaultKind::kStallAtIteration;
+    f.at_iteration = 0;
+    f.seconds = 4.0 * opt.timeout_seconds;
+    d.inject_fault(r, f);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(d.run(x.data(), y.data()), timeout_error);
+  const double took =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_LT(took, grace + 0.5);
+}
+
+TEST(DistSpmvFault, UnsupervisedRunHealsAfterStallThatKilledNoRank) {
+  // Rank 1 stalls past rank 0's wire timeout T but replies inside the
+  // collect grace, so no rank is killed; its halo frame reaches rank 0
+  // after rank 0 gave up on it. The failed run drains that frame, so
+  // later runs must not read it as a stale-epoch frame.
+  const Csr<double> a = test_matrix(64, 64, 0.15, 33);
+  DistOptions opt;
+  opt.ranks = 2;
+  opt.timeout_seconds = 1.0;
+  const auto x_fault = random_x<double>(a.cols(), 5);
+  const auto x_next = random_x<double>(a.cols(), 6);
+  const std::size_t rows = static_cast<std::size_t>(a.rows());
+  aligned_vector<double> want(rows, 0.0), y(rows, 0.0);
+  {
+    DistSpmv clean(a, opt);
+    clean.run(x_next.data(), want.data());
+  }
+  DistSpmv d(a, opt);
+  FaultMsg f;
+  f.kind = FaultKind::kStallAtIteration;
+  f.at_iteration = 0;
+  f.seconds = 1.4 * opt.timeout_seconds;  // between T and the 2 s grace
+  d.inject_fault(1, f);
+  EXPECT_THROW(d.run(x_fault.data(), y.data()), timeout_error);
+  for (int k = 0; k < 3; ++k) {
+    std::fill(y.begin(), y.end(), 0.0);
+    d.run(x_next.data(), y.data());
+    expect_same_bits(y, want, "run " + std::to_string(k) + " after the stall");
   }
 }
 

@@ -186,10 +186,10 @@ TEST(SpmvEngine, MeasureReturnsPositiveSeconds) {
   opt.warmup = 0;
   const auto plain = SpmvEngine<double>::prepare(
       a, Candidate{FormatKind::kCsr, BlockShape{1, 1}, 0, Impl::kScalar});
-  EXPECT_GT(plain.measure(opt), 0.0);
+  EXPECT_GT(plain.measure(opt).min, 0.0);
   const auto threaded = SpmvEngine<double>::prepare(
       a, Candidate{FormatKind::kCsr, BlockShape{1, 1}, 0, Impl::kScalar}, 2);
-  EXPECT_GT(threaded.measure(opt), 0.0);
+  EXPECT_GT(threaded.measure(opt).min, 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -240,7 +240,7 @@ TEST(SpmvEngine, MeasureWithNumericGuardPassesOnCleanMatrix) {
     opt.reps = 2;
     opt.warmup = 0;  // the guard must force its own reference run
     opt.check_numerics = true;
-    EXPECT_GT(engine.measure(opt), 0.0) << "threads=" << threads;
+    EXPECT_GT(engine.measure(opt).min, 0.0) << "threads=" << threads;
   }
 }
 

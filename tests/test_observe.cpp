@@ -323,6 +323,44 @@ TEST_F(ObserveTest, BuildRunReportEndToEnd) {
   }
 }
 
+TEST_F(ObserveTest, BuildRunReportDistSectionNeverMatchesADeadHeat) {
+  // Both modes are timed through one interleaved Measurement; the winner
+  // is compare()'s verdict, and "indistinguishable" matches no
+  // prediction.
+  const Csr<double> a = Csr<double>::from_coo(
+      random_blocky_coo<double>(96, 96, 3, 0.4, 0.9, 8));
+  ReportOptions opt;
+  opt.measure.iterations = 1;
+  opt.measure.reps = 1;
+  opt.measure.warmup = 0;
+  opt.threads = 1;
+  opt.dist_ranks = 2;
+  opt.dist_iterations = 2;
+  const RunReport r = build_run_report(a, "unit", synthetic_profile(), opt);
+
+  ASSERT_TRUE(r.dist.enabled);
+  ASSERT_EQ(r.dist.modes.size(), 2u);
+  EXPECT_EQ(r.dist.modes[0].mode, "naive");
+  EXPECT_EQ(r.dist.modes[1].mode, "overlap");
+  for (const DistModeReport& m : r.dist.modes) {
+    EXPECT_GT(m.measured_seconds, 0.0) << m.mode;
+    EXPECT_EQ(m.rank_samples.size(), 2u) << m.mode;
+  }
+  const std::string& got = r.dist.measured_mode;
+  EXPECT_TRUE(got == "naive" || got == "overlap" ||
+              got == "indistinguishable")
+      << got;
+  EXPECT_EQ(r.dist.model_match, got == r.dist.predicted_mode);
+  if (got == "indistinguishable") {
+    EXPECT_FALSE(r.dist.model_match);
+  }
+
+  const Json j = r.to_json();
+  EXPECT_EQ(j.at("schema_version").as_number(), 5.0);
+  EXPECT_NO_THROW(validate_report_json(j));
+  EXPECT_EQ(RunReport::from_json(j).to_json(), j);
+}
+
 TEST_F(ObserveTest, RunReportScansEachBlockingOnce) {
   // Every model's selection and the prepared OVERLAP order are ranked
   // from one set of structural scans: 19 BCSR shapes + 7 BCSD sizes.

@@ -1,7 +1,7 @@
 // Unit tests for the resilient-execution substrate: RunControl
 // (deadline / cancellation / heartbeat), the Watchdog, the crash-safe
-// atomic_write_file + checksum reader, the MAD-based robust sampler and
-// the numeric health guards. The engine integration is covered by
+// atomic_write_file + checksum reader, the Measurement timing primitive
+// and the numeric health guards. The engine integration is covered by
 // test_engine and test_fault_injection.
 #include <gtest/gtest.h>
 
@@ -9,14 +9,16 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "src/profile/sampling.hpp"
 #include "src/util/atomic_file.hpp"
 #include "src/util/errors.hpp"
 #include "src/util/numerics.hpp"
 #include "src/util/run_control.hpp"
+#include "src/util/timing.hpp"
 
 namespace bspmv {
 namespace {
@@ -298,68 +300,137 @@ TEST(AtomicFile, Crc32MatchesKnownVector) {
 }
 
 // ---------------------------------------------------------------------
-// robust_samples
+// Measurement
 // ---------------------------------------------------------------------
 
-TEST(RobustSamples, CleanDrawsNeedNoRetries) {
-  SamplePolicy policy;
-  policy.min_samples = 4;
-  policy.backoff_seconds = 0;
+TEST(Measurement, FixedBatchesCountEveryCall) {
   int calls = 0;
-  const SampleStats s =
-      robust_samples([&] { ++calls; return 1.0; }, policy);
-  EXPECT_EQ(calls, 4);
-  EXPECT_EQ(s.retries, 0);
-  EXPECT_EQ(s.rejected, 0);
-  EXPECT_EQ(s.accepted, 4);
-  EXPECT_DOUBLE_EQ(s.best, 1.0);
-  EXPECT_DOUBLE_EQ(s.median, 1.0);
+  const Measurement m{.batches = 3, .warmup = 2, .iterations = 10};
+  const Samples s = m.run([&] { ++calls; });
+  EXPECT_EQ(calls, 2 + 3 * 10);
+  EXPECT_EQ(s.iterations, 10u);
+  ASSERT_EQ(s.seconds.size(), 3u);
+  EXPECT_GE(s.min, 0.0);
+  EXPECT_LE(s.min, s.median);
+  EXPECT_GE(s.iqr, 0.0);
 }
 
-TEST(RobustSamples, OneOutlierIsRejectedAndReplaced) {
-  SamplePolicy policy;
-  policy.min_samples = 3;
-  policy.max_retries = 3;
-  policy.backoff_seconds = 0;
-  // Draw sequence: two clean, one wild (a page-fault spike), then clean.
-  const std::vector<double> draws = {1.0, 1.01, 50.0, 0.99, 1.02};
-  std::size_t i = 0;
-  const SampleStats s = robust_samples(
-      [&] { return draws[std::min(i++, draws.size() - 1)]; }, policy);
-  EXPECT_GE(s.retries, 1);
-  EXPECT_GE(s.rejected, 1);
-  EXPECT_GE(s.accepted, 3);
-  EXPECT_LT(s.best, 1.5);   // the spike never becomes the estimate
-  EXPECT_LT(s.median, 1.5);
+TEST(Measurement, GrowsBatchToMinimumTime) {
+  std::uint64_t calls = 0;
+  const Measurement m{.batches = 2, .warmup = 0, .min_batch_seconds = 2e-3};
+  const Samples s = m.run([&] {
+    ++calls;
+    do_not_optimize(calls);
+  });
+  ASSERT_EQ(s.seconds.size(), 2u);
+  EXPECT_GT(s.iterations, 1u);  // grew beyond one call per batch
+  // The kept growth batch reached the minimum time, and both timed
+  // batches ran at the grown size (plus the dropped growth batches).
+  EXPECT_GE(s.seconds.front() * static_cast<double>(s.iterations), 2e-3);
+  EXPECT_GT(calls, 2 * s.iterations);
 }
 
-TEST(RobustSamples, SurvivorsWinWhenRetriesExhaust) {
-  SamplePolicy policy;
-  policy.min_samples = 3;
-  policy.max_retries = 2;
-  policy.backoff_seconds = 0;
-  // Bimodal garbage: every round keeps producing outliers.
-  int i = 0;
-  const SampleStats s =
-      robust_samples([&] { return (i++ % 2 == 0) ? 1.0 : 100.0; }, policy);
-  EXPECT_EQ(s.retries, 2);
-  EXPECT_GE(s.accepted, 1);  // degraded estimate, but an estimate
-  EXPECT_DOUBLE_EQ(s.best, 1.0);
+TEST(Measurement, InterleavesArmsBatchByBatch) {
+  std::string order;
+  std::string hooks;
+  Measurement m{.batches = 3, .warmup = 1, .iterations = 2};
+  m.after_batch = [&](std::size_t arm) {
+    hooks += static_cast<char>('0' + arm);
+  };
+  const std::vector<Samples> s =
+      m.run({[&] { order += 'a'; }, [&] { order += 'b'; }});
+  // Warm-up of each arm, then batch b of every arm before batch b + 1.
+  EXPECT_EQ(order, "ab" "aabb" "aabb" "aabb");
+  EXPECT_EQ(hooks, "010101");
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s[0].seconds.size(), 3u);
+  EXPECT_EQ(s[1].seconds.size(), 3u);
 }
 
-TEST(RobustSamples, HonoursCancellation) {
-  SamplePolicy policy;
-  policy.min_samples = 5;
+TEST(Measurement, SummarizesMinMedianAndIqr) {
+  const Samples even = summarize({4.0, 1.0, 3.0, 2.0}, 7);
+  EXPECT_EQ(even.seconds, (std::vector<double>{4.0, 1.0, 3.0, 2.0}));
+  EXPECT_EQ(even.iterations, 7u);
+  EXPECT_DOUBLE_EQ(even.min, 1.0);
+  EXPECT_DOUBLE_EQ(even.median, 2.5);
+  EXPECT_DOUBLE_EQ(even.iqr, 3.25 - 1.75);
+
+  const Samples odd = summarize({5.0, 1.0, 3.0});
+  EXPECT_DOUBLE_EQ(odd.median, 3.0);
+  EXPECT_DOUBLE_EQ(odd.iqr, 4.0 - 2.0);
+
+  const Samples one = summarize({2.0});
+  EXPECT_DOUBLE_EQ(one.min, 2.0);
+  EXPECT_DOUBLE_EQ(one.median, 2.0);
+  EXPECT_DOUBLE_EQ(one.iqr, 0.0);
+}
+
+TEST(Measurement, CompareReturnsEveryVerdict) {
+  auto arm = [](double median, double iqr) {
+    Samples s;
+    s.median = median;
+    s.iqr = iqr;
+    return s;
+  };
+  const Samples a = arm(1.0, 0.1);
+  const Samples b = arm(1.5, 0.2);
+  EXPECT_EQ(compare(a, b), Verdict::kFaster);
+  EXPECT_EQ(compare(b, a), Verdict::kSlower);
+  // Inside the larger IQR, either way round.
+  EXPECT_EQ(compare(a, arm(1.05, 0.0)), Verdict::kIndistinguishable);
+  EXPECT_EQ(compare(arm(1.05, 0.0), a), Verdict::kIndistinguishable);
+  EXPECT_EQ(compare(a, arm(1.3, 0.4)), Verdict::kIndistinguishable);
+  // A gap of exactly the floor does not clear it.
+  EXPECT_EQ(compare(arm(1.0, 0.5), arm(1.5, 0.25)),
+            Verdict::kIndistinguishable);
+  // With no observed spread any gap counts; no gap never does.
+  EXPECT_EQ(compare(arm(1.0, 0.0), arm(1.001, 0.0)), Verdict::kFaster);
+  EXPECT_EQ(compare(a, a), Verdict::kIndistinguishable);
+  EXPECT_STREQ(verdict_name(Verdict::kFaster), "faster");
+  EXPECT_STREQ(verdict_name(Verdict::kSlower), "slower");
+  EXPECT_STREQ(verdict_name(Verdict::kIndistinguishable),
+               "indistinguishable");
+}
+
+TEST(Measurement, CancelBetweenBatchesThrowsTypedError) {
   RunControl rc;
   int calls = 0;
-  EXPECT_THROW(robust_samples(
-                   [&] {
-                     if (++calls == 2) rc.request_cancel();
-                     return 1.0;
-                   },
-                   policy, &rc),
+  const Measurement m{.batches = 5, .warmup = 0, .control = &rc};
+  EXPECT_THROW(m.run([&] {
+                 if (++calls == 3) rc.request_cancel("stop after batch 3");
+               }),
                cancelled_error);
-  EXPECT_LT(calls, 5);
+  EXPECT_EQ(calls, 3);  // batch 4's poll threw; no call ran after it
+}
+
+TEST(Measurement, WatchdogDeadlineStopsBetweenBatches) {
+  // The Watchdog thread trips the control while the arm spins; the
+  // primitive's poll before the next batch surfaces the typed error.
+  RunControl rc;
+  rc.set_deadline(0.05);
+  Watchdog wd(rc, 0.005);
+  std::uint64_t calls = 0;
+  const Measurement m{.batches = 1 << 30, .warmup = 0, .iterations = 64,
+                      .control = &rc};
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(m.run([&] { do_not_optimize(++calls); }), timeout_error);
+  EXPECT_EQ(rc.reason(), AbortReason::kDeadline);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            2.0);
+}
+
+TEST(Measurement, RejectsBadArguments) {
+  auto fn = [] {};
+  EXPECT_THROW(Measurement{.batches = 0}.run(fn), invalid_argument_error);
+  EXPECT_THROW(Measurement{.warmup = -1}.run(fn), invalid_argument_error);
+  EXPECT_THROW(Measurement{.iterations = 0}.run(fn), invalid_argument_error);
+  EXPECT_THROW(Measurement{.min_batch_seconds = -1.0}.run(fn),
+               invalid_argument_error);
+  EXPECT_THROW(Measurement{}.run(std::vector<std::function<void()>>{}),
+               invalid_argument_error);
+  EXPECT_THROW(summarize({}), invalid_argument_error);
 }
 
 // ---------------------------------------------------------------------

@@ -92,27 +92,6 @@ TEST(Timing, TimerMeasuresNonNegative) {
   EXPECT_GE(t.elapsed(), 0.0);
 }
 
-TEST(Timing, TimeRepeatedCountsIterations) {
-  int calls = 0;
-  const auto r = time_repeated([&] { ++calls; }, 10, 3, 2);
-  EXPECT_EQ(calls, 10 * 3 + 2);
-  EXPECT_EQ(r.iterations, 30u);
-  EXPECT_GE(r.seconds_per_iter, 0.0);
-  EXPECT_GE(r.median_seconds, r.seconds_per_iter);
-}
-
-TEST(Timing, TimeAdaptiveGrowsBatch) {
-  int calls = 0;
-  const auto r = time_adaptive([&] { ++calls; }, 1e-3, 2);
-  EXPECT_GT(calls, 2);  // must have grown beyond one call per batch
-  EXPECT_GT(r.iterations, 2u);
-}
-
-TEST(Timing, RejectsBadArguments) {
-  EXPECT_THROW(time_repeated([] {}, 0), invalid_argument_error);
-  EXPECT_THROW(time_adaptive([] {}, -1.0), invalid_argument_error);
-}
-
 // --------------------------------------------------------------- CLI ----
 
 TEST(Cli, ParsesOptionsAndFlags) {

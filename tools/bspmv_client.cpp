@@ -70,12 +70,10 @@ int run_bench(const std::string& socket, std::int64_t n, int iters) {
   const SubmitReply hit = client.submit(a);
   const double hit_s = t_hit.elapsed();
 
-  double spmv_best = 1e300;
-  for (int i = 0; i < iters; ++i) {
-    Timer t;
-    client.spmv(cold.fingerprint, x);
-    spmv_best = std::min(spmv_best, t.elapsed());
-  }
+  const double spmv_best =
+      Measurement{.batches = iters, .warmup = 0}
+          .run([&] { client.spmv(cold.fingerprint, x); })
+          .min;
 
   const Json stats = client.stats();
   Json::Object o;
