@@ -22,8 +22,12 @@
 // per-task scheduling fee parallel_overhead charges (docs/models.md).
 //
 // The select/ group times one OVERLAP ranking of the exec group's band
-// and R-MAT matrices: 26 structural scans, run as tasks on the shared
-// pool, then 106 predictions (docs/models.md, "Selection cost").
+// and R-MAT matrices: 26 blockings counted in 8 fused scans, one per band
+// height, run as row-chunk tasks on the shared pool, then 106
+// predictions (docs/models.md, "Selection cost"). The prepare/convert/
+// group times one conversion to a blocked format on the same pool, its
+// size and fill passes split into row chunks: bcsr_dec_3x1 on the band
+// matrix and bcsd_dec_2 on the R-MAT (docs/models.md, "Conversion cost").
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -142,9 +146,9 @@ const MachineProfile& flat_profile() {
   return p;
 }
 
-void run_rank(benchmark::State& state, const Csr<double>& a) {
-  // The ranking's pool may be new here: the same untimed thread warm-up
-  // as run_backend, once per process.
+// The set-up pool may be new here: the same untimed thread warm-up as
+// run_backend, once per process, ranking `a`.
+void warm_setup_pool(const Csr<double>& a) {
   static bool warm = false;
   if (!warm) {
     warm = true;
@@ -152,9 +156,21 @@ void run_rank(benchmark::State& state, const Csr<double>& a) {
     while (std::chrono::steady_clock::now() < end)
       (void)rank_candidates(ModelKind::kOverlap, a, flat_profile());
   }
+}
+
+void run_rank(benchmark::State& state, const Csr<double>& a) {
+  warm_setup_pool(a);
   for (auto _ : state)
     benchmark::DoNotOptimize(
         rank_candidates(ModelKind::kOverlap, a, flat_profile()));
+}
+
+void run_convert(benchmark::State& state, const Csr<double>& a,
+                 const Candidate& c) {
+  warm_setup_pool(a);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(AnyFormat<double>::convert(a, c));
+  state.counters["nnz"] = static_cast<double>(a.nnz());
 }
 
 const char* schedule_label(ExecBackend b) {
@@ -229,6 +245,23 @@ void register_all() {
         ->Unit(benchmark::kMillisecond)
         ->MinTime(0.10)
         ->UseRealTime();
+  const Candidate bcsd_dec{FormatKind::kBcsdDec, BlockShape{1, 1}, 2,
+                           Impl::kScalar};
+  for (bool skewed : {false, true}) {
+    const Candidate c = skewed ? bcsd_dec : Candidate{FormatKind::kBcsrDec,
+                                                      BlockShape{3, 1}, 0,
+                                                      Impl::kScalar};
+    benchmark::RegisterBenchmark(
+        (std::string("prepare/convert/") +
+         (skewed ? "rmat_skewed/" : "band_balanced/") + c.id())
+            .c_str(),
+        [skewed, c](benchmark::State& s) {
+          run_convert(s, skewed ? skewed_matrix() : shared_matrix(), c);
+        })
+        ->Unit(benchmark::kMillisecond)
+        ->MinTime(0.10)
+        ->UseRealTime();
+  }
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 #     that a Watchdog thread writes;
 #   - test_schedule: the threaded driver's TaskPool — packed-cursor
 #     owner/thief races, epoch dispatch and parking, stealing, the
-#     busy-pool inline fallback — and the stealing parity/stress cases
+#     busy-pool inline fallback, and TaskPool.SharedPoolInForkedChildRunsInline,
+#     whose forked child gets a threadless shared pool (it starts no
+#     thread, which TSan allows) — and the stealing parity/stress cases
 #     (docs/tasking.md);
 #   - test_parallel, test_engine, test_partition_edges, test_spmm: the
 #     threaded parity suites (every parallel format × schedule × thread
@@ -27,11 +29,16 @@
 #     interior owned ranges. The fork-based DistSpmv cases stay out (TSan's
 #     runtime does not survive multi-threaded fork() children);
 #   - test_working_set, CandidateCost cases: the ranking's structural
-#     scans, one task per blocking on the shared TaskPool with
-#     caller-owned per-slot scratch — parity with single-candidate
-#     costing, four concurrent rankings, and a ranking from inside a
-#     running pool task (the busy-pool inline path);
+#     scans, one fused scan per band height and row chunk on the shared
+#     TaskPool with caller-owned per-slot scratch — parity with
+#     single-candidate costing (chunk-edge row counts included), four
+#     concurrent rankings, and a ranking from inside a running pool task
+#     (the busy-pool inline path);
 #   - test_stats, StatsScratch cases: the scratch those scans reuse;
+#     Conversion and Tiny/ConversionOnSuite cases: every blocked
+#     conversion's size and fill passes as row-chunk tasks on the shared
+#     pool, array for array against the same conversion run inline in a
+#     busy pool;
 #   - test_dist_recovery, fork-free supervisor paths only: the
 #     epoch-consistency rejection across two in-process exchange
 #     endpoints (DistCommEpoch — a real two-thread wire race), plus the
@@ -68,5 +75,5 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
 ctest --test-dir "$build_dir" --output-on-failure --timeout 600 \
   -j "$(nproc)" \
-  -R '^(RunControl|Watchdog|AtomicFile|Measurement|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskSchedule|TaskGraph|Threads/TaskGraphParity|Partition|PartitionEdges|Threads/ThreadedParity|ThreadedSpmvEdge|SpmvEngine|Threads/SpmmParity|SpmmAllFormats|SpmmEngine|SpmmSmoke|CsrWalk|DecFused|HaloDecFormat|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel|CandidateCost|StatsScratch|Server|AdmissionQueue|EngineCache)\.' \
+  -R '^(RunControl|Watchdog|AtomicFile|Measurement|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskSchedule|TaskGraph|Threads/TaskGraphParity|Partition|PartitionEdges|Threads/ThreadedParity|ThreadedSpmvEdge|SpmvEngine|Threads/SpmmParity|SpmmAllFormats|SpmmEngine|SpmmSmoke|CsrWalk|DecFused|HaloDecFormat|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel|CandidateCost|StatsScratch|Conversion|Tiny/ConversionOnSuite|Server|AdmissionQueue|EngineCache)\.' \
   "$@"

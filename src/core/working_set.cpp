@@ -4,11 +4,9 @@
 #include <exception>
 #include <map>
 #include <span>
-#include <thread>
 
 #include "src/formats/decomposed.hpp"
 #include "src/formats/ubcsr.hpp"
-#include "src/parallel/task_pool.hpp"
 #include "src/util/macros.hpp"
 
 namespace bspmv {
@@ -54,9 +52,10 @@ std::size_t bcsd_arrays_bytes(const BlockStats& st, index_t rows, int b) {
          (segs + 1) * kIdx + segs * kIdx;
 }
 
-// Structural scans shared across candidates: one pass per block shape
+// Structural scans shared across candidates: one count per blocking
 // serves the padded and decomposed variants and both impls. The cache
-// runs every pass its candidates need up front, so costing only reads it.
+// counts every blocking its candidates need up front, so costing only
+// reads it.
 template <class V>
 struct StatsCache {
   std::map<std::pair<int, int>, BlockingStats> bcsr;
@@ -70,73 +69,42 @@ struct StatsCache {
   const BlockingStats& get_bcsd(int b) const { return bcsd.at(b); }
 };
 
-// One blocking's pass: BCSR when b == 0, else BCSD of length b.
-struct Scan {
-  BlockingStats* out;
-  BlockShape shape;
-  int b;
-};
-
-template <class V>
-void run_scan(const Csr<V>& a, const Scan& s, detail::ScanScratch& scratch) {
-  *s.out = s.b == 0 ? detail::bcsr_blocking_stats(a, s.shape, scratch)
-                    : detail::bcsd_blocking_stats(a, s.b, scratch);
-}
-
-// The passes as one stealing pool job: a task per pass, run in the
-// scratch of the slot that takes it.
-template <class V>
-class ScanJob final : public TaskPool::Job {
- public:
-  ScanJob(const Csr<V>& a, std::span<const Scan> scans,
-          std::span<detail::ScanScratch> scratch)
-      : a_(a), scans_(scans), scratch_(scratch), home_(scratch.size() + 1) {
-    for (std::size_t w = 0; w < home_.size(); ++w)
-      home_[w] = static_cast<std::uint32_t>(scans.size() * w /
-                                            scratch.size());
-  }
-
-  std::span<const std::uint32_t> home() const override { return home_; }
-  bool steal() const override { return true; }
-  std::size_t run_task(std::uint32_t task, int worker) override {
-    run_scan(a_, scans_[task], scratch_[static_cast<std::size_t>(worker)]);
-    return 1;
-  }
-  void finish(std::span<const TaskPool::WorkerLoad>) override {}
-
- private:
-  const Csr<V>& a_;
-  std::span<const Scan> scans_;
-  std::span<detail::ScanScratch> scratch_;
-  std::vector<std::uint32_t> home_;
-};
-
 template <class V>
 StatsCache<V>::StatsCache(const Csr<V>& a,
                           std::span<const Candidate> candidates) {
-  std::vector<Scan> scans;
   for (const Candidate& c : candidates) {
-    if (c.kind == FormatKind::kBcsr || c.kind == FormatKind::kBcsrDec) {
-      auto [it, fresh] = bcsr.try_emplace({c.shape.r, c.shape.c});
-      if (fresh) scans.push_back(Scan{&it->second, c.shape, 0});
-    } else if (c.kind == FormatKind::kBcsd || c.kind == FormatKind::kBcsdDec) {
-      auto [it, fresh] = bcsd.try_emplace(c.b);
-      if (fresh) scans.push_back(Scan{&it->second, BlockShape{}, c.b});
-    }
+    if (c.kind == FormatKind::kBcsr || c.kind == FormatKind::kBcsrDec)
+      bcsr.try_emplace({c.shape.r, c.shape.c});
+    else if (c.kind == FormatKind::kBcsd || c.kind == FormatKind::kBcsdDec)
+      bcsd.try_emplace(c.b);
   }
-  if (scans.size() < 2) {
-    detail::ScanScratch scratch;
-    for (const Scan& s : scans) run_scan(a, s, scratch);
-    return;
+  // Two or more blockings of at most kMaxBlockElems elements are counted
+  // by fused scans, one per band height, on the shared pool; a lone
+  // blocking, or a larger one, is scanned on its own on this thread.
+  const bool fuse = bcsr.size() + bcsd.size() >= 2;
+  detail::HeightPlan plan{};
+  for (auto& [shape, st] : bcsr) {
+    const auto [r, c] = shape;
+    if (fuse && r >= 1 && c >= 1 && r * c <= kMaxBlockElems)
+      plan[static_cast<std::size_t>(r - 1)].bcsr |= 1u << (c - 1);
+    else
+      st = bcsr_blocking_stats(a, BlockShape{r, c});
   }
-  // The pool's threads scan in buffers this thread allocates (and frees),
-  // so no scan leaves memory behind in a worker's malloc arena.
-  const auto pool = TaskPool::shared(
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
-  std::vector<detail::ScanScratch> scratch(
-      static_cast<std::size_t>(pool->workers()), detail::scan_scratch(a));
-  ScanJob<V> job(a, scans, scratch);
-  pool->run(job);
+  for (auto& [b, st] : bcsd) {
+    if (fuse && b >= 1 && b <= kMaxBlockElems)
+      plan[static_cast<std::size_t>(b - 1)].bcsd = true;
+    else
+      st = bcsd_blocking_stats(a, b);
+  }
+  if (!fuse) return;
+  const auto by_height = detail::height_stats(a, plan);
+  for (int h = 1; h <= kMaxBlockElems; ++h) {
+    const auto hi = static_cast<std::size_t>(h - 1);
+    for (int c = 1; c <= kMaxBlockElems; ++c)
+      if (plan[hi].bcsr >> (c - 1) & 1u)
+        bcsr[{h, c}] = by_height[hi].bcsr[static_cast<std::size_t>(c - 1)];
+    if (plan[hi].bcsd) bcsd[h] = by_height[hi].bcsd;
+  }
 }
 
 template <class V>

@@ -51,12 +51,13 @@ struct CandidateCost {
 template <class V>
 CandidateCost candidate_cost(const Csr<V>& a, const Candidate& c);
 
-/// Costs for all candidates, reusing shared statistics scans (the one scan
-/// for a given shape serves both the padded and decomposed variants and
-/// both impls). The distinct scans run first, one task each on
-/// TaskPool::shared(hardware_concurrency) (inline when that pool is busy);
-/// the result equals candidate_cost of each candidate. Not for forked
-/// children, whose shared pool's threads died at fork (docs/tasking.md).
+/// Costs for all candidates, reusing shared statistics (one count per
+/// blocking serves both the padded and decomposed variants and both
+/// impls). The distinct blockings are counted first, in fused scans of
+/// one band height each, as row-chunk tasks on
+/// TaskPool::shared(hardware_concurrency) (inline when that pool is busy,
+/// and in a forked child, whose shared pool has no threads); the result
+/// equals candidate_cost of each candidate (docs/tasking.md).
 template <class V>
 std::vector<CandidateCost> all_candidate_costs(
     const Csr<V>& a, const std::vector<Candidate>& candidates);

@@ -3,14 +3,18 @@
 //
 // The performance models (§IV) need, for every candidate (format, block)
 // pair: the number of blocks nb, the padding, and from those the working
-// set. One counting pass over CSR per block shape yields both the padded
-// and the decomposed layout, so ranking all 106 OVERLAP candidates costs
-// 26 passes and no conversion. The ranking runs the passes as tasks on
-// the shared TaskPool: 39–121 ms per `small` suite matrix of 1.2–2.5 M
-// nonzeros on a 4-vCPU Xeon VM, against 168–549 ms for the same passes
-// on one thread (docs/models.md, "Selection cost").
+// set. One count per blocking yields both the padded and the decomposed
+// layout, so ranking all 106 OVERLAP candidates counts 26 blockings and
+// converts nothing. The ranking counts every blocking of one band height
+// in one fused scan, 8 scans in all, run as (height, row chunk) tasks on
+// the shared TaskPool: 47–98 ms per `small` suite matrix of 1.2–2.5 M
+// nonzeros on a 4-vCPU Xeon VM, against 46–164 ms for one task per
+// blocking measured alternately with it (docs/models.md, "Selection
+// cost").
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -59,30 +63,59 @@ BlockingStats bcsd_blocking_stats(const Csr<V>& a, int b);
 
 namespace detail {
 
-/// The buffers a structural scan works in: the dense key counters (all
-/// zero between scans) and one band's distinct keys. A caller that runs
-/// many scans on several threads (the ranking, src/core/working_set.cpp)
-/// makes one per thread with scan_scratch on its own thread, so the scans
-/// themselves allocate nothing.
+/// The buffers a fused scan works in: the dense key counters (all zero
+/// between scans; 8 bits each, as they only need to tell "exactly the
+/// block size" from fewer and more) and the key lists of one band. A
+/// caller that runs scans on several threads (height_stats) makes one per
+/// pool slot with scan_scratch on its own thread, so the scans themselves
+/// allocate nothing.
 struct ScanScratch {
-  std::vector<std::uint32_t> count;
+  std::vector<std::uint8_t> count;
   std::vector<std::uint32_t> touched;
 };
 
-/// Scratch large enough for every blocking of `a` whose block dimensions
-/// are at most kMaxBlockElems: cols + kMaxBlockElems counters and the
-/// most nonzeros in any kMaxBlockElems consecutive rows.
-template <class V>
-ScanScratch scan_scratch(const Csr<V>& a);
+/// The blockings one fused scan of band height h counts: BCSR h×c for
+/// every c whose bit c - 1 is set in `bcsr` (h·c <= kMaxBlockElems), and
+/// BCSD of length h when `bcsd` is set.
+struct HeightBlockings {
+  unsigned bcsr = 0;
+  bool bcsd = false;
 
-/// bcsr_blocking_stats / bcsd_blocking_stats in `scratch`, which they
-/// leave zeroed (and grow if it is too small).
+  int size() const { return std::popcount(bcsr) + (bcsd ? 1 : 0); }
+};
+
+/// The blockings to count, by band height: plan[h - 1] for height h.
+using HeightPlan = std::array<HeightBlockings, kMaxBlockElems>;
+
+/// The counts of one height's blockings: bcsr[c - 1] for BCSR h×c.
+struct HeightStats {
+  std::array<BlockingStats, kMaxBlockElems> bcsr{};
+  BlockingStats bcsd;
+};
+
+/// Scratch for every fused scan of `plan` over `a`: for the height that
+/// needs most, one key counter array and one key list as long as its
+/// widest band per blocking, laid end to end.
 template <class V>
-BlockingStats bcsr_blocking_stats(const Csr<V>& a, BlockShape shape,
-                                  ScanScratch& scratch);
+ScanScratch scan_scratch(const Csr<V>& a, const HeightPlan& plan);
+
+/// Add the counts of every blocking of height h that `want` names over
+/// rows [lo, hi) of `a` to `out`; lo is a multiple of h, and hi is one
+/// too or the row count. `scratch` comes from scan_scratch for a plan
+/// naming these blockings: the scan neither grows it nor leaves a
+/// counter nonzero.
 template <class V>
-BlockingStats bcsd_blocking_stats(const Csr<V>& a, int b,
-                                  ScanScratch& scratch);
+void add_height_stats(const Csr<V>& a, int h, HeightBlockings want,
+                      std::size_t lo, std::size_t hi, ScanScratch& scratch,
+                      HeightStats& out);
+
+/// Every blocking `plan` names, counted as (height, row chunk) tasks on
+/// the shared TaskPool (inline on the caller when that pool is busy), in
+/// scratch this thread allocates; indexed by h - 1. The counts are those
+/// of bcsr_blocking_stats / bcsd_blocking_stats.
+template <class V>
+std::array<HeightStats, kMaxBlockElems> height_stats(const Csr<V>& a,
+                                                     const HeightPlan& plan);
 
 }  // namespace detail
 

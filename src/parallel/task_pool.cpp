@@ -6,6 +6,8 @@
 #include "src/util/macros.hpp"
 #include "src/util/timing.hpp"
 
+#include <unistd.h>
+
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
@@ -84,6 +86,13 @@ TaskPool::~TaskPool() {
 
 std::shared_ptr<TaskPool> TaskPool::shared(int workers) {
   BSPMV_CHECK_MSG(workers >= 1, "TaskPool needs at least one worker");
+  // The registry's pools belong to the process that built it: their
+  // threads do not survive fork(). A forked child gets a threadless pool
+  // of its own, which runs every job inline on the caller, instead of a
+  // pool whose dead workers would never take their home tasks. Checked
+  // before the lock, which a parent thread may have held at fork.
+  static const pid_t owner = getpid();
+  if (getpid() != owner) return std::make_shared<TaskPool>(1);
   static std::mutex reg_mu;
   // shared_ptr (not weak_ptr) on purpose: pools persist for the process.
   // If the registry dropped the last reference while an engine released

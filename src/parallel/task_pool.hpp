@@ -156,7 +156,9 @@ class TaskPool {
   /// Process-wide pool registry keyed by width: every engine asking for
   /// the same thread count shares one persistent pool (the serving
   /// daemon's "one pool, many engines" mode). Pools live until process
-  /// exit.
+  /// exit. Called in a process forked after the registry was built, it
+  /// returns a new pool of width 1 (no threads), so every job runs inline
+  /// on the caller; a job planned for a wider pool fails validation there.
   static std::shared_ptr<TaskPool> shared(int workers);
 
  private:

@@ -5,7 +5,8 @@
 // adversarial skew.
 //
 // Every thread here is a std::thread or a pool worker, so the
-// ThreadSanitizer job (scripts/run_tsan.sh) checks all of it.
+// ThreadSanitizer job (scripts/run_tsan.sh) checks all of it. One case
+// forks: its child starts no thread, which TSan allows.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,9 @@
 #include <functional>
 #include <thread>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "src/core/engine.hpp"
 #include "src/formats/registry.hpp"
@@ -238,6 +242,32 @@ TEST(TaskPool, SharedRegistryReturnsOnePoolPerWidth) {
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(a->workers(), 3);
   EXPECT_EQ(c->workers(), 2);
+}
+
+TEST(TaskPool, SharedPoolInForkedChildRunsInline) {
+  // A forked child inherits the shared registry but not its pools'
+  // threads. TaskPool::shared there must hand out a threadless pool, so a
+  // non-stealing job, whose home tasks only their own slot may take,
+  // still completes on the caller. Without that the child waits forever
+  // for dead workers, and its alarm kills it.
+  ASSERT_EQ(TaskPool::shared(4)->workers(), 4);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    alarm(5);
+    const auto pool = TaskPool::shared(4);
+    std::atomic<int> ran{0};
+    FnJob job(even_homes(8, pool->workers()),
+              [&](std::uint32_t, int) { ran.fetch_add(1); },
+              /*steal=*/false);
+    pool->run(job);
+    _exit(ran.load() == 8 && pool->workers() == 1 ? 0 : 2);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status))
+      << "child killed by signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST(TaskPool, RejectsOutOfRangeHome) {

@@ -139,7 +139,8 @@ TEST(CandidateCost, CachedCostsEqualUncachedFieldForField) {
   }
 }
 
-// ---- parallel scans: all_candidate_costs runs one pool task per blocking
+// ---- parallel scans: all_candidate_costs runs fused scans, one pool task
+// per band height and row chunk
 
 void expect_parallel_equals_single(const Csr<double>& a,
                                    const std::string& what) {
@@ -198,35 +199,15 @@ TEST(CandidateCost, ParallelScansMatchSingleCandidateOnAdversarialShapes) {
   // The StatsAdversarial shapes (test_stats.cpp): empty matrices, one
   // row of 2^20 columns, rows % 8 != 0 with unsorted and duplicate
   // columns, and BCSD keys below a band's first-row diagonal.
-  expect_parallel_equals_single(raw_csr(9, 7, {}), "no nonzeros");
-  expect_parallel_equals_single(raw_csr(0, 0, {}), "0x0");
-  expect_parallel_equals_single(raw_csr(0, 5, {}), "0x5");
-  const index_t n = index_t{1} << 20;
-  expect_parallel_equals_single(
-      raw_csr(1, n, {{n - 1, 0, 7, n - 2, 7, n / 2, n / 2 + 1}}), "1xn");
-  expect_parallel_equals_single(
-      raw_csr(11, 13,
-              {{5, 1, 0, 12, 1},
-               {},
-               {3, 2, 2, 3, 0, 1},
-               {12, 11, 10, 9, 8, 7, 6, 5},
-               {0, 0, 0, 0, 0, 0, 0, 0},
-               {4, 6, 5, 4},
-               {},
-               {9, 3, 9, 3, 9, 3},
-               {1, 2},
-               {0, 12, 6}}),
-      "unsorted");
-  std::vector<std::vector<index_t>> lower(23);
-  for (index_t i = 0; i < 23; ++i) {
-    lower[static_cast<std::size_t>(i)] = {0};
-    if (i >= 1) lower[static_cast<std::size_t>(i)].push_back(i - 1);
-    if (i >= 7) lower[static_cast<std::size_t>(i)].push_back(i - 7);
-  }
-  expect_parallel_equals_single(raw_csr(23, 23, lower), "lower");
-  expect_parallel_equals_single(
-      raw_csr(8, 3, {{}, {0}, {1, 0}, {0, 2, 1}, {0}, {2, 0}, {1}, {0}}),
-      "lower narrow");
+  for (const auto& [name, a] : bspmv::testing::adversarial_csrs())
+    expect_parallel_equals_single(a, name);
+}
+
+TEST(CandidateCost, ParallelScansMatchSingleCandidateAtChunkEdges) {
+  // 1, 839, 840, 841, 1681 and 2521 rows: the fused scans' row chunks
+  // (multiples of 840 rows) end inside, at and just past the matrix.
+  for (const auto& [name, a] : bspmv::testing::chunk_edge_csrs())
+    expect_parallel_equals_single(a, name);
 }
 
 TEST(CandidateCost, ParallelScansRankIdenticallyFromConcurrentThreads) {
