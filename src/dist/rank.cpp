@@ -27,8 +27,8 @@ namespace {
 /// One rank's prepared state: the column-split shard plus its local-pass
 /// executor. A multi-thread rank builds its TaskPool fresh in this
 /// (forked) process and passes it explicitly — TaskPool::shared would
-/// hand back the parent's registry entry, whose worker threads died at
-/// fork.
+/// hand back a threadless width-1 pool here (the parent's pools' worker
+/// threads died at fork), too narrow for a multi-thread executor.
 struct RankState {
   RankShard shard;
   HaloDec<double> mat;
