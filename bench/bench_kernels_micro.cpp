@@ -28,12 +28,16 @@
 // group times one conversion to a blocked format on the same pool, its
 // size and fill passes split into row chunks: bcsr_dec_3x1 on the band
 // matrix and bcsd_dec_2 on the R-MAT (docs/models.md, "Conversion cost").
+// prepare/engine/rmat_skewed/csr_simd times a whole 4-thread engine
+// prepare of the R-MAT into CSR: both validations and the plan, with no
+// copy of the arrays (the engine shares the input's; docs/formats.md).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/core/engine.hpp"
 #include "src/core/executor.hpp"
@@ -173,6 +177,15 @@ void run_convert(benchmark::State& state, const Csr<double>& a,
   state.counters["nnz"] = static_cast<double>(a.nnz());
 }
 
+void run_prepare_engine(benchmark::State& state, const Csr<double>& a,
+                        const Candidate& c) {
+  warm_setup_pool(a);
+  const std::vector<Candidate> ranked{c};
+  for (auto _ : state)
+    benchmark::DoNotOptimize(SpmvEngine<double>::prepare(a, ranked, 4));
+  state.counters["nnz"] = static_cast<double>(a.nnz());
+}
+
 const char* schedule_label(ExecBackend b) {
   return b == ExecBackend::kTasks ? "steal" : "static";
 }
@@ -262,6 +275,15 @@ void register_all() {
         ->MinTime(0.10)
         ->UseRealTime();
   }
+  const Candidate csr_simd{FormatKind::kCsr, BlockShape{1, 1}, 0, Impl::kSimd};
+  benchmark::RegisterBenchmark(
+      ("prepare/engine/rmat_skewed/" + csr_simd.id()).c_str(),
+      [csr_simd](benchmark::State& s) {
+        run_prepare_engine(s, skewed_matrix(), csr_simd);
+      })
+      ->Unit(benchmark::kMicrosecond)
+      ->MinTime(0.10)
+      ->UseRealTime();
 }
 
 }  // namespace

@@ -17,6 +17,9 @@
 #   - test_coo_csr, CsrWalk cases: the CSR kernels' chunked walk through
 #     both schedules at 1/2/3/4/7 threads, with task ranges that cut
 #     chunks whose walk is flat, per row, or flat only in part;
+#     CsrStorage cases: four threads prepare, run and drop CSR engines
+#     that share one Csr's arrays while a fifth runs a ThreadedSpmv on
+#     it — the shared block's reference count is the only shared write;
 #   - test_decomposed, DecFused cases: the fused decomposed kernels
 #     through both schedules at 1/2/4/7 threads (1/2/3/4/7 where task
 #     ranges must cut the remainder chunks), and Threads/SpmmParity's
@@ -75,5 +78,5 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
 ctest --test-dir "$build_dir" --output-on-failure --timeout 600 \
   -j "$(nproc)" \
-  -R '^(RunControl|Watchdog|AtomicFile|Measurement|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskSchedule|TaskGraph|Threads/TaskGraphParity|Partition|PartitionEdges|Threads/ThreadedParity|ThreadedSpmvEdge|SpmvEngine|Threads/SpmmParity|SpmmAllFormats|SpmmEngine|SpmmSmoke|CsrWalk|DecFused|HaloDecFormat|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel|CandidateCost|StatsScratch|Conversion|Tiny/ConversionOnSuite|Server|AdmissionQueue|EngineCache)\.' \
+  -R '^(RunControl|Watchdog|AtomicFile|Measurement|Numerics|Backend|WorkQueue|Topology|TaskPool|TaskStress|TaskSchedule|TaskGraph|Threads/TaskGraphParity|Partition|PartitionEdges|Threads/ThreadedParity|ThreadedSpmvEdge|SpmvEngine|Threads/SpmmParity|SpmmAllFormats|SpmmEngine|SpmmSmoke|CsrWalk|CsrStorage|DecFused|HaloDecFormat|DistComm|DistCommEpoch|DistCheckpointFile|RecoveryModel|CandidateCost|StatsScratch|Conversion|Tiny/ConversionOnSuite|Server|AdmissionQueue|EngineCache)\.' \
   "$@"

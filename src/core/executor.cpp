@@ -107,8 +107,8 @@ PreparedExecutor<V> try_prepare(const Csr<V>& a,
   }
   BSPMV_OBS_COUNT("prepare.fallback", 1);
 
-  // Degenerate 1×1 case: scalar CSR. The convert is a copy of the
-  // already-validated input, so it cannot fail.
+  // Degenerate 1×1 case: scalar CSR. The convert shares the
+  // already-validated input's arrays, so it cannot fail.
   Candidate csr;
   csr.kind = FormatKind::kCsr;
   csr.impl = Impl::kScalar;

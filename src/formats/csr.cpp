@@ -38,43 +38,50 @@ Csr<V> Csr<V>::from_coo(Coo<V> coo) {
 template <class V>
 Csr<V>::Csr(index_t rows, index_t cols, aligned_vector<index_t> row_ptr,
             aligned_vector<index_t> col_ind, aligned_vector<V> val)
-    : rows_(rows),
-      cols_(cols),
-      row_ptr_(std::move(row_ptr)),
-      col_ind_(std::move(col_ind)),
-      val_(std::move(val)) {
+    : rows_(rows), cols_(cols) {
   BSPMV_CHECK(rows_ >= 0 && cols_ >= 0);
-  BSPMV_CHECK_MSG(row_ptr_.size() == static_cast<std::size_t>(rows_) + 1,
+  BSPMV_CHECK_MSG(row_ptr.size() == static_cast<std::size_t>(rows_) + 1,
                   "row_ptr must have rows+1 entries");
-  BSPMV_CHECK_MSG(col_ind_.size() == val_.size(),
+  BSPMV_CHECK_MSG(col_ind.size() == val.size(),
                   "col_ind and val must be the same length");
-  BSPMV_CHECK_MSG(row_ptr_.front() == 0 &&
-                      static_cast<std::size_t>(row_ptr_.back()) == val_.size(),
+  BSPMV_CHECK_MSG(row_ptr.front() == 0 &&
+                      static_cast<std::size_t>(row_ptr.back()) == val.size(),
                   "row_ptr must start at 0 and end at nnz");
-  for (std::size_t i = 1; i < row_ptr_.size(); ++i)
-    BSPMV_CHECK_MSG(row_ptr_[i] >= row_ptr_[i - 1],
+  for (std::size_t i = 1; i < row_ptr.size(); ++i)
+    BSPMV_CHECK_MSG(row_ptr[i] >= row_ptr[i - 1],
                     "row_ptr must be non-decreasing");
-  for (index_t c : col_ind_)
+  for (index_t c : col_ind)
     BSPMV_CHECK_MSG(c >= 0 && c < cols_, "column index out of range");
+  // Allocated non-const so that mutable_col_ind() may write through it.
+  data_ = std::make_shared<Arrays>(
+      Arrays{std::move(row_ptr), std::move(col_ind), std::move(val)});
+}
+
+template <class V>
+aligned_vector<index_t>& Csr<V>::mutable_col_ind() {
+  if (data_.use_count() != 1) data_ = std::make_shared<Arrays>(arrays());
+  return const_cast<Arrays&>(*data_).col_ind;
 }
 
 template <class V>
 std::size_t Csr<V>::working_set_bytes() const {
-  return val_.size() * sizeof(V) + col_ind_.size() * sizeof(index_t) +
-         row_ptr_.size() * sizeof(index_t) +
+  const Arrays& d = arrays();
+  return d.val.size() * sizeof(V) + d.col_ind.size() * sizeof(index_t) +
+         d.row_ptr.size() * sizeof(index_t) +
          static_cast<std::size_t>(cols_) * sizeof(V) +  // x
          static_cast<std::size_t>(rows_) * sizeof(V);   // y
 }
 
 template <class V>
 Coo<V> Csr<V>::to_coo() const {
+  const Arrays& d = arrays();
   Coo<V> coo(rows_, cols_);
   coo.reserve(nnz());
   for (index_t i = 0; i < rows_; ++i)
-    for (index_t k = row_ptr_[static_cast<std::size_t>(i)];
-         k < row_ptr_[static_cast<std::size_t>(i) + 1]; ++k)
-      coo.add(i, col_ind_[static_cast<std::size_t>(k)],
-              val_[static_cast<std::size_t>(k)]);
+    for (index_t k = d.row_ptr[static_cast<std::size_t>(i)];
+         k < d.row_ptr[static_cast<std::size_t>(i) + 1]; ++k)
+      coo.add(i, d.col_ind[static_cast<std::size_t>(k)],
+              d.val[static_cast<std::size_t>(k)]);
   return coo;
 }
 

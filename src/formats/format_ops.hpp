@@ -108,6 +108,7 @@ struct FormatOps<Csr<V>> {
   static constexpr const char* kName = "csr";
   static constexpr bool kParallel = true;
 
+  /// O(1): the result shares `a`'s immutable arrays (see Csr).
   static Csr<V> convert(const Csr<V>& a, const Candidate&) { return a; }
   static void validate(const Csr<V>& m) { bspmv::validate(m); }
   static std::size_t working_set_bytes(const Csr<V>& m) {

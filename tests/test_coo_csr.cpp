@@ -4,13 +4,20 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "src/core/engine.hpp"
+#include "src/formats/conversion_guard.hpp"
 #include "src/formats/csr.hpp"
+#include "src/formats/validate.hpp"
 #include "src/kernels/block_madd.hpp"
 #include "src/kernels/csr_kernels.hpp"
 #include "src/kernels/spmv.hpp"
 #include "src/parallel/parallel_spmv.hpp"
+#include "src/util/errors.hpp"
+#include "tests/fault_injection.hpp"
 #include "tests/test_helpers.hpp"
 
 namespace bspmv {
@@ -366,6 +373,158 @@ void check_same_bits_signed_zero() {
 TEST(SameBits, RejectsNegativeZeroForPositiveZero) {
   check_same_bits_signed_zero<double>();
   check_same_bits_signed_zero<float>();
+}
+
+
+// ------------------------------------------------------ shared storage ----
+
+const Candidate kCsrSimd{FormatKind::kCsr, BlockShape{1, 1}, 0, Impl::kSimd};
+
+/// The Csr a format holds, or nullptr when the format is not CSR.
+const Csr<double>* csr_of(const AnyFormat<double>& f) {
+  return f.visit([](const auto& m) -> const Csr<double>* {
+    if constexpr (std::is_same_v<std::decay_t<decltype(m)>, Csr<double>>)
+      return &m;
+    else
+      return nullptr;
+  });
+}
+
+void expect_shares(const Csr<double>& got, const Csr<double>& want,
+                   const std::string& what) {
+  EXPECT_EQ(got.row_ptr().data(), want.row_ptr().data()) << what;
+  EXPECT_EQ(got.col_ind().data(), want.col_ind().data()) << what;
+  EXPECT_EQ(got.val().data(), want.val().data()) << what;
+}
+
+TEST(CsrStorage, CopySharesItsArrays) {
+  const Csr<double> a =
+      Csr<double>::from_coo(random_coo<double>(50, 60, 0.1, 71));
+  const Csr<double> b = a;
+  expect_shares(b, a, "copy");
+  Csr<double> c;
+  c = b;
+  expect_shares(c, a, "copy-assign");
+  EXPECT_EQ(c.rows(), 50);
+  EXPECT_EQ(c.cols(), 60);
+  EXPECT_EQ(c.nnz(), a.nnz());
+}
+
+TEST(CsrStorage, CsrConversionAndPrepareShareTheInput) {
+  const Csr<double> a =
+      Csr<double>::from_coo(random_coo<double>(80, 80, 0.1, 72));
+  const auto f = AnyFormat<double>::convert(a, kCsrSimd);
+  ASSERT_NE(csr_of(f), nullptr);
+  expect_shares(*csr_of(f), a, "convert");
+
+  const auto engine =
+      SpmvEngine<double>::prepare(a, std::vector<Candidate>{kCsrSimd}, 4);
+  ASSERT_NE(csr_of(engine.format()), nullptr);
+  EXPECT_EQ(csr_of(engine.format())->val().data(), a.val().data());
+
+  // try_prepare's scalar-CSR fallback shares too: a fill cap just below 1
+  // starves the only (blocked) candidate.
+  ConversionLimits tight;
+  tight.max_fill_ratio = 1.0 - 1e-9;
+  ConversionGuard::Scope scope(tight);
+  const Candidate bcsr{FormatKind::kBcsr, BlockShape{4, 4}, 0, Impl::kScalar};
+  const auto fallback =
+      SpmvEngine<double>::prepare(a, std::vector<Candidate>{bcsr}, 2);
+  ASSERT_NE(fallback.prepared(), nullptr);
+  EXPECT_TRUE(fallback.prepared()->fallback);
+  ASSERT_NE(csr_of(fallback.format()), nullptr);
+  expect_shares(*csr_of(fallback.format()), a, "fallback");
+}
+
+TEST(CsrStorage, FaultOnASharedInputLeavesTheEngineIntact) {
+  Csr<double> a = Csr<double>::from_coo(random_coo<double>(300, 300, 0.05, 73));
+  const auto x = random_x<double>(300, 74);
+  aligned_vector<double> want(300, 0.0);
+  spmv(a, x.data(), want.data(), Impl::kSimd);
+  const auto engine =
+      SpmvEngine<double>::prepare(a, std::vector<Candidate>{kCsrSimd}, 4);
+
+  ASSERT_TRUE(bspmv::testing::inject_csr_fault(
+      a, bspmv::testing::CsrFault::kColumnPastEnd, 17));
+  EXPECT_THROW(validate(a), validation_error);
+  EXPECT_NE(csr_of(engine.format())->col_ind().data(), a.col_ind().data());
+  EXPECT_NO_THROW(engine.format().validate());
+
+  aligned_vector<double> y(300, -1.0);
+  engine.run(x.data(), y.data());
+  expect_same_bits(y, want, "engine after the input's fault");
+}
+
+TEST(CsrStorage, SoleOwnerWritesInPlace) {
+  Csr<double> a = Csr<double>::from_coo(random_coo<double>(40, 40, 0.2, 75));
+  const index_t* before = a.col_ind().data();
+  { const Csr<double> gone = a; }  // a shared, then sole owner again
+  EXPECT_EQ(a.mutable_col_ind().data(), before);
+  a.mutable_col_ind()[0] = 0;
+  EXPECT_EQ(a.col_ind()[0], 0);
+  EXPECT_EQ(a.col_ind().data(), before);
+}
+
+TEST(CsrStorage, DefaultAndMovedFromReadAsEmpty) {
+  Csr<double> d;
+  EXPECT_EQ(d.rows(), 0);
+  EXPECT_EQ(d.cols(), 0);
+  EXPECT_EQ(d.nnz(), 0u);
+  EXPECT_TRUE(d.row_ptr().empty());
+  EXPECT_TRUE(d.col_ind().empty());
+  EXPECT_TRUE(d.val().empty());
+  EXPECT_EQ(d.working_set_bytes(), 0u);
+  EXPECT_EQ(d.to_coo().nnz(), 0u);
+  EXPECT_TRUE(d.mutable_col_ind().empty());
+  EXPECT_EQ(Csr<double>(d).nnz(), 0u);
+
+  Csr<double> a = Csr<double>::from_coo(random_coo<double>(20, 30, 0.3, 76));
+  const double* val = a.val().data();
+  const std::size_t nnz = a.nnz();
+  const Csr<double> b = std::move(a);
+  EXPECT_EQ(b.val().data(), val);
+  EXPECT_EQ(b.nnz(), nnz);
+  // As with the moved-from arrays themselves: the shape stays, the
+  // arrays read as empty.
+  EXPECT_EQ(a.rows(), 20);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.nnz(), 0u);
+  EXPECT_TRUE(a.row_ptr().empty());
+  EXPECT_TRUE(a.mutable_col_ind().empty());
+}
+
+TEST(CsrStorage, ConcurrentEnginesShareOneCsr) {
+  // Four threads prepare, run and drop CSR engines over one shared Csr
+  // while a fifth runs a ThreadedSpmv on it: the block's reference count
+  // is the only shared write.
+  const Csr<double> a =
+      Csr<double>::from_coo(random_coo<double>(1200, 1200, 0.01, 77));
+  const auto x = random_x<double>(1200, 78);
+  aligned_vector<double> want(1200, 0.0);
+  spmv(a, x.data(), want.data(), Impl::kSimd);
+
+  constexpr int kRounds = 12;
+  std::vector<int> mismatches(5, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&, t] {
+      aligned_vector<double> y(1200);
+      for (int r = 0; r < kRounds; ++r) {
+        const auto engine = SpmvEngine<double>::prepare(
+            a, std::vector<Candidate>{kCsrSimd}, 1 + (t + r) % 4);
+        engine.run(x.data(), y.data());
+        if (y != want) ++mismatches[static_cast<std::size_t>(t)];
+      }
+    });
+  threads.emplace_back([&] {
+    const ThreadedSpmv<Csr<double>> plan(a, 4);
+    aligned_vector<double> y(1200);
+    for (int r = 0; r < 4 * kRounds; ++r) {
+      plan.run(x.data(), y.data(), Impl::kSimd);
+      if (y != want) ++mismatches[4];
+    }
+  });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < 5; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 }  // namespace
